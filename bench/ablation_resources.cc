@@ -59,22 +59,6 @@ rotConfig(unsigned c)
     return cfg;
 }
 
-MachineConfig
-widthConfig(unsigned w)
-{
-    MachineConfig cfg = MachineConfig::fourWidePlus();
-    cfg.issueWidth = w;
-    cfg.fetchWidth = w;
-    cfg.fetchBlocksPerCycle = (w + 3) / 4;
-    cfg.numIntAlu = w;
-    cfg.numRotUnits = w;
-    cfg.mulHalfSlots = w / 2;
-    cfg.numDCachePorts = (w + 1) / 2;
-    cfg.windowSize = 32 * w;
-    cfg.name = std::to_string(w) + "-wide";
-    return cfg;
-}
-
 /** One table: B/kcycle of each (cipher row, config column) result. */
 template <typename Ciphers, typename Configs>
 void
@@ -115,7 +99,7 @@ main()
     for (unsigned c : rot_counts)
         rot_cfgs.push_back(rotConfig(c));
     for (unsigned w : issue_widths)
-        width_cfgs.push_back(widthConfig(w));
+        width_cfgs.push_back(driver::issueWidthConfig(w));
 
     std::vector<driver::SweepCell> cells;
     for (auto id : sbox_ciphers)

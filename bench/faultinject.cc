@@ -4,11 +4,10 @@
  * safety net actually catches.
  *
  * For each (cipher, variant, site) cell, a run of seeded single-bit
- * faults is injected — into architectural registers mid-run, into
- * kernel-touched data memory mid-run, or into the serialized packed
- * trace — and each injection is classified (src/verify/faults.hh):
- * detected by a machine trap, by the record-time oracle, by the trace
- * integrity check, or masked. The table reports detection coverage
+ * faults is injected — into architectural registers or into
+ * kernel-touched data memory, mid-run — and each injection is
+ * classified (src/verify/faults.hh): detected by a machine trap, by
+ * the record-time oracle, or masked. The table reports detection coverage
  * (fraction not masked) per cell; per-class counts go to
  * BENCH_faults.json.
  *
@@ -29,7 +28,7 @@
  *     "results": [
  *       {"cipher": "...", "variant": "...", "site": "register",
  *        "injections": N, "detected_trap": N, "detected_oracle": N,
- *        "detected_trace": N, "masked": N, "coverage": x}, ...
+ *        "masked": N, "coverage": x}, ...
  *     ],
  *     "totals": { per-site and overall aggregate of the same fields }
  *   }
@@ -53,8 +52,7 @@ using verify::FaultSite;
 using verify::FaultTally;
 
 constexpr FaultSite all_sites[] = {FaultSite::Register,
-                                   FaultSite::Memory,
-                                   FaultSite::TraceByte};
+                                   FaultSite::Memory};
 
 struct CellTally
 {
@@ -70,7 +68,6 @@ tallyJson(std::ofstream &out, const FaultTally &t)
     out << "\"injections\": " << t.injections
         << ", \"detected_trap\": " << t.detectedTrap
         << ", \"detected_oracle\": " << t.detectedOracle
-        << ", \"detected_trace\": " << t.detectedTrace
         << ", \"masked\": " << t.masked << ", \"coverage\": ";
     char buf[32];
     std::snprintf(buf, sizeof(buf), "%.4f", t.coverage());
@@ -105,17 +102,17 @@ main(int argc, char **argv)
 
     std::printf("Fault-injection detection coverage (%s mode, %u "
                 "injections/cell,\n%zu-byte sessions; detected by "
-                "trap / oracle / trace check, else masked).\n\n",
+                "trap / oracle, else masked).\n\n",
                 quick ? "quick" : "full", perCell, bytes);
-    std::printf("%-10s %-12s %-9s %6s %6s %7s %6s %7s %9s\n", "Cipher",
-                "Variant", "Site", "inj", "trap", "oracle", "trace",
-                "masked", "coverage");
-    std::printf("%.80s\n",
+    std::printf("%-10s %-12s %-9s %6s %6s %7s %7s %9s\n", "Cipher",
+                "Variant", "Site", "inj", "trap", "oracle", "masked",
+                "coverage");
+    std::printf("%.73s\n",
                 "----------------------------------------------------"
                 "----------------------------");
 
     std::vector<CellTally> cells;
-    FaultTally siteTotals[3];
+    FaultTally siteTotals[std::size(all_sites)];
     for (auto id : ciphers) {
         for (auto v : variants) {
             for (auto site : all_sites) {
@@ -128,15 +125,13 @@ main(int argc, char **argv)
                 auto tally = verify::injectionSweep(id, v, site, seed0,
                                                     perCell, bytes);
                 std::printf(
-                    "%-10s %-12s %-9s %6llu %6llu %7llu %6llu %7llu "
-                    "%8.1f%%\n",
+                    "%-10s %-12s %-9s %6llu %6llu %7llu %7llu %8.1f%%\n",
                     crypto::cipherInfo(id).name.c_str(),
                     kernels::variantName(v).c_str(),
                     verify::faultSiteName(site),
                     static_cast<unsigned long long>(tally.injections),
                     static_cast<unsigned long long>(tally.detectedTrap),
                     static_cast<unsigned long long>(tally.detectedOracle),
-                    static_cast<unsigned long long>(tally.detectedTrace),
                     static_cast<unsigned long long>(tally.masked),
                     100.0 * tally.coverage());
                 cells.push_back({id, v, site, tally});
@@ -144,31 +139,27 @@ main(int argc, char **argv)
                 agg.injections += tally.injections;
                 agg.detectedTrap += tally.detectedTrap;
                 agg.detectedOracle += tally.detectedOracle;
-                agg.detectedTrace += tally.detectedTrace;
                 agg.masked += tally.masked;
             }
         }
     }
 
     FaultTally overall;
-    std::printf("%.80s\n",
+    std::printf("%.73s\n",
                 "----------------------------------------------------"
                 "----------------------------");
     for (auto site : all_sites) {
         const auto &agg = siteTotals[static_cast<size_t>(site)];
-        std::printf("%-10s %-12s %-9s %6llu %6llu %7llu %6llu %7llu "
-                    "%8.1f%%\n",
+        std::printf("%-10s %-12s %-9s %6llu %6llu %7llu %7llu %8.1f%%\n",
                     "all", "all", verify::faultSiteName(site),
                     static_cast<unsigned long long>(agg.injections),
                     static_cast<unsigned long long>(agg.detectedTrap),
                     static_cast<unsigned long long>(agg.detectedOracle),
-                    static_cast<unsigned long long>(agg.detectedTrace),
                     static_cast<unsigned long long>(agg.masked),
                     100.0 * agg.coverage());
         overall.injections += agg.injections;
         overall.detectedTrap += agg.detectedTrap;
         overall.detectedOracle += agg.detectedOracle;
-        overall.detectedTrace += agg.detectedTrace;
         overall.masked += agg.masked;
     }
 
@@ -201,9 +192,7 @@ main(int argc, char **argv)
         throw std::runtime_error("failed writing BENCH_faults.json");
 
     std::printf("\n(Per-cell classification counts: BENCH_faults.json. "
-                "Trace-byte faults\nare caught by the stream checksum "
-                "essentially always; register and memory\ncoverage is "
-                "bounded by genuinely dead state — stale bytes and "
-                "consumed\nvalues no check can observe.)\n");
+                "Coverage is bounded\nby genuinely dead state — stale "
+                "bytes and consumed values no check\ncan observe.)\n");
     return overall.injections ? 0 : 1;
 }

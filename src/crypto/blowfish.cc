@@ -12,19 +12,13 @@ namespace cryptarch::crypto
 using util::load32be;
 using util::store32be;
 
-namespace
-{
-
-/** 18 P words + 4*256 S words of pi, computed once per process. */
 const std::vector<uint32_t> &
-piInit()
+Blowfish::piWords()
 {
     static const std::vector<uint32_t> words =
         util::piFractionWords(18 + 4 * 256);
     return words;
 }
-
-} // namespace
 
 const CipherInfo &
 Blowfish::info() const
@@ -74,7 +68,7 @@ Blowfish::setKey(std::span<const uint8_t> key)
     if (key.empty() || key.size() > 56)
         throw std::invalid_argument("Blowfish: key must be 1..56 bytes");
 
-    const auto &pi = piInit();
+    const auto &pi = piWords();
     for (int i = 0; i < 18; i++)
         p[i] = pi[i];
     for (int box = 0; box < 4; box++)

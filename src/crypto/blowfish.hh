@@ -16,6 +16,7 @@
 
 #include <array>
 #include <cstdint>
+#include <vector>
 
 #include "crypto/cipher.hh"
 
@@ -44,6 +45,13 @@ class Blowfish : public BlockCipher
     void encryptWords(uint32_t &l, uint32_t &r) const;
     /** Decrypt a 64-bit block given as (left, right) word pair. */
     void decryptWords(uint32_t &l, uint32_t &r) const;
+
+    /**
+     * The 18 + 4*256 words of pi that initialize P and S before the
+     * key is mixed in, computed once per process and shared with the
+     * Blowfish setup kernel.
+     */
+    static const std::vector<uint32_t> &piWords();
 
   private:
     uint32_t f(uint32_t x) const;

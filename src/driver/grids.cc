@@ -1,5 +1,7 @@
 #include "driver/grids.hh"
 
+#include <string>
+
 namespace cryptarch::driver
 {
 
@@ -47,6 +49,22 @@ tab02Spec()
                    MachineConfig::eightWidePlus(),
                    MachineConfig::dataflow()};
     return spec;
+}
+
+MachineConfig
+issueWidthConfig(unsigned w)
+{
+    MachineConfig cfg = MachineConfig::fourWidePlus();
+    cfg.issueWidth = w;
+    cfg.fetchWidth = w;
+    cfg.fetchBlocksPerCycle = (w + 3) / 4;
+    cfg.numIntAlu = w;
+    cfg.numRotUnits = w;
+    cfg.mulHalfSlots = w / 2;
+    cfg.numDCachePorts = (w + 1) / 2;
+    cfg.windowSize = 32 * w;
+    cfg.name = std::to_string(w) + "-wide";
+    return cfg;
 }
 
 } // namespace cryptarch::driver

@@ -36,6 +36,13 @@ std::vector<SweepCell> fig10Cells();
  */
 SweepSpec tab02Spec();
 
+/**
+ * The ablation_resources issue-width machine: 4W+ at @p w-wide issue
+ * and fetch, with the ALU, rotator, multiplier, D-cache port and
+ * window resources scaled with the width. Named "<w>-wide".
+ */
+sim::MachineConfig issueWidthConfig(unsigned w);
+
 } // namespace cryptarch::driver
 
 #endif // CRYPTARCH_DRIVER_GRIDS_HH

@@ -189,28 +189,28 @@ RecordedTrace::replay(const sim::MachineConfig &cfg) const
     return sched.finish();
 }
 
-CompressOutcome
+isa::CompressOutcome
 RecordedTrace::compress(TraceCompression mode)
 {
     if (compressed_)
         return outcome_;
     if (mode == TraceCompression::Off) {
-        outcome_ = CompressOutcome::NotAttempted;
+        outcome_ = isa::CompressOutcome::NotAttempted;
         return outcome_;
     }
-    CompressedTrace candidate;
-    outcome_ = CompressedTrace::compress(packed, candidate);
-    if (outcome_ != CompressOutcome::Accepted)
+    isa::CompressedTrace candidate;
+    outcome_ = isa::CompressedTrace::compress(packed, candidate);
+    if (outcome_ != isa::CompressOutcome::Accepted)
         return outcome_;
     if (mode == TraceCompression::Auto
         && candidate.storedBytes() >= packed.packedBytes()) {
-        outcome_ = CompressOutcome::NoGain;
+        outcome_ = isa::CompressOutcome::NoGain;
         return outcome_;
     }
     // The packed copy is dropped only after the expanded stream is
     // proven identical to it — downstream figures cannot change.
     if (!verify::verifyExpansion(packed, candidate)) {
-        outcome_ = CompressOutcome::ExpandMismatch;
+        outcome_ = isa::CompressOutcome::ExpandMismatch;
         return outcome_;
     }
     packedBytesBeforeDrop = packed.packedBytes();
@@ -220,16 +220,19 @@ RecordedTrace::compress(TraceCompression mode)
     return outcome_;
 }
 
-PackedTrace
+isa::PackedTrace
 RecordedTrace::toPacked() const
 {
     if (!compressed_)
         return packed;
-    PackedTrace out;
-    out.reserve(comp.instructions());
-    for (auto r = comp.reader(); !r.done();)
-        out.append(r.next(), /*keepResult=*/true);
-    return out;
+    struct Repack
+    {
+        isa::PackedTrace trace;
+        void emit(const isa::DynInst &d) { trace.append(d); }
+    } repack;
+    repack.trace.reserve(comp.instructions());
+    comp.expandInto(repack);
+    return repack.trace;
 }
 
 RecordedTrace

@@ -38,15 +38,6 @@
 namespace cryptarch::driver
 {
 
-// The packed encoding lives in src/isa/ (it encodes isa::DynInst and
-// the verify layer corrupts serialized streams without linking the
-// driver); these aliases keep the historical driver:: spellings valid.
-using isa::CompressedTrace;
-using isa::CompressOutcome;
-using isa::PackedTrace;
-using isa::TraceErrorKind;
-using isa::TraceFormatError;
-
 /**
  * Process-wide trace-storage policy, settable programmatically or via
  * the CRYPTARCH_TRACE_COMPRESS environment variable ("off", "auto",
@@ -190,28 +181,25 @@ class RecordedTrace : public isa::TraceSink
      * the packed copy stays authoritative. Safe to call again (idempotent
      * once compressed).
      */
-    CompressOutcome compress(TraceCompression mode);
+    isa::CompressOutcome compress(TraceCompression mode);
 
     /** Whether replay expands the compressed encoding. */
     bool isCompressed() const { return compressed_; }
 
     /** Outcome of the last compress() call (NotAttempted before any). */
-    CompressOutcome compressOutcome() const { return outcome_; }
+    isa::CompressOutcome compressOutcome() const { return outcome_; }
 
     /**
      * Decode whichever representation is stored into a standalone
      * PackedTrace (a copy — use the replay paths for hot loops).
      */
-    PackedTrace toPacked() const;
-
-    /** The compressed encoding; valid only when isCompressed(). */
-    const CompressedTrace &compressedStream() const { return comp; }
+    isa::PackedTrace toPacked() const;
 
   private:
-    PackedTrace packed;
-    CompressedTrace comp;
+    isa::PackedTrace packed;
+    isa::CompressedTrace comp;
     bool compressed_ = false;
-    CompressOutcome outcome_ = CompressOutcome::NotAttempted;
+    isa::CompressOutcome outcome_ = isa::CompressOutcome::NotAttempted;
     size_t packedBytesBeforeDrop = 0;
 };
 

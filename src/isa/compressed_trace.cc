@@ -1,10 +1,7 @@
 #include "isa/compressed_trace.hh"
 
 #include <algorithm>
-#include <cstring>
 #include <unordered_map>
-
-#include "util/checksum.hh"
 
 namespace cryptarch::isa
 {
@@ -92,8 +89,7 @@ seedTracker(SlotTracker &t, const DynInst &d)
 } // namespace
 
 CompressOutcome
-CompressedTrace::compress(const PackedTrace &packed, CompressedTrace &out,
-                          const Policy &policy)
+CompressedTrace::compress(const PackedTrace &packed, CompressedTrace &out)
 {
     out = CompressedTrace();
     const size_t n = packed.size();
@@ -112,15 +108,15 @@ CompressedTrace::compress(const PackedTrace &packed, CompressedTrace &out,
     }
     std::vector<std::pair<uint64_t, uint32_t>> ranked; // (count, pc)
     for (const auto &[pc, count] : takenBack)
-        if (count >= policy.minIterations)
+        if (count >= min_iterations)
             ranked.emplace_back(count, pc);
     if (ranked.empty())
         return CompressOutcome::NoLoop;
     std::sort(ranked.begin(), ranked.end(), [](const auto &a, const auto &b) {
         return a.first != b.first ? a.first > b.first : a.second < b.second;
     });
-    if (ranked.size() > policy.maxCandidates)
-        ranked.resize(policy.maxCandidates);
+    if (ranked.size() > max_candidates)
+        ranked.resize(max_candidates);
 
     // Pass 2: dynamic positions of every candidate pc (taken or not —
     // the final fall-through occurrence delimits the last iteration).
@@ -161,7 +157,7 @@ CompressedTrace::compress(const PackedTrace &packed, CompressedTrace &out,
             continue;
         }
         const uint64_t iters = occ.size() - 1;
-        if (iters < policy.minIterations) {
+        if (iters < min_iterations) {
             refuse(CompressOutcome::NoLoop);
             continue;
         }
@@ -243,7 +239,7 @@ CompressedTrace::compress(const PackedTrace &packed, CompressedTrace &out,
         }
 
         // Candidate holds. Freeze slot modes and table ranks.
-        uint64_t nAddrSlots = 0, nTakenSlots = 0, nResultSlots = 0;
+        uint32_t nAddrSlots = 0, nTakenSlots = 0, nResultSlots = 0;
         for (SlotTracker &tr : track) {
             Slot &s = tr.slot;
             if (tr.addrExplicit)
@@ -264,18 +260,17 @@ CompressedTrace::compress(const PackedTrace &packed, CompressedTrace &out,
                 s.resultConst = tr.result0;
             }
             if (s.addrMode == addr_explicit)
-                nAddrSlots++;
+                s.addrTable = nAddrSlots++;
             if (s.takenMode == taken_varying)
-                nTakenSlots++;
+                s.takenTable = nTakenSlots++;
             if (s.resultMode == result_explicit)
-                nResultSlots++;
+                s.resultTable = nResultSlots++;
         }
 
         out.iterations_ = iters;
         out.body_.reserve(bodyLen);
         for (SlotTracker &tr : track)
             out.body_.push_back(tr.slot);
-        out.reindexSlots();
         out.explicitAddr_.assign(nAddrSlots * iters, 0);
         out.takenBits_.assign(nTakenSlots * ((iters + 7) / 8), 0);
         out.explicitResult_.assign(nResultSlots * iters, 0);
@@ -314,30 +309,17 @@ CompressedTrace::compress(const PackedTrace &packed, CompressedTrace &out,
     return firstRefusal;
 }
 
-void
-CompressedTrace::reindexSlots()
-{
-    uint32_t na = 0, nb = 0, nr = 0;
-    for (Slot &s : body_) {
-        s.addrTable = s.addrMode == addr_explicit ? na++ : 0;
-        s.takenTable = s.takenMode == taken_varying ? nb++ : 0;
-        s.resultTable = s.resultMode == result_explicit ? nr++ : 0;
-    }
-}
-
 size_t
 CompressedTrace::storedBytes() const
 {
-    // 46 bytes is the serialized slot footprint; the in-memory struct
-    // is padded wider, but the serialized size is what trace storage
-    // and the simspeed compression-ratio column measure.
-    return body_.size() * 46 + explicitAddr_.size() * sizeof(uint32_t)
+    return body_.size() * slot_bytes
+        + explicitAddr_.size() * sizeof(uint32_t)
         + takenBits_.size() + explicitResult_.size() * sizeof(uint64_t)
         + prefix_.packedBytes() + suffix_.packedBytes();
 }
 
 // ---------------------------------------------------------------------------
-// Reader
+// Expansion
 
 void
 CompressedTrace::buildBodyTemplate(std::vector<DynInst> &body,
@@ -413,328 +395,6 @@ CompressedTrace::patchBody(std::vector<DynInst> &body,
         if (s.resultMode == result_explicit)
             d.result = explicitResult_[s.resultTable * iters + t];
     }
-}
-
-CompressedTrace::Reader::Reader(const CompressedTrace &t)
-    : trace(&t), pre(t.prefix_.reader()), suf(t.suffix_.reader()),
-      total(t.instructions())
-{
-    t.buildBodyTemplate(body, patchSlots);
-}
-
-void
-CompressedTrace::Reader::patchIteration(uint64_t t)
-{
-    trace->patchBody(body, patchSlots, t);
-}
-
-DynInst
-CompressedTrace::Reader::next()
-{
-    if (!pre.done()) {
-        DynInst d = pre.next(); // prefix seq is already global
-        seq++;
-        return d;
-    }
-    if (iter < trace->iterations_) {
-        if (slot == 0)
-            patchIteration(iter);
-        DynInst d = body[slot];
-        d.seq = seq++;
-        if (++slot == body.size()) {
-            slot = 0;
-            iter++;
-        }
-        return d;
-    }
-    DynInst d = suf.next();
-    d.seq = seq++; // renumber the suffix's local seq globally
-    return d;
-}
-
-// ---------------------------------------------------------------------------
-// Serialization
-
-namespace
-{
-
-constexpr uint8_t ctrace_magic[4] = {'C', 'P', 'C', 'M'};
-constexpr uint32_t ctrace_version = 1;
-constexpr size_t ctrace_header_bytes = 4 + 4 + 8 * 8;
-constexpr size_t slot_bytes = 46;
-
-void
-putU32(std::vector<uint8_t> &out, uint32_t v)
-{
-    for (unsigned i = 0; i < 4; i++)
-        out.push_back(static_cast<uint8_t>(v >> (8 * i)));
-}
-
-void
-putU64(std::vector<uint8_t> &out, uint64_t v)
-{
-    for (unsigned i = 0; i < 8; i++)
-        out.push_back(static_cast<uint8_t>(v >> (8 * i)));
-}
-
-/**
- * Bulk append via resize+memcpy. Equivalent to a range insert at
- * end(), phrased this way because GCC 12's -Wstringop-overflow false
- * positives on vector range-insert reallocation under -Werror.
- */
-void
-appendBytes(std::vector<uint8_t> &out, const uint8_t *p, size_t n)
-{
-    const size_t at = out.size();
-    out.resize(at + n);
-    if (n)
-        std::memcpy(out.data() + at, p, n);
-}
-
-/** Bounded little-endian cursor (same shape as the PackedTrace one). */
-struct ByteCursor
-{
-    std::span<const uint8_t> bytes;
-    size_t pos = 0;
-
-    size_t remaining() const { return bytes.size() - pos; }
-
-    void
-    need(size_t n, const char *what)
-    {
-        if (remaining() < n)
-            throw TraceFormatError(
-                TraceErrorKind::Truncated,
-                std::string("compressed stream ends inside ") + what
-                    + " (" + std::to_string(remaining())
-                    + " bytes left, " + std::to_string(n) + " needed)");
-    }
-
-    uint8_t u8() { return bytes[pos++]; }
-
-    uint32_t
-    u32()
-    {
-        uint32_t v = 0;
-        for (unsigned i = 0; i < 4; i++)
-            v |= static_cast<uint32_t>(bytes[pos + i]) << (8 * i);
-        pos += 4;
-        return v;
-    }
-
-    uint64_t
-    u64()
-    {
-        uint64_t v = 0;
-        for (unsigned i = 0; i < 8; i++)
-            v |= static_cast<uint64_t>(bytes[pos + i]) << (8 * i);
-        pos += 8;
-        return v;
-    }
-};
-
-[[noreturn]] void
-inconsistent(const std::string &what)
-{
-    throw TraceFormatError(TraceErrorKind::Inconsistent,
-                           "compressed trace: " + what);
-}
-
-} // namespace
-
-std::vector<uint8_t>
-CompressedTrace::serialize() const
-{
-    std::vector<uint8_t> payload;
-    payload.reserve(storedBytes());
-    for (const Slot &s : body_) {
-        putU32(payload, s.pc);
-        payload.push_back(s.op);
-        payload.push_back(s.cls);
-        payload.push_back(s.dest);
-        payload.push_back(s.addrSrc);
-        payload.push_back(s.tableId);
-        payload.push_back(s.srcs[0]);
-        payload.push_back(s.srcs[1]);
-        payload.push_back(s.srcs[2]);
-        payload.push_back(s.numSrcs);
-        payload.push_back(s.size);
-        const uint8_t bools = static_cast<uint8_t>(
-            (s.isLoad ? 1 : 0) | (s.isStore ? 2 : 0) | (s.branch ? 4 : 0)
-            | (s.aliased ? 8 : 0));
-        payload.push_back(bools);
-        payload.push_back(s.addrMode);
-        payload.push_back(s.takenMode);
-        payload.push_back(s.resultMode);
-        putU32(payload, s.takenTarget);
-        putU64(payload, s.addrBase);
-        putU64(payload, s.addrStride);
-        putU64(payload, s.resultConst);
-    }
-    for (uint32_t v : explicitAddr_)
-        putU32(payload, v);
-    appendBytes(payload, takenBits_.data(), takenBits_.size());
-    for (uint64_t v : explicitResult_)
-        putU64(payload, v);
-    const std::vector<uint8_t> prefixBlob = prefix_.serialize();
-    const std::vector<uint8_t> suffixBlob = suffix_.serialize();
-    appendBytes(payload, prefixBlob.data(), prefixBlob.size());
-    appendBytes(payload, suffixBlob.data(), suffixBlob.size());
-
-    std::vector<uint8_t> out;
-    out.reserve(ctrace_header_bytes + payload.size());
-    appendBytes(out, ctrace_magic, 4);
-    putU32(out, ctrace_version);
-    putU64(out, iterations_);
-    putU64(out, body_.size());
-    putU64(out, explicitAddr_.size());
-    putU64(out, takenBits_.size());
-    putU64(out, explicitResult_.size());
-    putU64(out, prefixBlob.size());
-    putU64(out, suffixBlob.size());
-    putU64(out, util::fnv1a64(payload.data(), payload.size()));
-    appendBytes(out, payload.data(), payload.size());
-    return out;
-}
-
-CompressedTrace
-CompressedTrace::deserialize(std::span<const uint8_t> bytes)
-{
-    ByteCursor cur{bytes};
-    cur.need(ctrace_header_bytes, "header");
-    if (std::memcmp(bytes.data(), ctrace_magic, 4) != 0)
-        throw TraceFormatError(TraceErrorKind::BadMagic,
-                               "stream does not begin with 'CPCM'");
-    cur.pos = 4;
-    const uint32_t version = cur.u32();
-    if (version != ctrace_version)
-        throw TraceFormatError(TraceErrorKind::BadVersion,
-                               "compressed version "
-                                   + std::to_string(version)
-                                   + ", expected "
-                                   + std::to_string(ctrace_version));
-    const uint64_t iters = cur.u64();
-    const uint64_t bodyLen = cur.u64();
-    const uint64_t nAddr = cur.u64();
-    const uint64_t nBits = cur.u64();
-    const uint64_t nResult = cur.u64();
-    const uint64_t prefixBytes = cur.u64();
-    const uint64_t suffixBytes = cur.u64();
-    const uint64_t checksum = cur.u64();
-
-    // All counts are corruption-controlled: bound each by the stream
-    // length before computing anything from them.
-    const uint64_t len = bytes.size();
-    if (bodyLen == 0 || bodyLen > len / slot_bytes || iters == 0
-        || iters > (1ull << 40) || nAddr > len / 4 || nBits > len
-        || nResult > len / 8 || prefixBytes > len || suffixBytes > len)
-        throw TraceFormatError(TraceErrorKind::Truncated,
-                               "compressed header counts exceed stream "
-                               "length");
-    const uint64_t payload_bytes = bodyLen * slot_bytes + nAddr * 4
-        + nBits + nResult * 8 + prefixBytes + suffixBytes;
-    if (cur.remaining() != payload_bytes)
-        throw TraceFormatError(
-            TraceErrorKind::Truncated,
-            "compressed payload is " + std::to_string(cur.remaining())
-                + " bytes, header promises "
-                + std::to_string(payload_bytes));
-    if (util::fnv1a64(bytes.data() + ctrace_header_bytes, payload_bytes)
-        != checksum)
-        throw TraceFormatError(TraceErrorKind::BadChecksum,
-                               "compressed payload checksum mismatch");
-
-    CompressedTrace t;
-    t.iterations_ = iters;
-    t.body_.resize(bodyLen);
-    for (Slot &s : t.body_) {
-        s.pc = cur.u32();
-        s.op = cur.u8();
-        s.cls = cur.u8();
-        s.dest = cur.u8();
-        s.addrSrc = cur.u8();
-        s.tableId = cur.u8();
-        s.srcs[0] = cur.u8();
-        s.srcs[1] = cur.u8();
-        s.srcs[2] = cur.u8();
-        s.numSrcs = cur.u8();
-        s.size = cur.u8();
-        const uint8_t bools = cur.u8();
-        if (bools & ~0x0Fu)
-            inconsistent("reserved slot flag bits set");
-        s.isLoad = bools & 1;
-        s.isStore = bools & 2;
-        s.branch = bools & 4;
-        s.aliased = bools & 8;
-        s.addrMode = cur.u8();
-        s.takenMode = cur.u8();
-        s.resultMode = cur.u8();
-        s.takenTarget = cur.u32();
-        s.addrBase = cur.u64();
-        s.addrStride = cur.u64();
-        s.resultConst = cur.u64();
-    }
-    t.explicitAddr_.resize(nAddr);
-    for (uint64_t i = 0; i < nAddr; i++)
-        t.explicitAddr_[i] = cur.u32();
-    t.takenBits_.assign(bytes.begin() + cur.pos,
-                        bytes.begin() + cur.pos + nBits);
-    cur.pos += nBits;
-    t.explicitResult_.resize(nResult);
-    for (uint64_t i = 0; i < nResult; i++)
-        t.explicitResult_[i] = cur.u64();
-    t.prefix_ = PackedTrace::deserialize(
-        bytes.subspan(cur.pos, prefixBytes));
-    cur.pos += prefixBytes;
-    t.suffix_ = PackedTrace::deserialize(
-        bytes.subspan(cur.pos, suffixBytes));
-    cur.pos += suffixBytes;
-
-    t.reindexSlots();
-    t.validateConsistency();
-    return t;
-}
-
-void
-CompressedTrace::validateConsistency() const
-{
-    static constexpr uint8_t valid_sizes[] = {0, 1, 2, 4, 8};
-    uint64_t nAddrSlots = 0, nTakenSlots = 0, nResultSlots = 0;
-    for (size_t i = 0; i < body_.size(); i++) {
-        const Slot &s = body_[i];
-        auto fail = [&](const std::string &what) {
-            inconsistent("slot " + std::to_string(i) + ": " + what);
-        };
-        if (s.op > static_cast<uint8_t>(Opcode::Sboxx))
-            fail("opcode " + std::to_string(s.op));
-        if (s.cls >= num_op_classes)
-            fail("op class " + std::to_string(s.cls));
-        if (s.numSrcs > 3)
-            fail("numSrcs " + std::to_string(s.numSrcs));
-        if (std::find(std::begin(valid_sizes), std::end(valid_sizes),
-                      s.size)
-            == std::end(valid_sizes))
-            fail("access size " + std::to_string(s.size));
-        if (s.addrMode > addr_explicit)
-            fail("addr mode " + std::to_string(s.addrMode));
-        if (s.takenMode > taken_varying)
-            fail("taken mode " + std::to_string(s.takenMode));
-        if (s.resultMode > result_explicit)
-            fail("result mode " + std::to_string(s.resultMode));
-        if (s.branch != (s.takenMode != taken_none))
-            fail("branch flag and taken mode disagree");
-        if (s.addrMode == addr_explicit)
-            nAddrSlots++;
-        if (s.takenMode == taken_varying)
-            nTakenSlots++;
-        if (s.resultMode == result_explicit)
-            nResultSlots++;
-    }
-    const uint64_t bitsPerSlot = (iterations_ + 7) / 8;
-    if (explicitAddr_.size() != nAddrSlots * iterations_
-        || takenBits_.size() != nTakenSlots * bitsPerSlot
-        || explicitResult_.size() != nResultSlots * iterations_)
-        inconsistent("slot modes and delta-table sizes disagree");
 }
 
 } // namespace cryptarch::isa

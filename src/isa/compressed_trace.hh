@@ -37,14 +37,15 @@
  *           nextPc(t) = taken(t) ? target : pc + 1
  *   result  zero / constant / explicit (one u64 per iteration)
  *
- * Expansion is sequential through a Reader cursor yielding DynInst
- * values byte-identical to the PackedTrace the stream was compressed
- * from (the driver cross-checks exactly that before dropping the
- * packed copy), so the OoO scheduler replays stitched traces entirely
- * unchanged. The steady-state decode is a template copy plus a handful
- * of patches, so replay also streams an order of magnitude fewer bytes
- * than the packed encoding — trace memory becomes near-constant in the
- * message length.
+ * Expansion (expandInto) yields DynInst values identical to the
+ * PackedTrace the stream was compressed from — the driver cross-checks
+ * exactly that, through the same expansion path replay uses, before
+ * dropping the packed copy — so the OoO scheduler replays stitched
+ * traces entirely unchanged. The steady-state decode is a template
+ * copy plus a handful of patches, so replay also streams an order of
+ * magnitude fewer bytes than the packed encoding — trace memory
+ * becomes near-constant in the message length. Like PackedTrace, the
+ * encoding lives only in process memory.
  */
 
 #ifndef CRYPTARCH_ISA_COMPRESSED_TRACE_HH
@@ -52,7 +53,6 @@
 
 #include <array>
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "isa/packed_trace.hh"
@@ -86,14 +86,10 @@ const char *compressOutcomeName(CompressOutcome outcome);
 class CompressedTrace
 {
   public:
-    /** Loop-detection knobs. Defaults suit the paper's kernels. */
-    struct Policy
-    {
-        /** Steady iterations required before compressing at all. */
-        uint64_t minIterations = 8;
-        /** Backward-branch candidates tried, most-frequent first. */
-        unsigned maxCandidates = 4;
-    };
+    /** Steady iterations required before compressing at all. */
+    static constexpr uint64_t min_iterations = 8;
+    /** Backward-branch candidates tried, most-frequent first. */
+    static constexpr unsigned max_candidates = 4;
 
     /**
      * Detect the steady-state loop of @p packed and build @p out from
@@ -103,15 +99,7 @@ class CompressedTrace
      * — refusing is the supported fallback path.
      */
     static CompressOutcome compress(const PackedTrace &packed,
-                                    CompressedTrace &out,
-                                    const Policy &policy);
-
-    /** compress() under the default Policy. */
-    static CompressOutcome
-    compress(const PackedTrace &packed, CompressedTrace &out)
-    {
-        return compress(packed, out, Policy());
-    }
+                                    CompressedTrace &out);
 
     /** Dynamic instructions the expanded stream yields. */
     uint64_t instructions() const
@@ -127,24 +115,12 @@ class CompressedTrace
     /** Dynamic instructions per steady iteration. */
     size_t bodyLength() const { return body_.size(); }
 
-    /** Bytes held across the skeleton, delta tables and stitches. */
+    /**
+     * Bytes held across the skeleton, delta tables and stitches, with
+     * each slot counted at its packed footprint (slot_bytes) rather
+     * than the wider padded struct.
+     */
     size_t storedBytes() const;
-
-    /**
-     * Serialize to a self-describing byte stream (magic "CPCM",
-     * version, table counts, FNV-1a payload checksum; the prefix and
-     * suffix embed their own PackedTrace streams).
-     */
-    std::vector<uint8_t> serialize() const;
-
-    /**
-     * Parse a stream produced by serialize(). Validates magic,
-     * version, lengths, checksum, per-slot field ranges and that the
-     * delta tables match the slot modes; the embedded prefix/suffix
-     * streams re-validate themselves. Throws TraceFormatError (the
-     * same typed error PackedTrace raises) on any defect.
-     */
-    static CompressedTrace deserialize(std::span<const uint8_t> bytes);
 
     /** How one steady-state slot is reconstructed (see file comment). */
     struct Slot
@@ -193,43 +169,19 @@ class CompressedTrace
     static constexpr uint8_t result_explicit = 2;
 
     /**
-     * Sequential expansion cursor. Yields the prefix, then
-     * iterations() copies of the patched body, then the suffix, with
-     * globally renumbered seq — exactly the stream the packed source
-     * decoded to. Cheap to construct (one body-template copy), so a
-     * trace can be replayed concurrently.
+     * Footprint of one Slot with its fields packed back to back: pc
+     * and takenTarget (4 B each), addrBase/addrStride/resultConst
+     * (8 B each), ten u8 fields, the four flags in one byte and the
+     * three mode bytes. storedBytes() counts slots at this size.
      */
-    class Reader
-    {
-      public:
-        explicit Reader(const CompressedTrace &t);
-
-        bool done() const { return seq >= total; }
-
-        /** Expand the next instruction; valid only when !done(). */
-        DynInst next();
-
-      private:
-        /** Re-patch the body template for steady iteration @p t. */
-        void patchIteration(uint64_t t);
-
-        const CompressedTrace *trace;
-        PackedTrace::Reader pre;
-        PackedTrace::Reader suf;
-        std::vector<DynInst> body;       ///< working template
-        std::vector<uint32_t> patchSlots; ///< slots varying per iter
-        uint64_t total = 0;
-        uint64_t seq = 0;
-        uint64_t iter = 0;
-        size_t slot = 0;
-    };
-
-    Reader reader() const { return Reader(*this); }
+    static constexpr size_t slot_bytes = 46;
 
     /**
-     * Expand the whole stream into @p sink without per-instruction
-     * cursor overhead: steady-state instructions are emitted straight
-     * from the patched body template (a seq store plus a handful of
+     * Expand the whole stream into @p sink: the prefix, then
+     * iterations() copies of the patched body, then the suffix, with
+     * globally renumbered seq — exactly the stream the packed source
+     * decoded to. Steady-state instructions are emitted straight from
+     * the patched body template (a seq store plus a handful of
      * per-iteration patches each), which is what makes compressed
      * replay faster than decoding the packed columns. @p Sink is a
      * template parameter so a concrete scheduler's emit devirtualizes.
@@ -267,12 +219,6 @@ class CompressedTrace
     void patchBody(std::vector<DynInst> &body,
                    const std::vector<uint32_t> &patchSlots,
                    uint64_t t) const;
-
-    /** Recompute the per-mode delta-table ranks after build/parse. */
-    void reindexSlots();
-
-    /** Raise TraceFormatError unless modes and table sizes agree. */
-    void validateConsistency() const;
 
     PackedTrace prefix_;
     PackedTrace suffix_;

@@ -18,14 +18,11 @@
  *     srcs      3xu8  source registers (always three slots)
  *     flags     u16   see flag bits below
  *
- *   In memory the fixed fields are interleaved as one 14-byte record
- *   per instruction (offsets above, little-endian) rather than stored
- *   as separate columns: recording appends one contiguous record per
+ *   The fixed fields are interleaved as one 14-byte record per
+ *   instruction (offsets above, little-endian) rather than stored as
+ *   separate columns: recording appends one contiguous record per
  *   instruction and replay decodes one, so both directions touch a
- *   single sequential stream instead of eight. The serialized stream
- *   (serialize()/deserialize()) still writes per-column payloads —
- *   the format predates the interleaving and is checksummed, so the
- *   layout change cannot move bytes in any artifact.
+ *   single sequential stream instead of eight.
  *
  *   side tables (entries only where the common case fails)
  *     addr32    u32   effective address, when != 0 and < 2^32
@@ -43,6 +40,12 @@
  * that way), and decode reconstructs seq from the cursor position.
  * Side-table membership is order-dependent, so decoding is sequential
  * through a Reader cursor — exactly the access pattern replay has.
+ *
+ * The encoding lives only in process memory (every trace is replayed
+ * by the process that recorded it). append(), appendRow() and
+ * Stage::flush() are the only writers, and each keeps the flag words
+ * and side tables consistent by construction; Reader::next() asserts
+ * that it never decodes past the end of a side table.
  */
 
 #ifndef CRYPTARCH_ISA_PACKED_TRACE_HH
@@ -52,51 +55,12 @@
 #include <cassert>
 #include <cstdint>
 #include <cstring>
-#include <span>
-#include <stdexcept>
-#include <string>
 #include <vector>
 
 #include "isa/machine.hh"
 
 namespace cryptarch::isa
 {
-
-/** What a packed-trace stream failed to validate. */
-enum class TraceErrorKind : uint8_t
-{
-    BadMagic,     ///< stream does not start with the trace magic
-    BadVersion,   ///< unknown format version
-    Truncated,    ///< stream shorter than its header promises
-    BadChecksum,  ///< payload checksum mismatch (bit corruption)
-    Inconsistent, ///< columns/flags/side tables disagree
-    Overrun,      ///< decode consumed past a side table's end
-};
-
-/** Stable short name of a trace error kind ("bad-magic", ...). */
-const char *traceErrorKindName(TraceErrorKind kind);
-
-/**
- * A packed-trace stream was rejected. Every malformed input path —
- * truncation, corruption, inconsistent side tables — raises this
- * typed error instead of undefined behavior.
- */
-class TraceFormatError : public std::runtime_error
-{
-  public:
-    TraceFormatError(TraceErrorKind kind, const std::string &detail)
-        : std::runtime_error("PackedTrace ["
-                             + std::string(traceErrorKindName(kind))
-                             + "]: " + detail),
-          kind_(kind)
-    {
-    }
-
-    TraceErrorKind kind() const { return kind_; }
-
-  private:
-    TraceErrorKind kind_;
-};
 
 class PackedTrace
 {
@@ -153,8 +117,8 @@ class PackedTrace
      * exception iff nextPc != pc + 1, result kept iff nonzero and
      * wanted) so the encoding — not just the decode — is identical to
      * an append() of the equivalent DynInst. The backend parity tests
-     * compare serialized bytes to prove it. Sequence numbers stay
-     * implicit: the row lands at index size().
+     * compare whole traces with operator== to prove it. Sequence
+     * numbers stay implicit: the row lands at index size().
      */
     void appendRow(const uint8_t (&row)[row_bytes], uint16_t flags,
                    uint64_t addr, uint32_t nextPc, uint64_t result);
@@ -211,20 +175,8 @@ class PackedTrace
 
     void clear();
 
-    /**
-     * Serialize to a self-describing byte stream: versioned header
-     * (magic, version, per-table entry counts), FNV-1a checksum over
-     * the payload, then the columns and side tables little-endian.
-     */
-    std::vector<uint8_t> serialize() const;
-
-    /**
-     * Parse a stream produced by serialize(). Validates the magic,
-     * version, length, checksum, and that the flag columns and side
-     * tables are mutually consistent (every decode is in bounds before
-     * a Reader ever runs). Throws TraceFormatError on any defect.
-     */
-    static PackedTrace deserialize(std::span<const uint8_t> bytes);
+    /** Encoding identity: same fixed records and side tables. */
+    bool operator==(const PackedTrace &) const = default;
 
     /**
      * Sequential decode cursor. Readers are cheap to construct and
@@ -240,11 +192,7 @@ class PackedTrace
         /** Decode the next instruction; valid only when !done().
          *  Defined inline below: the decode runs once per replayed
          *  instruction and wants to fold into the replay loop rather
-         *  than pay a cross-TU call returning a 56-byte DynInst.
-         *  Fully bounds-checked: a side-table overrun (possible only
-         *  on a hand-built inconsistent trace; deserialize() validates
-         *  streams up front) throws TraceFormatError instead of
-         *  reading out of bounds. */
+         *  than pay a cross-TU call returning a 56-byte DynInst. */
         DynInst next();
 
       private:
@@ -263,11 +211,6 @@ class PackedTrace
     static constexpr uint8_t size_table[5] = {0, 1, 2, 4, 8};
 
     static uint16_t sizeCode(uint8_t size);
-
-    /** Raise TraceFormatError unless flags and side tables agree. */
-    void validateConsistency() const;
-
-    [[noreturn]] static void overrun(const char *table, size_t index);
 
     /** Record field offsets within a 14-byte fixed record. */
     static constexpr size_t off_pc = 0;
@@ -378,25 +321,21 @@ PackedTrace::Reader::next()
 
     if (flags & f_has_addr) {
         if (flags & f_wide_addr) {
-            if (addrWidePos >= t.addrWide_.size())
-                overrun("addrWide", i);
+            assert(addrWidePos < t.addrWide_.size());
             d.addr = t.addrWide_[addrWidePos++];
         } else {
-            if (addr32Pos >= t.addr32_.size())
-                overrun("addr32", i);
+            assert(addr32Pos < t.addr32_.size());
             d.addr = t.addr32_[addr32Pos++];
         }
     }
     if (flags & f_next_pc_exc) {
-        if (nextPcPos >= t.nextPcExc_.size())
-            overrun("nextPcExc", i);
+        assert(nextPcPos < t.nextPcExc_.size());
         d.nextPc = t.nextPcExc_[nextPcPos++];
     } else {
         d.nextPc = d.pc + 1;
     }
     if (flags & f_has_result) {
-        if (resultPos >= t.result_.size())
-            overrun("result", i);
+        assert(resultPos < t.result_.size());
         d.result = t.result_[resultPos++];
     }
 

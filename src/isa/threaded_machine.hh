@@ -23,8 +23,8 @@
  * 14-byte PackedTrace fixed record, and retirement appends that row
  * directly with only the dynamic flag bits patched. The rows follow
  * append()'s canonicalization rules exactly, so the recorded trace is
- * byte-identical to one built through emit() — the parity tests
- * compare serialized traces from both paths to prove it.
+ * identical to one built through emit() — the parity tests compare
+ * whole traces from both paths (PackedTrace::operator==) to prove it.
  *
  * Data memory is the same flat byte array the interpreter uses
  * (1 KB-aligned SBOX frames, pow2-sized by default so bounds and

@@ -14,7 +14,6 @@
 #include "kernels/builders.hh"
 #include "kernels/emit.hh"
 #include "util/bitops.hh"
-#include "util/pi.hh"
 
 #include <stdexcept>
 
@@ -172,7 +171,7 @@ buildBlowfishSetupKernel(KernelVariant v, std::span<const uint8_t> key)
     // Memory image: pi-initialized P and S tables (pre-key), plus the
     // four key words XOR'ed cyclically into P. With a 16-byte key the
     // cyclic pattern is exactly four big-endian words.
-    const auto &pi = util::piFractionWords(18 + 4 * 256);
+    const auto &pi = crypto::Blowfish::piWords();
     b.memInit.emplace_back(subkey_region,
                            words32(std::span<const uint32_t>(pi.data(),
                                                              18)));

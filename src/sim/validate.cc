@@ -145,8 +145,6 @@ configErrorKindName(ConfigErrorKind kind)
       case ConfigErrorKind::NonPow2: return "non-pow2";
       case ConfigErrorKind::InconsistentLatency:
         return "inconsistent-latency";
-      case ConfigErrorKind::UnsatisfiableFuPool:
-        return "unsatisfiable-fu-pool";
       case ConfigErrorKind::Oversized: return "oversized";
     }
     return "?";
@@ -218,15 +216,10 @@ validateConfig(const MachineConfig &cfg)
         return e;
     if (auto e = checkWidth("sboxCachePorts", cfg.sboxCachePorts))
         return e;
-    // A 64-bit MULQ books 2 multiplier half-slots in one cycle; a pool
-    // of exactly 1 can never satisfy it and the issue retry loop would
-    // spin forever. 0 is the unlimited escape; >= 2 fits.
-    if (cfg.mulHalfSlots == 1)
-        return ConfigError{ConfigErrorKind::UnsatisfiableFuPool,
-                           "mulHalfSlots",
-                           "a 64-bit multiply consumes 2 half-slots per "
-                           "cycle; a 1-slot pool can never issue it "
-                           "(use 0 for unlimited or >= 2)"};
+    // mulHalfSlots == 1 is admissible: only a 64-bit MULQ (2
+    // half-slots) can never issue on it, and the optimized kernels
+    // issue none. A program that does stalls, and the scheduler's
+    // forward-progress watchdog turns that into a typed trap.
 
     // --- Latencies ---
     if (auto e = checkLatency("aluLat", cfg.aluLat))

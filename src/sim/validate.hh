@@ -29,10 +29,6 @@
  *                        machine (a 0-cycle functional unit, L2 hit
  *                        slower than memory, 32-bit multiply slower
  *                        than 64-bit)
- *   UnsatisfiableFuPool  an OpClass whose widest instruction can never
- *                        book its units (mulHalfSlots == 1: a 64-bit
- *                        MULQ consumes 2 half-slots, so the issue loop
- *                        would retry forever)
  *   Oversized            structurally valid but big enough to take the
  *                        host down (multi-gigabyte line arrays,
  *                        window/latency values that degenerate the
@@ -71,7 +67,6 @@ enum class ConfigErrorKind : uint8_t
     BadGeometry,
     NonPow2,
     InconsistentLatency,
-    UnsatisfiableFuPool,
     Oversized,
 };
 

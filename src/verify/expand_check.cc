@@ -82,21 +82,11 @@ verifyExpansion(const isa::PackedTrace &packed,
                 + std::to_string(compressed.instructions());
         return false;
     }
-    auto pr = packed.reader();
-    auto cr = compressed.reader();
-    while (!pr.done()) {
-        const isa::DynInst want = pr.next();
-        const isa::DynInst got = cr.next();
-        const std::string_view field = firstDynInstDifference(want, got);
-        if (!field.empty()) {
-            if (why)
-                *why = "expansion diverges at seq "
-                    + std::to_string(want.seq) + " in field "
-                    + std::string(field);
-            return false;
-        }
-    }
-    return true;
+    StreamMatchSink matcher(packed);
+    compressed.expandInto(matcher);
+    if (!matcher.complete() && why)
+        *why = matcher.why();
+    return matcher.complete();
 }
 
 } // namespace cryptarch::verify

@@ -8,7 +8,10 @@
  * decode. That makes the driver's byte-identical-benchmarks guarantee
  * structural: any benchmark replayed from a compressed trace consumed
  * the exact DynInst sequence the packed trace would have produced, so
- * figure JSON cannot depend on whether compression was enabled.
+ * figure JSON cannot depend on whether compression was enabled. The
+ * check expands through CompressedTrace::expandInto — the path replay
+ * runs — into the same StreamMatchSink the execution-backend gate
+ * uses, so both checks share one definition of stream equality.
  */
 
 #ifndef CRYPTARCH_VERIFY_EXPAND_CHECK_HH
@@ -58,7 +61,7 @@ std::string_view firstDynInstDifference(const isa::DynInst &a,
  * candidate emitted exactly the reference stream; on any divergence
  * why() names the sequence number and field.
  */
-class StreamMatchSink : public isa::TraceSink
+class StreamMatchSink final : public isa::TraceSink
 {
   public:
     explicit StreamMatchSink(const isa::PackedTrace &reference,

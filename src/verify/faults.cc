@@ -1,9 +1,7 @@
 #include "verify/faults.hh"
 
-#include <cstdio>
 #include <vector>
 
-#include "isa/packed_trace.hh"
 #include "util/xorshift.hh"
 #include "verify/oracle.hh"
 
@@ -16,7 +14,6 @@ faultSiteName(FaultSite site)
     switch (site) {
       case FaultSite::Register: return "register";
       case FaultSite::Memory: return "memory";
-      case FaultSite::TraceByte: return "trace";
     }
     return "?";
 }
@@ -27,7 +24,6 @@ faultOutcomeName(FaultOutcome outcome)
     switch (outcome) {
       case FaultOutcome::DetectedTrap: return "trap";
       case FaultOutcome::DetectedOracle: return "oracle";
-      case FaultOutcome::DetectedTrace: return "trace";
       case FaultOutcome::Masked: return "masked";
     }
     return "?";
@@ -40,7 +36,6 @@ FaultTally::add(FaultOutcome outcome)
     switch (outcome) {
       case FaultOutcome::DetectedTrap: detectedTrap++; break;
       case FaultOutcome::DetectedOracle: detectedOracle++; break;
-      case FaultOutcome::DetectedTrace: detectedTrace++; break;
       case FaultOutcome::Masked: masked++; break;
     }
 }
@@ -48,23 +43,10 @@ FaultTally::add(FaultOutcome outcome)
 namespace
 {
 
-/** Collects the packed stream of a clean functional run. */
-struct PackSink : isa::TraceSink
-{
-    isa::PackedTrace trace;
-
-    void
-    emit(const isa::DynInst &inst) override
-    {
-        trace.append(inst, /*keepResult=*/false);
-    }
-};
-
 /**
  * Everything one (cipher, variant, bytes) target needs across a run of
- * injections: the kernel, its session material, the clean dynamic
- * instruction count (to place in-run faults), and the clean serialized
- * trace (the TraceByte corruption target). Built once per sweep.
+ * injections: the kernel, its session material, and the clean dynamic
+ * instruction count (to place in-run faults). Built once per sweep.
  *
  * The session recipe mirrors driver::makeWorkload (same seed constant)
  * so injections exercise the standard bench sessions; the verify layer
@@ -75,7 +57,6 @@ struct InjectionTarget
     kernels::KernelBuild build;
     std::vector<uint8_t> key, iv, plaintext;
     uint64_t cleanInsts = 0;
-    std::vector<uint8_t> cleanStream;
 
     InjectionTarget(crypto::CipherId cipher,
                     kernels::KernelVariant variant, size_t session_bytes)
@@ -90,10 +71,7 @@ struct InjectionTarget
 
         isa::Machine m;
         build.install(m, kernels::toWordImage(cipher, plaintext));
-        PackSink sink;
-        m.run(build.program, &sink);
-        cleanInsts = sink.trace.size();
-        cleanStream = sink.trace.serialize();
+        cleanInsts = m.run(build.program).instructions;
         // The harness only classifies divergence, so the baseline must
         // itself be correct: a wrong clean run would misclassify every
         // masked fault.
@@ -144,7 +122,7 @@ InjectionResult
 classifyOne(const InjectionTarget &target, FaultSite site, uint64_t seed)
 {
     // Independent per-seed stream; the site goes into the seed so the
-    // three sites of one seed are not correlated.
+    // two sites of one seed are not correlated.
     util::Xorshift64 rng(0x5EED0000 + seed * 2654435761u
                          + static_cast<uint64_t>(site));
 
@@ -182,21 +160,6 @@ classifyOne(const InjectionTarget &target, FaultSite site, uint64_t seed)
         f.target = addr;
         f.xorMask = 1u << (rng.next() % 8);
         return classifyMachineFault(target, f);
-      }
-      case FaultSite::TraceByte: {
-        std::vector<uint8_t> corrupt = target.cleanStream;
-        const size_t pos = rng.next() % corrupt.size();
-        corrupt[pos] ^= 1u << (rng.next() % 8);
-        try {
-            auto t = isa::PackedTrace::deserialize(corrupt);
-            // Deserialization accepted the stream; drain a reader so a
-            // decode-time defect would still surface as a trace error.
-            for (auto r = t.reader(); !r.done();)
-                r.next();
-        } catch (const isa::TraceFormatError &e) {
-            return {FaultOutcome::DetectedTrace, e.what()};
-        }
-        return {FaultOutcome::Masked, ""};
       }
     }
     return {FaultOutcome::Masked, ""};

@@ -2,17 +2,14 @@
  * @file
  * Seeded fault-injection harness.
  *
- * Injects deterministic, seeded bit flips into machine registers, data
- * memory, and serialized packed-trace streams, then classifies how (or
- * whether) the verification layer caught each one:
+ * Injects deterministic, seeded bit flips into machine registers and
+ * data memory mid-run, then classifies how (or whether) the
+ * verification layer caught each one:
  *
  *   DetectedTrap    the machine raised an isa::Trap (corrupt pointer
  *                   walked out of memory, pc ran away, ...)
  *   DetectedOracle  execution completed but the record-time oracle
  *                   caught the wrong ciphertext
- *   DetectedTrace   the packed-trace integrity check (checksum /
- *                   header / consistency validation) rejected the
- *                   corrupted stream
  *   Masked          the fault changed nothing the checks observe
  *                   (dead register, stale byte, output unchanged)
  *
@@ -38,10 +35,9 @@ enum class FaultSite : uint8_t
 {
     Register, ///< one architectural register, one bit, mid-run
     Memory,   ///< one data-memory byte in a kernel-touched span
-    TraceByte, ///< one byte of the serialized packed trace
 };
 
-/** Stable site name ("register", "memory", "trace"). */
+/** Stable site name ("register", "memory"). */
 const char *faultSiteName(FaultSite site);
 
 /** How (or whether) the checks caught an injection. */
@@ -49,18 +45,17 @@ enum class FaultOutcome : uint8_t
 {
     DetectedTrap,
     DetectedOracle,
-    DetectedTrace,
     Masked,
 };
 
-/** Stable outcome name ("trap", "oracle", "trace", "masked"). */
+/** Stable outcome name ("trap", "oracle", "masked"). */
 const char *faultOutcomeName(FaultOutcome outcome);
 
 /** One classified injection. */
 struct InjectionResult
 {
     FaultOutcome outcome{};
-    /** The trap/oracle/trace error message, empty when masked. */
+    /** The trap/oracle error message, empty when masked. */
     std::string detail;
 };
 
@@ -81,7 +76,6 @@ struct FaultTally
     uint64_t injections = 0;
     uint64_t detectedTrap = 0;
     uint64_t detectedOracle = 0;
-    uint64_t detectedTrace = 0;
     uint64_t masked = 0;
 
     void add(FaultOutcome outcome);

@@ -17,7 +17,6 @@
 #include "driver/json.hh"
 #include "driver/sweep.hh"
 #include "driver/trace.hh"
-#include "sim/validate.hh"
 
 namespace
 {
@@ -30,43 +29,38 @@ using driver::SweepResult;
 using kernels::KernelVariant;
 using sim::MachineConfig;
 
-/** RAII validation-policy toggle. */
-class ValidationGuard
-{
-  public:
-    explicit ValidationGuard(bool on) : prev(sim::configValidationEnabled())
-    {
-        sim::setConfigValidation(on);
-    }
-    ~ValidationGuard() { sim::setConfigValidation(prev); }
-
-  private:
-    bool prev;
-};
-
-MachineConfig
-unsatisfiableMulPool()
-{
-    MachineConfig cfg = MachineConfig::fourWide();
-    cfg.name = "4W-mul1";
-    cfg.mulHalfSlots = 1;
-    return cfg;
-}
-
-/**
- * One healthy cell, one cell on a config the admission layer refuses.
- * IDEA's baseline kernel carries 64-bit multiplies, so with validation
- * disabled the same grid exercises the watchdog instead.
- */
+/** One healthy cell, then one on @p bad. */
 std::vector<SweepCell>
-mixedGrid()
+mixedGrid(const MachineConfig &bad)
 {
     return {
         {crypto::CipherId::IDEA, KernelVariant::BaselineRot,
          MachineConfig::fourWide(), 512},
-        {crypto::CipherId::IDEA, KernelVariant::BaselineRot,
-         unsatisfiableMulPool(), 512},
+        {crypto::CipherId::IDEA, KernelVariant::BaselineRot, bad, 512},
     };
+}
+
+/** The admission layer refuses an L2 hit slower than memory. */
+std::vector<SweepCell>
+rejectedGrid()
+{
+    MachineConfig cfg = MachineConfig::fourWide();
+    cfg.name = "4W-slow-l2";
+    cfg.l2HitLat = cfg.memLat + 1;
+    return mixedGrid(cfg);
+}
+
+/**
+ * A 1-slot multiplier pool is admissible, but IDEA's baseline kernel
+ * issues 64-bit MULQs, which can never book it: the watchdog fires.
+ */
+std::vector<SweepCell>
+stalledGrid()
+{
+    MachineConfig cfg = MachineConfig::fourWide();
+    cfg.name = "4W-mul1";
+    cfg.mulHalfSlots = 1;
+    return mixedGrid(cfg);
 }
 
 SweepOptions
@@ -97,7 +91,7 @@ expectRejectedGrid(const std::vector<SweepResult> &results)
     EXPECT_TRUE(results[0].ok()) << results[0].message;
     EXPECT_GT(results[0].stats.cycles, 0u);
     EXPECT_EQ(results[1].outcome, CellOutcome::Rejected);
-    EXPECT_NE(results[1].message.find("unsatisfiable-fu-pool"),
+    EXPECT_NE(results[1].message.find("inconsistent-latency"),
               std::string::npos)
         << results[1].message;
     EXPECT_EQ(results[1].stats.cycles, 0u);
@@ -117,7 +111,7 @@ expectStalledGrid(const std::vector<SweepResult> &results)
 
 TEST(Outcomes, RejectedInThreadAndProcessModes)
 {
-    auto cells = mixedGrid();
+    auto cells = rejectedGrid();
     auto threadResults = driver::runCells(cells, SweepOptions{});
     expectRejectedGrid(threadResults);
 
@@ -132,12 +126,9 @@ TEST(Outcomes, RejectedInThreadAndProcessModes)
 
 TEST(Outcomes, StalledInThreadAndProcessModes)
 {
-    // With admission disabled the degenerate config reaches the
-    // scheduler and the forward-progress watchdog converts the
-    // livelock into the `stalled` outcome. Worker processes fork from
-    // this parent, so the policy setter propagates to process mode.
-    ValidationGuard validation(false);
-    auto cells = mixedGrid();
+    // The forward-progress watchdog converts the MULQ livelock into
+    // the `stalled` outcome, in worker processes too.
+    auto cells = stalledGrid();
     auto threadResults = driver::runCells(cells, SweepOptions{});
     expectStalledGrid(threadResults);
 
@@ -149,7 +140,7 @@ TEST(Outcomes, StalledInThreadAndProcessModes)
 
 TEST(Outcomes, JournalResumeSkipsRejectedCells)
 {
-    auto cells = mixedGrid();
+    auto cells = rejectedGrid();
     const std::string path =
         ::testing::TempDir() + "journal_rejected.bin";
     std::remove(path.c_str());
@@ -172,8 +163,7 @@ TEST(Outcomes, JournalResumeSkipsRejectedCells)
 
 TEST(Outcomes, JournalResumeSkipsStalledCells)
 {
-    ValidationGuard validation(false);
-    auto cells = mixedGrid();
+    auto cells = stalledGrid();
     const std::string path =
         ::testing::TempDir() + "journal_stalled.bin";
     std::remove(path.c_str());
@@ -200,7 +190,7 @@ TEST(Outcomes, JournalResumeSkipsStalledCells)
 
 TEST(Outcomes, BenchJsonCountsTheNewOutcomes)
 {
-    auto cells = mixedGrid();
+    auto cells = rejectedGrid();
     auto results = driver::runCells(cells, SweepOptions{});
     const std::string json = benchJsonString(results, "counts");
     EXPECT_NE(json.find("\"schema\": 5"), std::string::npos);

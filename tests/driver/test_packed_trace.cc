@@ -22,7 +22,7 @@ namespace
 {
 
 using namespace cryptarch;
-using driver::PackedTrace;
+using isa::PackedTrace;
 
 void
 expectInstEqual(const isa::DynInst &a, const isa::DynInst &b, size_t i)

@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
+#include "driver/grids.hh"
 #include "kernels/kernel.hh"
 #include "sim/pipeline.hh"
 #include "util/xorshift.hh"
@@ -166,6 +169,32 @@ TEST(PaperShapes, TripleDesBarelySaturatesT3)
         / 1e6;
     EXPECT_LT(mbps_at_1ghz, 25.0); // nowhere near 100 Mb/s Ethernet x2
     EXPECT_GT(mbps_at_1ghz, 5.0);  // but does cover a T3 (5.6 MB/s)
+}
+
+// ablation_resources' issue-width sweep: every 2-wide cell runs (its
+// 1-slot multiplier pool is admissible, and the optimized kernels
+// issue no 64-bit MULQ), and Mars gains the 35% EXPERIMENTS.md quotes
+// going from 2- to 4-wide.
+TEST(PaperShapes, IssueWidthAblation)
+{
+    std::vector<driver::SweepCell> cells;
+    for (auto id : driver::allCiphers())
+        for (unsigned w : {2u, 4u})
+            cells.push_back({id, KernelVariant::Optimized,
+                             driver::issueWidthConfig(w),
+                             driver::session_bytes});
+    const auto results = driver::runCells(cells);
+    for (const auto &r : results)
+        EXPECT_TRUE(r.ok()) << crypto::cipherInfo(r.cipher).name << " "
+                            << r.model << ": " << r.message;
+
+    const auto &w2 = driver::findResult(results, CipherId::MARS,
+                                        KernelVariant::Optimized, "2-wide");
+    const auto &w4 = driver::findResult(results, CipherId::MARS,
+                                        KernelVariant::Optimized, "4-wide");
+    const double gain = static_cast<double>(w2.stats.cycles)
+        / static_cast<double>(w4.stats.cycles) - 1.0;
+    EXPECT_EQ(std::lround(100 * gain), 35) << gain;
 }
 
 } // namespace

@@ -14,9 +14,10 @@
  * Two stream plumbing paths exist in the threaded backend: the packed
  * row fast path (sinks that expose a PackedTrace via packedSink) and
  * the generic DynInst emit path. Both are compared against the
- * interpreter, and the packed products are compared as serialized
- * bytes, proving the fast path's flag canonicalization reproduces
- * PackedTrace::append exactly — not just a decode-equal stream.
+ * interpreter, and the packed products are compared whole
+ * (PackedTrace::operator==), proving the fast path's flag
+ * canonicalization reproduces PackedTrace::append exactly — not just a
+ * decode-equal stream.
  */
 
 #include <gtest/gtest.h>
@@ -133,8 +134,8 @@ class BackendParity : public ::testing::TestWithParam<BackendCase>
 /**
  * The tentpole guarantee: interpreter and threaded backend produce
  * identical streams (results included), identical run stats, identical
- * outputs — and the packed encodings are byte-identical, so the
- * threaded fast path canonicalizes flags exactly like append().
+ * outputs — and the packed encodings are equal, so the threaded fast
+ * path canonicalizes flags exactly like append().
  */
 TEST_P(BackendParity, StreamsFieldForFieldIdentical)
 {
@@ -168,7 +169,7 @@ TEST_P(BackendParity, StreamsFieldForFieldIdentical)
     }
 
     // Encoding identity, not just decode identity.
-    EXPECT_EQ(ref.trace.serialize(), cand.trace.serialize());
+    EXPECT_TRUE(ref.trace == cand.trace);
 
     // Architectural side effects: the output image both backends leave
     // in data memory.
@@ -251,7 +252,7 @@ expectTrapParity(const Program &p, uint64_t fuel = 1ull << 20)
     EXPECT_STREQ(ta->what(), tb->what());
 
     // Retired prefix parity: everything before the trapping inst.
-    EXPECT_EQ(sa.trace.serialize(), sb.trace.serialize());
+    EXPECT_TRUE(sa.trace == sb.trace);
     return *ta;
 }
 
@@ -346,7 +347,7 @@ TEST(BackendStreamShapes, DiscardedDestinationParity)
     PackedKeepSink sa, sb;
     interp.run(p, &sa);
     threaded.run(p, &sb);
-    EXPECT_EQ(sa.trace.serialize(), sb.trace.serialize());
+    EXPECT_TRUE(sa.trace == sb.trace);
 
     auto r = sb.trace.reader();
     r.next(); r.next();

@@ -116,18 +116,17 @@ TEST(Validate, InconsistentLatencyIsClassified)
     EXPECT_EQ(kindOf(cfg), ConfigErrorKind::InconsistentLatency);
 }
 
-TEST(Validate, UnsatisfiableFuPoolIsClassified)
+TEST(Validate, SingleMulHalfSlotIsAdmissible)
 {
-    // The real livelock: MULQ needs 2 half-slots/cycle, a 1-slot pool
-    // can never issue it (0 means unlimited, so only exactly 1 is bad).
+    // A 1-slot multiplier pool can never issue a 64-bit MULQ, but the
+    // optimized kernels issue none (ablation_resources' 2-wide machine
+    // has exactly this pool). Programs that do issue MULQ on it stall,
+    // and the watchdog owns that case (test_watchdog.cc).
     MachineConfig cfg = MachineConfig::fourWide();
-    cfg.mulHalfSlots = 1;
-    EXPECT_EQ(kindOf(cfg), ConfigErrorKind::UnsatisfiableFuPool);
-
-    cfg.mulHalfSlots = sim::unlimited;
-    EXPECT_FALSE(sim::validateConfig(cfg).has_value());
-    cfg.mulHalfSlots = 2;
-    EXPECT_FALSE(sim::validateConfig(cfg).has_value());
+    for (unsigned slots : {sim::unlimited, 1u, 2u}) {
+        cfg.mulHalfSlots = slots;
+        EXPECT_FALSE(sim::validateConfig(cfg).has_value()) << slots;
+    }
 }
 
 TEST(Validate, OversizedIsClassified)
@@ -149,12 +148,12 @@ TEST(Validate, OversizedIsClassified)
 TEST(Validate, ErrorMessageNamesKindAndField)
 {
     MachineConfig cfg = MachineConfig::fourWide();
-    cfg.mulHalfSlots = 1;
+    cfg.l2HitLat = cfg.memLat + 1;
     auto err = sim::validateConfig(cfg);
     ASSERT_TRUE(err.has_value());
     const std::string msg = err->message();
-    EXPECT_NE(msg.find("unsatisfiable-fu-pool"), std::string::npos) << msg;
-    EXPECT_NE(msg.find("mulHalfSlots"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("inconsistent-latency"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("l2HitLat"), std::string::npos) << msg;
 }
 
 TEST(Validate, CanonicalizeRoundsDownToPow2)
@@ -222,12 +221,11 @@ TEST(Validate, CacheRejectsZeroGeometryTyped)
 TEST(Validate, SchedulerConstructionRejectsAndTrustedSkips)
 {
     MachineConfig bad = MachineConfig::fourWide();
-    bad.mulHalfSlots = 1;
-    bad.name = "bad-mul-pool";
+    bad.l2HitLat = bad.memLat + 1;
+    bad.name = "bad-l2-latency";
     EXPECT_THROW(sim::OooScheduler sched(bad), sim::ConfigRejected);
 
-    // Trusted policy admits the same config verbatim (the watchdog is
-    // then the backstop — see test_watchdog.cc).
+    // Trusted policy admits the same config verbatim.
     EXPECT_NO_THROW(
         sim::OooScheduler sched(bad, sim::ConfigPolicy::Trusted));
 }
@@ -245,7 +243,7 @@ TEST(Validate, ValidationPolicyCanBeDisabled)
 {
     ASSERT_TRUE(sim::configValidationEnabled());
     MachineConfig bad = MachineConfig::fourWide();
-    bad.mulHalfSlots = 1;
+    bad.l2HitLat = bad.memLat + 1;
     sim::setConfigValidation(false);
     EXPECT_NO_THROW(sim::OooScheduler sched(bad));
     sim::setConfigValidation(true);
@@ -263,9 +261,6 @@ TEST(Validate, KindNamesAreStable)
     EXPECT_STREQ(
         sim::configErrorKindName(ConfigErrorKind::InconsistentLatency),
         "inconsistent-latency");
-    EXPECT_STREQ(
-        sim::configErrorKindName(ConfigErrorKind::UnsatisfiableFuPool),
-        "unsatisfiable-fu-pool");
     EXPECT_STREQ(sim::configErrorKindName(ConfigErrorKind::Oversized),
                  "oversized");
 }

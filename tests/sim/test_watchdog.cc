@@ -1,9 +1,9 @@
 /**
  * @file
- * Forward-progress watchdog: an unsatisfiable FU pool admitted under
- * the Trusted policy livelocks the issue loop; the watchdog converts
+ * Forward-progress watchdog: a MULQ on a 1-slot multiplier pool (an
+ * admissible config) livelocks the issue loop; the watchdog converts
  * that into a typed isa::Trap{NoProgress} carrying the stalled
- * frontier, and never fires on admissible machines.
+ * frontier, and never fires on machines that can issue everything.
  */
 
 #include <gtest/gtest.h>
@@ -52,8 +52,7 @@ TEST(Watchdog, UnsatisfiableMulPoolTrapsInsteadOfHanging)
 {
     isa::Machine m;
     try {
-        sim::simulate(m, mulqProgram(), oneHalfSlot(), 1ull << 32,
-                      sim::ConfigPolicy::Trusted);
+        sim::simulate(m, mulqProgram(), oneHalfSlot());
         FAIL() << "expected the watchdog to fire";
     } catch (const isa::Trap &t) {
         EXPECT_EQ(t.cause(), isa::TrapCause::NoProgress);
@@ -77,8 +76,7 @@ TEST(Watchdog, BudgetOverrideShortensTheFuse)
     sim::setProgressBudgetOverride(64);
     isa::Machine m;
     try {
-        sim::simulate(m, mulqProgram(), oneHalfSlot(), 1ull << 32,
-                      sim::ConfigPolicy::Trusted);
+        sim::simulate(m, mulqProgram(), oneHalfSlot());
         sim::setProgressBudgetOverride(0);
         FAIL() << "expected the watchdog to fire";
     } catch (const isa::Trap &t) {
@@ -124,8 +122,7 @@ TEST(Watchdog, TightButSatisfiablePoolStillCompletes)
     cfg.name = "4W-mul2";
     cfg.mulHalfSlots = 2;
     isa::Machine m;
-    auto stats =
-        sim::simulate(m, p, cfg, 1ull << 32, sim::ConfigPolicy::Trusted);
+    auto stats = sim::simulate(m, p, cfg);
     EXPECT_EQ(stats.instructions, 203u);
 }
 

@@ -116,21 +116,6 @@ TEST(Faults, SameSeedReproducesSameClassification)
     EXPECT_EQ(a.detail, b.detail);
 }
 
-TEST(Faults, TraceByteFaultsAreAlwaysDetected)
-{
-    // Single-bit trace corruption always trips the stream checksum (or
-    // an earlier header/consistency check) — nothing is masked.
-    for (uint64_t seed = 0; seed < 4; seed++) {
-        auto r = verify::injectAndClassify(
-            crypto::CipherId::RC4, KernelVariant::Optimized,
-            FaultSite::TraceByte, seed, 128);
-        EXPECT_EQ(r.outcome, FaultOutcome::DetectedTrace)
-            << "seed " << seed << ": "
-            << verify::faultOutcomeName(r.outcome);
-        EXPECT_FALSE(r.detail.empty());
-    }
-}
-
 TEST(Faults, SweepTalliesEveryInjection)
 {
     auto tally = verify::injectionSweep(
@@ -138,8 +123,7 @@ TEST(Faults, SweepTalliesEveryInjection)
         FaultSite::Memory, /*seed0=*/100, /*count=*/6,
         /*session_bytes=*/128);
     EXPECT_EQ(tally.injections, 6u);
-    EXPECT_EQ(tally.detectedTrap + tally.detectedOracle
-                  + tally.detectedTrace + tally.masked,
+    EXPECT_EQ(tally.detectedTrap + tally.detectedOracle + tally.masked,
               tally.injections);
 }
 
@@ -149,7 +133,7 @@ TEST(Faults, CoverageMath)
     EXPECT_EQ(t.coverage(), 0.0); // no injections: defined as 0
     t.add(FaultOutcome::DetectedTrap);
     t.add(FaultOutcome::DetectedOracle);
-    t.add(FaultOutcome::DetectedTrace);
+    t.add(FaultOutcome::DetectedOracle);
     t.add(FaultOutcome::Masked);
     EXPECT_EQ(t.injections, 4u);
     EXPECT_EQ(t.masked, 1u);
@@ -160,7 +144,6 @@ TEST(Faults, NamesAreStable)
 {
     EXPECT_STREQ(verify::faultSiteName(FaultSite::Register), "register");
     EXPECT_STREQ(verify::faultSiteName(FaultSite::Memory), "memory");
-    EXPECT_STREQ(verify::faultSiteName(FaultSite::TraceByte), "trace");
     EXPECT_STREQ(verify::faultOutcomeName(FaultOutcome::DetectedTrap),
                  "trap");
     EXPECT_STREQ(verify::faultOutcomeName(FaultOutcome::Masked),
