@@ -11,11 +11,10 @@
  *
  *   simulated MIPS = instructions * reps / replay_seconds / 1e6
  *
- * Recording cost is split by phase (record / decode / gate / verify /
- * compress) using the driver's RecordTiming, so the record/replay
- * attribution in the artifact is honest: the record-time oracle and
- * the compression attempt are reported as their own fields instead of
- * inflating record_seconds.
+ * Recording cost is split by phase (record / decode / gate / verify)
+ * using the driver's RecordTiming, so the record/replay attribution in
+ * the artifact is honest: the record-time oracle is reported as its
+ * own field instead of inflating record_seconds.
  *
  * The record phase itself is benchmarked per execution backend: each
  * kernel is recorded by the reference interpreter and by the threaded
@@ -27,11 +26,9 @@
  * workload synthesis, same reserve estimate, same oracle — so the
  * columns compare executors and nothing else.
  *
- * Trace footprint is reported three ways: the bytes actually stored
- * (compressed when the loop detector adopted the stream), the packed
- * equivalent (the compression-ratio baseline), and the raw DynInst
- * bytes. Results go to BENCH_simspeed.json (schema 3, with
- * host-timing extras per result).
+ * Trace footprint is reported two ways: the packed bytes actually
+ * stored and the raw DynInst bytes. Results go to BENCH_simspeed.json
+ * (schema 3, with host-timing extras per result).
  *
  * Usage: simspeed [--quick]
  *   --quick  CI smoke mode: fewer cells, smaller time budget.
@@ -99,14 +96,13 @@ main(int argc, char **argv)
     std::vector<driver::SweepResult> results;
     std::vector<std::string> extras;
     size_t totalStored = 0;
-    size_t totalPacked = 0;
     size_t totalRaw = 0;
 
     std::printf("Simulator self-benchmark (%s mode)\n\n",
                 quick ? "quick" : "full");
-    std::printf("%-10s %-10s %-6s %12s %8s %10s %12s %7s %-10s\n",
-                "Cipher", "Variant", "Model", "insts", "reps", "sim-MIPS",
-                "trace-bytes", "ratio", "storage");
+    std::printf("%-10s %-10s %-6s %12s %8s %10s %12s\n", "Cipher",
+                "Variant", "Model", "insts", "reps", "sim-MIPS",
+                "trace-bytes");
 
     struct RecordRow
     {
@@ -147,16 +143,9 @@ main(int argc, char **argv)
         row.threaded = timing;
         recordRows.push_back(row);
         const uint64_t insts = trace.instructions();
-        const size_t storedBytes = trace.storedBytes();
-        const size_t packedBytes = trace.packedEquivalentBytes();
+        const size_t storedBytes = trace.packed().packedBytes();
         const size_t rawBytes = insts * sizeof(isa::DynInst);
-        const double ratio = storedBytes
-            ? static_cast<double>(packedBytes) / storedBytes
-            : 1.0;
-        const char *storage =
-            isa::compressOutcomeName(trace.compressOutcome());
         totalStored += storedBytes;
-        totalPacked += packedBytes;
         totalRaw += rawBytes;
 
         for (const auto &model : models) {
@@ -190,12 +179,9 @@ main(int argc, char **argv)
                 "\"decode_seconds_threaded\": %.6f, "
                 "\"gate_seconds_threaded\": %.6f, "
                 "\"record_speedup_threaded\": %.2f, "
-                "\"verify_seconds\": %.6f, \"compress_seconds\": %.6f, "
-                "\"trace_storage\": \"%s\", "
+                "\"verify_seconds\": %.6f, "
                 "\"trace_stored_bytes\": %zu, "
-                "\"trace_packed_bytes\": %zu, "
                 "\"trace_dyninst_bytes\": %zu, "
-                "\"compression_ratio\": %.2f, "
                 "\"stored_bytes_per_inst\": %.4f",
                 mips, reps, elapsed, timing.recordSeconds,
                 row.interp.recordSeconds, row.threaded.recordSeconds,
@@ -203,17 +189,16 @@ main(int argc, char **argv)
                 row.threaded.recordSeconds > 0
                     ? row.interp.recordSeconds / row.threaded.recordSeconds
                     : 0.0,
-                timing.verifySeconds, timing.compressSeconds, storage,
-                storedBytes, packedBytes, rawBytes, ratio,
+                timing.verifySeconds, storedBytes, rawBytes,
                 insts ? static_cast<double>(storedBytes) / insts : 0.0);
             extras.push_back(extra);
 
-            std::printf(
-                "%-10s %-10s %-6s %12llu %8d %10.2f %12zu %6.1fx %-10s\n",
-                crypto::cipherInfo(id).name.c_str(),
-                kernels::variantName(variant).c_str(), model.name.c_str(),
-                static_cast<unsigned long long>(insts), reps, mips,
-                storedBytes, ratio, storage);
+            std::printf("%-10s %-10s %-6s %12llu %8d %10.2f %12zu\n",
+                        crypto::cipherInfo(id).name.c_str(),
+                        kernels::variantName(variant).c_str(),
+                        model.name.c_str(),
+                        static_cast<unsigned long long>(insts), reps, mips,
+                        storedBytes);
         }
     }
 
@@ -245,11 +230,9 @@ main(int argc, char **argv)
     driver::writeBenchJson("BENCH_simspeed.json", "simspeed", results,
                            extras);
     std::printf("\n(Host timing per cell: BENCH_simspeed.json; %zu "
-                "cells; stored traces %.1fx smaller than packed, "
-                "%.1fx smaller than raw DynInst records.)\n",
+                "cells; packed traces %.1fx smaller than raw DynInst "
+                "records.)\n",
                 results.size(),
-                totalStored ? static_cast<double>(totalPacked) / totalStored
-                            : 1.0,
                 totalStored ? static_cast<double>(totalRaw) / totalStored
                             : 1.0);
     return 0;

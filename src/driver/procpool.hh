@@ -40,9 +40,8 @@
  *
  * ## Checkpoint journal
  *
- * An append-only file in the PackedTrace/CompressedTrace serialization
- * style: a versioned header binding the journal to its grid, then one
- * FNV-checksummed record per finished cell:
+ * An append-only binary file: a versioned header binding the journal
+ * to its grid, then one FNV-checksummed record per finished cell:
  *
  *   header  u32 magic "CSWJ", u32 version, u64 grid fingerprint,
  *           u64 cell count

@@ -13,8 +13,8 @@
 
 #include "isa/threaded_machine.hh"
 #include "util/env.hh"
-#include "verify/expand_check.hh"
 #include "verify/oracle.hh"
+#include "verify/stream_match.hh"
 
 namespace cryptarch::driver
 {
@@ -35,24 +35,11 @@ std::atomic<uint64_t> functional_runs{0};
 std::mutex estimate_mutex;
 std::map<std::tuple<int, int, int>, double> insts_per_byte;
 
-TraceCompression
-initialCompressionMode()
-{
-    // util/env.hh: unrecognized values keep the safe default and warn
-    // once, naming the accepted spellings.
-    return static_cast<TraceCompression>(util::envChoice(
-        "CRYPTARCH_TRACE_COMPRESS",
-        {{"auto", static_cast<int>(TraceCompression::Auto)},
-         {"on", static_cast<int>(TraceCompression::On)},
-         {"off", static_cast<int>(TraceCompression::Off)}},
-        static_cast<int>(TraceCompression::Auto)));
-}
-
-std::atomic<TraceCompression> compression_mode{initialCompressionMode()};
-
 ExecBackendSelection
 initialBackendSelection()
 {
+    // util/env.hh: unrecognized values keep the safe default and warn
+    // once, naming the accepted spellings.
     return static_cast<ExecBackendSelection>(util::envChoice(
         "CRYPTARCH_EXEC_BACKEND",
         {{"auto", static_cast<int>(ExecBackendSelection::Auto)},
@@ -109,19 +96,22 @@ secondsSince(std::chrono::steady_clock::time_point t0)
         .count();
 }
 
-} // namespace
-
-TraceCompression
-traceCompression()
-{
-    return compression_mode.load(std::memory_order_relaxed);
-}
-
+/**
+ * The one replay loop. Templated on the sink so replay(cfg) feeds the
+ * concrete scheduler directly: each packed decode lands in a
+ * register-resident temporary for exactly one emit.
+ */
+template <class Sink>
 void
-setTraceCompression(TraceCompression mode)
+feed(const isa::PackedTrace &packed, Sink &sink)
 {
-    compression_mode.store(mode, std::memory_order_relaxed);
+    for (auto r = packed.reader(); !r.done();) {
+        const isa::DynInst d = r.next();
+        sink.emit(d);
+    }
 }
+
+} // namespace
 
 ExecBackendSelection
 execBackendSelection()
@@ -163,76 +153,15 @@ resetExecBackendGate()
 void
 RecordedTrace::replay(isa::TraceSink &sink) const
 {
-    if (compressed_) {
-        comp.expandInto(sink);
-        return;
-    }
-    for (auto r = packed.reader(); !r.done();)
-        sink.emit(r.next());
+    feed(packed_, sink);
 }
 
 sim::SimStats
 RecordedTrace::replay(const sim::MachineConfig &cfg) const
 {
     sim::OooScheduler sched(cfg);
-    // Feed the concrete scheduler directly: packed decode lands in a
-    // register-resident temporary for exactly one emit; compressed
-    // expansion emits straight from the patched body template.
-    if (compressed_) {
-        comp.expandInto(sched);
-    } else {
-        for (auto r = packed.reader(); !r.done();) {
-            isa::DynInst d = r.next();
-            sched.emit(d);
-        }
-    }
+    feed(packed_, sched);
     return sched.finish();
-}
-
-isa::CompressOutcome
-RecordedTrace::compress(TraceCompression mode)
-{
-    if (compressed_)
-        return outcome_;
-    if (mode == TraceCompression::Off) {
-        outcome_ = isa::CompressOutcome::NotAttempted;
-        return outcome_;
-    }
-    isa::CompressedTrace candidate;
-    outcome_ = isa::CompressedTrace::compress(packed, candidate);
-    if (outcome_ != isa::CompressOutcome::Accepted)
-        return outcome_;
-    if (mode == TraceCompression::Auto
-        && candidate.storedBytes() >= packed.packedBytes()) {
-        outcome_ = isa::CompressOutcome::NoGain;
-        return outcome_;
-    }
-    // The packed copy is dropped only after the expanded stream is
-    // proven identical to it — downstream figures cannot change.
-    if (!verify::verifyExpansion(packed, candidate)) {
-        outcome_ = isa::CompressOutcome::ExpandMismatch;
-        return outcome_;
-    }
-    packedBytesBeforeDrop = packed.packedBytes();
-    comp = std::move(candidate);
-    compressed_ = true;
-    packed.clear();
-    return outcome_;
-}
-
-isa::PackedTrace
-RecordedTrace::toPacked() const
-{
-    if (!compressed_)
-        return packed;
-    struct Repack
-    {
-        isa::PackedTrace trace;
-        void emit(const isa::DynInst &d) { trace.append(d); }
-    } repack;
-    repack.trace.reserve(comp.instructions());
-    comp.expandInto(repack);
-    return repack.trace;
 }
 
 RecordedTrace
@@ -394,17 +323,12 @@ recordKernelTrace(crypto::CipherId cipher, kernels::KernelVariant variant,
             static_cast<double>(trace.instructions()) / bytes;
     }
 
-    const auto t_compress = std::chrono::steady_clock::now();
-    trace.compress(traceCompression());
-    const double compress_seconds = secondsSince(t_compress);
-
     if (timing) {
         timing->setupSeconds = setup_seconds;
         timing->recordSeconds = record_seconds;
         timing->decodeSeconds = decode_seconds;
         timing->gateSeconds = gate_seconds;
         timing->verifySeconds = verify_seconds;
-        timing->compressSeconds = compress_seconds;
     }
     return trace;
 }

@@ -12,14 +12,9 @@
  * per kernel instead of one per timing model — the record/replay
  * structure SimpleScalar-style studies exploit.
  *
- * Storage is two-tier. Every stream is captured as a PackedTrace
- * (14 B/inst); after recording, the driver attempts the loop-aware
- * CompressedTrace encoding (see isa/compressed_trace.hh) and adopts it
- * only when the loop detector structurally accepts the stream, the
- * encoding is actually smaller, AND a full differential expansion
- * check (verify::verifyExpansion) proves the expanded stream identical
- * to the packed one. Replay then expands on the fly; every refusal
- * path falls back to the packed copy with no output change.
+ * Every stream is stored as one PackedTrace (see isa/packed_trace.hh,
+ * ~14 B/inst), in memory only, and every replay is a sequential read
+ * of it.
  */
 
 #ifndef CRYPTARCH_DRIVER_TRACE_HH
@@ -29,7 +24,6 @@
 #include <vector>
 
 #include "driver/workload.hh"
-#include "isa/compressed_trace.hh"
 #include "isa/machine.hh"
 #include "isa/packed_trace.hh"
 #include "kernels/kernel.hh"
@@ -38,22 +32,11 @@
 namespace cryptarch::driver
 {
 
-/**
- * Process-wide trace-storage policy, settable programmatically or via
- * the CRYPTARCH_TRACE_COMPRESS environment variable ("off", "auto",
- * "on"; default auto).
- *
- *   Off   never attempt compression; store packed only.
- *   Auto  compress when the loop detector accepts AND the encoding is
- *         smaller AND the expansion check passes; else keep packed.
- *   On    like Auto but adopt an accepted encoding even when it is
- *         not smaller (the CI byte-identity gate uses this to force
- *         every compressible kernel through the expansion path).
- */
+/** Stays only for perfbench's report; traces are never compressed. */
 enum class TraceCompression : uint8_t { Off, Auto, On };
 
-TraceCompression traceCompression();
-void setTraceCompression(TraceCompression mode);
+/** Stays only for perfbench's report; always Off. */
+inline TraceCompression traceCompression() { return TraceCompression::Off; }
 
 /**
  * Process-wide execution-backend policy for the record phase, settable
@@ -66,9 +49,9 @@ void setTraceCompression(TraceCompression mode);
  *                heuristics, e.g. interpreting tiny sessions whose
  *                pre-decode would dominate).
  *
- * Adoption is gated exactly like trace compression: the first
- * recording of each (cipher, variant, direction) under Threaded/Auto
- * runs the interpreter too and proves the threaded DynInst stream
+ * Adoption is differentially gated: the first recording of each
+ * (cipher, variant, direction) under Threaded/Auto runs the
+ * interpreter too and proves the threaded DynInst stream
  * field-for-field identical (results included) before the threaded
  * stream is used; any divergence or trap difference permanently falls
  * back to the interpreter for that kernel. Fault-injection runs never
@@ -104,16 +87,14 @@ struct RecordTiming
     double decodeSeconds = 0;   ///< threaded backend pre-decode
     double gateSeconds = 0;     ///< first-use gate: reference run + compare
     double verifySeconds = 0;   ///< record-time output oracle
-    double compressSeconds = 0; ///< compression attempt + expand check
+    double compressSeconds = 0; ///< stays only for perfbench's report; 0
 };
 
 /**
  * A captured dynamic instruction stream, stored packed (see
- * packed_trace.hh) or loop-compressed (see compressed_trace.hh) —
- * compress() decides which and drops the loser. Result values are
- * dropped at record time — no timing model reads them, and the
- * value-prediction studies attach their sinks live to the Machine
- * instead of replaying.
+ * packed_trace.hh). Result values are dropped at record time — no
+ * timing model reads them, and the value-prediction studies attach
+ * their sinks live to the Machine instead of replaying.
  */
 class RecordedTrace : public isa::TraceSink
 {
@@ -121,7 +102,7 @@ class RecordedTrace : public isa::TraceSink
     void
     emit(const isa::DynInst &inst) override
     {
-        packed.append(inst, /*keepResult=*/false);
+        packed_.append(inst, /*keepResult=*/false);
     }
 
     /**
@@ -133,7 +114,7 @@ class RecordedTrace : public isa::TraceSink
     packedSink(bool &keepResults) override
     {
         keepResults = false;
-        return &packed;
+        return &packed_;
     }
 
     /** Feed the captured stream, in order, into any sink. */
@@ -143,64 +124,27 @@ class RecordedTrace : public isa::TraceSink
     sim::SimStats replay(const sim::MachineConfig &cfg) const;
 
     /** Dynamic instruction count (the 1-CPI machine's cycle count). */
-    uint64_t
-    instructions() const
-    {
-        return compressed_ ? comp.instructions() : packed.size();
-    }
+    uint64_t instructions() const { return packed_.size(); }
 
     bool empty() const { return instructions() == 0; }
 
-    /**
-     * Bytes actually held by the stored representation: the packed
-     * columns + side tables, or the compressed skeleton + deltas +
-     * stitches. This is what BENCH_simspeed.json reports — measured,
-     * never extrapolated.
-     */
-    size_t storedBytes() const
-    {
-        return compressed_ ? comp.storedBytes() : packed.packedBytes();
-    }
+    /** The stored stream (use the replay paths for hot loops). */
+    const isa::PackedTrace &packed() const { return packed_; }
 
-    /**
-     * Bytes the stream occupies (or occupied, before compress()
-     * dropped it) as a PackedTrace — the compression-ratio baseline.
-     */
-    size_t packedEquivalentBytes() const
-    {
-        return compressed_ ? packedBytesBeforeDrop : packed.packedBytes();
-    }
+    /** Stays only for perfbench's report; the packed size. */
+    size_t storedBytes() const { return packed_.packedBytes(); }
+
+    /** Stays only for perfbench's report; the packed size. */
+    size_t packedEquivalentBytes() const { return packed_.packedBytes(); }
+
+    /** Stays only for perfbench's report; always false. */
+    bool isCompressed() const { return false; }
 
     /** Pre-size the packed encoding for an expected instruction count. */
-    void reserveInsts(size_t n) { packed.reserve(n); }
-
-    /**
-     * Attempt to replace the packed storage with the loop-compressed
-     * encoding under @p mode (no-op returning NotAttempted for Off).
-     * Returns why the stream did or did not compress; on any refusal
-     * the packed copy stays authoritative. Safe to call again (idempotent
-     * once compressed).
-     */
-    isa::CompressOutcome compress(TraceCompression mode);
-
-    /** Whether replay expands the compressed encoding. */
-    bool isCompressed() const { return compressed_; }
-
-    /** Outcome of the last compress() call (NotAttempted before any). */
-    isa::CompressOutcome compressOutcome() const { return outcome_; }
-
-    /**
-     * Decode whichever representation is stored into a standalone
-     * PackedTrace (a copy — use the replay paths for hot loops).
-     */
-    isa::PackedTrace toPacked() const;
+    void reserveInsts(size_t n) { packed_.reserve(n); }
 
   private:
-    isa::PackedTrace packed;
-    isa::CompressedTrace comp;
-    bool compressed_ = false;
-    isa::CompressOutcome outcome_ = isa::CompressOutcome::NotAttempted;
-    size_t packedBytesBeforeDrop = 0;
+    isa::PackedTrace packed_;
 };
 
 /**
@@ -208,8 +152,7 @@ class RecordedTrace : public isa::TraceSink
  * deterministic workload for @p bytes, run it functionally exactly
  * once with the selected execution backend (see ExecBackendSelection;
  * first threaded use of a kernel is differentially gated against the
- * interpreter), capture the trace, and apply the process-wide
- * compression policy to it. Increments functionalRuns().
+ * interpreter), and capture the trace. Increments functionalRuns().
  *
  * Every recording is oracle-checked before any model replays it: the
  * machine's output buffer is compared byte-for-byte against the
@@ -218,9 +161,9 @@ class RecordedTrace : public isa::TraceSink
  * verify::VerifyError, so no timing figure can be computed from a
  * functionally wrong run.
  *
- * @p timing, when non-null, receives the wall-clock split between the
- * functional run, the oracle, and the compression attempt — the bench
- * drivers report these as separate phases.
+ * @p timing, when non-null, receives the wall-clock split between
+ * setup, the functional run, the backend gate and the oracle — the
+ * bench drivers report these as separate phases.
  */
 RecordedTrace recordKernelTrace(crypto::CipherId cipher,
                                 kernels::KernelVariant variant,

@@ -104,7 +104,7 @@ class TraceSink
      * that pre-packs fixed records at decode time (the threaded
      * backend) then appends rows directly instead of materializing a
      * DynInst per instruction. Sinks that observe instructions —
-     * comparators, schedulers, compressors — keep the default and
+     * comparators, schedulers — keep the default and
      * always receive emit() calls. The packed rows a fast-path
      * producer appends must decode to exactly the stream emit() would
      * have received; the backend-adoption gate checks the product of

@@ -385,7 +385,9 @@ Machine::run(const Program &program, TraceSink *sink, uint64_t max_insts)
                 else
                     lo |= bit << nlo++;
             }
-            result = lo | (hi << nlo);
+            result = lo;
+            if (nlo < 64) // nlo == 64 (all-zero control) leaves hi empty
+                result |= hi << nlo;
             break;
           }
 

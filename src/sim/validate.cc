@@ -128,8 +128,6 @@ warnAdjustment(const std::string &field, unsigned from, unsigned to)
 // Hardening policies, read once at static init (the trace.cc policy
 // pattern). Forked sweep workers inherit these by memory copy, so
 // harnesses flip them through the setters, not setenv.
-std::atomic<bool> validate_enabled{
-    util::envFlag("CRYPTARCH_SIM_VALIDATE", true)};
 std::atomic<bool> audit_enabled{util::envFlag("CRYPTARCH_SIM_AUDIT", false)};
 std::atomic<uint64_t> progress_budget{
     util::envU64("CRYPTARCH_SIM_PROGRESS_BUDGET", 0)};
@@ -359,24 +357,12 @@ AuditError::AuditError(const std::string &invariant, uint64_t seq,
 MachineConfig
 hardenedConfig(const MachineConfig &cfg, ConfigPolicy policy)
 {
-    if (policy == ConfigPolicy::Trusted || !configValidationEnabled())
+    if (policy == ConfigPolicy::Trusted)
         return cfg;
     MachineConfig canon = canonicalizeConfig(cfg);
     if (auto err = validateConfig(canon))
         throw ConfigRejected(std::move(*err));
     return canon;
-}
-
-bool
-configValidationEnabled()
-{
-    return validate_enabled.load(std::memory_order_relaxed);
-}
-
-void
-setConfigValidation(bool enabled)
-{
-    validate_enabled.store(enabled, std::memory_order_relaxed);
 }
 
 bool

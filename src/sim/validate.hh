@@ -1,7 +1,7 @@
 /**
  * @file
  * Typed MachineConfig validation, canonicalization, and the simulator
- * hardening policies (validation / invariant audit / progress budget).
+ * hardening policies (invariant audit / progress budget).
  *
  * MachineConfig is ~30 unchecked numeric fields, and the design-space
  * work (ROADMAP item 5) generates configs nobody hand-audited. This
@@ -12,7 +12,8 @@
  * the scheduler constructor routes through hardenedConfig() so a bad
  * config becomes a typed ConfigRejected at construction instead of
  * a divide-by-zero, an unbounded allocation, or a livelocked issue
- * loop deep inside a sweep cell.
+ * loop deep inside a sweep cell. Validation is always on; only a
+ * scheduler constructed with ConfigPolicy::Trusted skips it.
  *
  * The taxonomy:
  *
@@ -38,7 +39,6 @@
  * environment at static init — worker processes fork from the parent,
  * so setters are the reliable way to flip policy for a child sweep):
  *
- *   CRYPTARCH_SIM_VALIDATE        on (default) | off
  *   CRYPTARCH_SIM_AUDIT           off (default) | on: per-retired-
  *                                 instruction invariant auditing
  *   CRYPTARCH_SIM_PROGRESS_BUDGET base FU-retry budget before the
@@ -46,8 +46,8 @@
  *                                 traps (0/unset = auto-scaled)
  */
 
-#ifndef CRYPTARCH_SIM_VALIDATE_HH
-#define CRYPTARCH_SIM_VALIDATE_HH
+#ifndef CRYPTARCH_SIM_VALIDATION_HH
+#define CRYPTARCH_SIM_VALIDATION_HH
 
 #include <cstdint>
 #include <optional>
@@ -162,14 +162,10 @@ enum class ConfigPolicy : uint8_t
 
 /**
  * The construction-time admission pipeline: canonicalize @p cfg and
- * throw ConfigRejected if validation still fails. Trusted policy — or
- * validation disabled process-wide — returns @p cfg verbatim.
+ * throw ConfigRejected if validation still fails. Trusted policy
+ * returns @p cfg verbatim.
  */
 MachineConfig hardenedConfig(const MachineConfig &cfg, ConfigPolicy policy);
-
-/** Config validation at scheduler construction (default on). */
-bool configValidationEnabled();
-void setConfigValidation(bool enabled);
 
 /** Per-retired-instruction invariant auditing (default off). */
 bool simAuditEnabled();
@@ -184,4 +180,4 @@ void setProgressBudgetOverride(uint64_t budget);
 
 } // namespace cryptarch::sim
 
-#endif // CRYPTARCH_SIM_VALIDATE_HH
+#endif // CRYPTARCH_SIM_VALIDATION_HH

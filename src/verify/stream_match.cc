@@ -1,4 +1,4 @@
-#include "verify/expand_check.hh"
+#include "verify/stream_match.hh"
 
 #include <string_view>
 
@@ -69,24 +69,6 @@ StreamMatchSink::emit(const isa::DynInst &inst)
     }
     if (downstream_)
         downstream_->emit(inst);
-}
-
-bool
-verifyExpansion(const isa::PackedTrace &packed,
-                const isa::CompressedTrace &compressed, std::string *why)
-{
-    if (packed.size() != compressed.instructions()) {
-        if (why)
-            *why = "instruction counts differ: packed "
-                + std::to_string(packed.size()) + ", expanded "
-                + std::to_string(compressed.instructions());
-        return false;
-    }
-    StreamMatchSink matcher(packed);
-    compressed.expandInto(matcher);
-    if (!matcher.complete() && why)
-        *why = matcher.why();
-    return matcher.complete();
 }
 
 } // namespace cryptarch::verify

@@ -1,48 +1,29 @@
 /**
  * @file
- * Differential check of compressed-trace expansion.
+ * Field-for-field dynamic instruction stream comparison.
  *
- * A CompressedTrace is only allowed to REPLACE its PackedTrace source
- * after this check proves, field by field and instruction by
- * instruction, that the expanded stream is identical to the packed
- * decode. That makes the driver's byte-identical-benchmarks guarantee
- * structural: any benchmark replayed from a compressed trace consumed
- * the exact DynInst sequence the packed trace would have produced, so
- * figure JSON cannot depend on whether compression was enabled. The
- * check expands through CompressedTrace::expandInto — the path replay
- * runs — into the same StreamMatchSink the execution-backend gate
- * uses, so both checks share one definition of stream equality.
+ * The execution-backend adoption gate and the backend parity tests
+ * both decide "these two runs emitted the same stream" through the
+ * definitions here, so there is one notion of stream equality.
  */
 
-#ifndef CRYPTARCH_VERIFY_EXPAND_CHECK_HH
-#define CRYPTARCH_VERIFY_EXPAND_CHECK_HH
+#ifndef CRYPTARCH_VERIFY_STREAM_MATCH_HH
+#define CRYPTARCH_VERIFY_STREAM_MATCH_HH
 
 #include <cstddef>
 #include <string>
 #include <string_view>
 
-#include "isa/compressed_trace.hh"
 #include "isa/packed_trace.hh"
 
 namespace cryptarch::verify
 {
 
 /**
- * Expand @p compressed and compare every DynInst field against the
- * decode of @p packed. Returns true when the streams are identical;
- * on the first divergence returns false and, if @p why is non-null,
- * describes the sequence number and field that differ.
- */
-bool verifyExpansion(const isa::PackedTrace &packed,
-                     const isa::CompressedTrace &compressed,
-                     std::string *why = nullptr);
-
-/**
  * Name of the first DynInst field where @p a and @p b differ, or an
  * empty view when they are identical. The single definition of "the
  * same dynamic instruction" every differential check in the repo uses
- * (compressed-trace expansion, execution-backend adoption, the backend
- * parity tests).
+ * (execution-backend adoption, the backend parity tests).
  */
 std::string_view firstDynInstDifference(const isa::DynInst &a,
                                         const isa::DynInst &b);
@@ -93,4 +74,4 @@ class StreamMatchSink final : public isa::TraceSink
 
 } // namespace cryptarch::verify
 
-#endif // CRYPTARCH_VERIFY_EXPAND_CHECK_HH
+#endif // CRYPTARCH_VERIFY_STREAM_MATCH_HH

@@ -21,7 +21,7 @@ namespace
 
 using namespace cryptarch;
 
-/** Restore process-wide backend/compression policy after each test. */
+/** Restore the process-wide backend policy after each test. */
 class ExecBackendPolicy : public ::testing::Test
 {
   protected:
@@ -29,7 +29,6 @@ class ExecBackendPolicy : public ::testing::Test
     SetUp() override
     {
         saved_sel_ = driver::execBackendSelection();
-        saved_comp_ = driver::traceCompression();
         driver::resetExecBackendGate();
     }
 
@@ -37,13 +36,11 @@ class ExecBackendPolicy : public ::testing::Test
     TearDown() override
     {
         driver::setExecBackendSelection(saved_sel_);
-        driver::setTraceCompression(saved_comp_);
         driver::resetExecBackendGate();
     }
 
   private:
     driver::ExecBackendSelection saved_sel_;
-    driver::TraceCompression saved_comp_;
 };
 
 constexpr auto cipher = crypto::CipherId::Blowfish;
@@ -118,8 +115,6 @@ TEST_F(ExecBackendPolicy, InterpreterSelectionNeverGates)
  */
 TEST_F(ExecBackendPolicy, BackendsProduceByteIdenticalTraces)
 {
-    driver::setTraceCompression(driver::TraceCompression::Off);
-
     driver::setExecBackendSelection(
         driver::ExecBackendSelection::Interpreter);
     auto ref = driver::recordKernelTrace(cipher, variant, bytes, dir);
@@ -128,31 +123,13 @@ TEST_F(ExecBackendPolicy, BackendsProduceByteIdenticalTraces)
     auto gated = driver::recordKernelTrace(cipher, variant, bytes, dir);
     auto steady = driver::recordKernelTrace(cipher, variant, bytes, dir);
 
-    const auto want = ref.toPacked();
-    EXPECT_TRUE(gated.toPacked() == want);
-    EXPECT_TRUE(steady.toPacked() == want);
-}
-
-/** Compression adoption must not depend on which backend recorded. */
-TEST_F(ExecBackendPolicy, CompressionOutcomeIsBackendInvariant)
-{
-    driver::setTraceCompression(driver::TraceCompression::Auto);
-
-    driver::setExecBackendSelection(
-        driver::ExecBackendSelection::Interpreter);
-    auto a = driver::recordKernelTrace(cipher, variant, bytes, dir);
-
-    driver::setExecBackendSelection(driver::ExecBackendSelection::Threaded);
-    driver::recordKernelTrace(cipher, variant, bytes, dir); // gate
-    auto b = driver::recordKernelTrace(cipher, variant, bytes, dir);
-
-    EXPECT_EQ(a.isCompressed(), b.isCompressed());
-    EXPECT_EQ(a.compressOutcome(), b.compressOutcome());
-    EXPECT_EQ(a.storedBytes(), b.storedBytes());
+    const auto &want = ref.packed();
+    EXPECT_TRUE(gated.packed() == want);
+    EXPECT_TRUE(steady.packed() == want);
 }
 
 /**
- * RecordTiming regression: the six fields are disjoint phases, so
+ * RecordTiming regression: the timed fields are disjoint phases, so
  * their sum can never exceed the call's wall clock, and the
  * decode/gate splits appear exactly when the path that owns them ran.
  * (decodeSeconds was split out of recordSeconds when per-backend
@@ -178,9 +155,8 @@ TEST_F(ExecBackendPolicy, TimingPhasesAreDisjointSplitsOfWallClock)
     EXPECT_EQ(ti.decodeSeconds, 0.0);
     EXPECT_EQ(ti.gateSeconds, 0.0);
     EXPECT_GT(ti.verifySeconds, 0.0);
-    EXPECT_GE(ti.compressSeconds, 0.0);
     EXPECT_LE(ti.setupSeconds + ti.recordSeconds + ti.decodeSeconds
-                  + ti.gateSeconds + ti.verifySeconds + ti.compressSeconds,
+                  + ti.gateSeconds + ti.verifySeconds,
               wall_i);
 
     driver::setExecBackendSelection(driver::ExecBackendSelection::Threaded);
@@ -190,7 +166,7 @@ TEST_F(ExecBackendPolicy, TimingPhasesAreDisjointSplitsOfWallClock)
     EXPECT_GT(tg.decodeSeconds, 0.0);
     EXPECT_GT(tg.gateSeconds, 0.0);
     EXPECT_LE(tg.setupSeconds + tg.recordSeconds + tg.decodeSeconds
-                  + tg.gateSeconds + tg.verifySeconds + tg.compressSeconds,
+                  + tg.gateSeconds + tg.verifySeconds,
               wall_g);
 
     driver::RecordTiming ts; // steady state
@@ -199,7 +175,7 @@ TEST_F(ExecBackendPolicy, TimingPhasesAreDisjointSplitsOfWallClock)
     EXPECT_GT(ts.decodeSeconds, 0.0);
     EXPECT_EQ(ts.gateSeconds, 0.0);
     EXPECT_LE(ts.setupSeconds + ts.recordSeconds + ts.decodeSeconds
-                  + ts.gateSeconds + ts.verifySeconds + ts.compressSeconds,
+                  + ts.gateSeconds + ts.verifySeconds,
               wall_s);
 }
 

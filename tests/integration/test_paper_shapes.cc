@@ -7,7 +7,12 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
+#include <cstdio>
+#include <iterator>
+#include <string>
+#include <utility>
 
 #include "driver/grids.hh"
 #include "kernels/kernel.hh"
@@ -125,6 +130,67 @@ TEST(PaperShapes, Fig10SpeedupOrdering)
     EXPECT_LT(rc6_speedup, 1.45) << "RC6 gains must stay modest";
     EXPECT_GT(worst, 0.99);
     EXPECT_GT(idea_speedup, 1.8);
+}
+
+std::string
+twoPlaces(double v)
+{
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "%.2f", v);
+    return buf;
+}
+
+// README's Figure 10 table, cell for cell: the full 4 KB fig10 grid,
+// each speedup formatted "%.2f" exactly as bench/fig10_speedup prints
+// it, plus the Orig/4W and Opt/4W geomean row.
+TEST(PaperShapes, Fig10ReadmeTable)
+{
+    struct Row
+    {
+        CipherId id;
+        std::array<const char *, 5> cells; // Orig/4W .. Opt/DF
+    };
+    const Row readme[] = {
+        {CipherId::TripleDES, {"0.94", "1.41", "1.42", "1.56", "1.77"}},
+        {CipherId::Blowfish, {"1.00", "1.41", "1.60", "1.61", "1.75"}},
+        {CipherId::IDEA, {"1.00", "2.20", "2.20", "2.20", "2.21"}},
+        {CipherId::MARS, {"0.80", "1.45", "1.54", "1.56", "1.63"}},
+        {CipherId::RC4, {"1.00", "1.08", "1.08", "1.41", "3.58"}},
+        {CipherId::RC6, {"0.81", "1.29", "1.29", "1.29", "1.30"}},
+        {CipherId::Rijndael, {"1.00", "1.61", "1.73", "2.74", "3.41"}},
+        {CipherId::Twofish, {"1.00", "1.37", "1.60", "1.83", "2.01"}},
+    };
+    const std::array<std::pair<KernelVariant, const char *>, 5> columns =
+        {{{KernelVariant::BaselineNoRot, "4W"},
+          {KernelVariant::Optimized, "4W"},
+          {KernelVariant::Optimized, "4W+"},
+          {KernelVariant::Optimized, "8W+"},
+          {KernelVariant::Optimized, "DF"}}};
+
+    const auto results = driver::runCells(driver::fig10Cells());
+    double prod_orig = 1.0, prod_opt4 = 1.0;
+    for (const auto &row : readme) {
+        const auto &name = crypto::cipherInfo(row.id).name;
+        const auto &base = driver::findResult(
+            results, row.id, KernelVariant::BaselineRot, "4W");
+        ASSERT_TRUE(base.ok()) << name << ": " << base.message;
+        const double b = static_cast<double>(base.stats.cycles);
+        for (size_t c = 0; c < columns.size(); c++) {
+            const auto &r = driver::findResult(
+                results, row.id, columns[c].first, columns[c].second);
+            ASSERT_TRUE(r.ok()) << name << ": " << r.message;
+            const double speedup = b / static_cast<double>(r.stats.cycles);
+            EXPECT_EQ(twoPlaces(speedup), row.cells[c])
+                << name << " column " << c;
+            if (c == 0)
+                prod_orig *= speedup;
+            if (c == 1)
+                prod_opt4 *= speedup;
+        }
+    }
+    const double n = std::size(readme);
+    EXPECT_EQ(twoPlaces(std::pow(prod_orig, 1.0 / n)), "0.94");
+    EXPECT_EQ(twoPlaces(std::pow(prod_opt4, 1.0 / n)), "1.45");
 }
 
 // Figure 10, Orig/4W: losing rotates hurts Mars and RC6 the most.

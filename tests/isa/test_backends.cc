@@ -31,7 +31,7 @@
 #include "isa/packed_trace.hh"
 #include "isa/threaded_machine.hh"
 #include "kernels/kernel.hh"
-#include "verify/expand_check.hh"
+#include "verify/stream_match.hh"
 
 namespace
 {

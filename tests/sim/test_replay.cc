@@ -142,7 +142,7 @@ TEST(Replay, StreamPreservesSequenceNumbers)
     auto trace = driver::recordKernelTrace(crypto::CipherId::Rijndael,
                                            KernelVariant::Optimized);
     ASSERT_FALSE(trace.empty());
-    const auto packed = trace.toPacked();
+    const auto &packed = trace.packed();
     uint64_t i = 0;
     for (auto r = packed.reader(); !r.done(); i++)
         ASSERT_EQ(r.next().seq, i);

@@ -239,17 +239,6 @@ TEST(Validate, SchedulerCanonicalizesOnAdmission)
     EXPECT_NO_THROW(sim::OooScheduler sched(cfg));
 }
 
-TEST(Validate, ValidationPolicyCanBeDisabled)
-{
-    ASSERT_TRUE(sim::configValidationEnabled());
-    MachineConfig bad = MachineConfig::fourWide();
-    bad.l2HitLat = bad.memLat + 1;
-    sim::setConfigValidation(false);
-    EXPECT_NO_THROW(sim::OooScheduler sched(bad));
-    sim::setConfigValidation(true);
-    EXPECT_THROW(sim::OooScheduler sched(bad), sim::ConfigRejected);
-}
-
 TEST(Validate, KindNamesAreStable)
 {
     EXPECT_STREQ(sim::configErrorKindName(ConfigErrorKind::ZeroGeometry),
