@@ -5,12 +5,11 @@
  * that the reference implementations are usably fast and a baseline
  * for anyone adopting the library).
  *
- * The kernelExec benchmarks put the CryptISA execution backends on the
- * same axis: the Optimized kernel of each cipher executed functionally
- * (no trace sink) over a standard session, reported in bytes/second
- * exactly like the native library loops above them. That makes the
- * interpreter-vs-threaded record-phase gap — and the remaining gap to
- * native host code — one apples-to-apples table in a single binary.
+ * The kernelExec benchmarks put the CryptISA interpreter on the same
+ * axis: the Optimized kernel of each cipher executed functionally (no
+ * trace sink) over a standard session, reported in bytes/second
+ * exactly like the native library loops above them, so the gap between
+ * the record phase and native host code is one table in one binary.
  */
 
 #include <benchmark/benchmark.h>
@@ -18,7 +17,7 @@
 #include "crypto/cbc.hh"
 #include "crypto/cipher.hh"
 #include "driver/workload.hh"
-#include "isa/exec_backend.hh"
+#include "isa/machine.hh"
 #include "kernels/kernel.hh"
 #include "util/xorshift.hh"
 
@@ -64,15 +63,12 @@ rc4Stream(benchmark::State &state)
 
 /**
  * One functional execution of the cipher's Optimized kernel per
- * iteration, on the selected backend. The kernel image is reinstalled
- * each iteration (machine state is consumed by a run), mirroring the
- * native loops' per-iteration input/output traffic; pre-decode for the
- * threaded backend happens once outside the loop, like native key
- * setup.
+ * iteration on the interpreter. The kernel image is reinstalled each
+ * iteration (machine state is consumed by a run), mirroring the native
+ * loops' per-iteration input/output traffic.
  */
 void
-kernelExec(benchmark::State &state, crypto::CipherId id,
-           isa::ExecBackendKind kind)
+kernelExec(benchmark::State &state, crypto::CipherId id)
 {
     auto w = driver::makeWorkload(id, driver::session_bytes);
     auto build =
@@ -80,11 +76,10 @@ kernelExec(benchmark::State &state, crypto::CipherId id,
                              w.iv, driver::session_bytes,
                              kernels::KernelDirection::Encrypt);
     const auto image = kernels::toWordImage(id, w.plaintext);
-    auto m = isa::makeExecBackend(kind);
-    m->prepare(build.program);
+    isa::Machine m;
     for (auto _ : state) {
-        build.install(*m, image);
-        auto stats = m->run(build.program);
+        build.install(m, image);
+        auto stats = m.run(build.program);
         benchmark::DoNotOptimize(stats.instructions);
     }
     state.SetBytesProcessed(static_cast<int64_t>(state.iterations())
@@ -114,21 +109,14 @@ BENCHMARK_CAPTURE(blockCipherCbc, RC6, crypto::CipherId::RC6);
 BENCHMARK_CAPTURE(blockCipherCbc, Rijndael, crypto::CipherId::Rijndael);
 BENCHMARK_CAPTURE(blockCipherCbc, Twofish, crypto::CipherId::Twofish);
 BENCHMARK(rc4Stream);
-#define KERNEL_EXEC_BENCH(name, id)                                      \
-    BENCHMARK_CAPTURE(kernelExec, name##_interpreter,                    \
-                      crypto::CipherId::id,                              \
-                      cryptarch::isa::ExecBackendKind::Interpreter);     \
-    BENCHMARK_CAPTURE(kernelExec, name##_threaded, crypto::CipherId::id, \
-                      cryptarch::isa::ExecBackendKind::Threaded)
-KERNEL_EXEC_BENCH(3DES, TripleDES);
-KERNEL_EXEC_BENCH(Blowfish, Blowfish);
-KERNEL_EXEC_BENCH(IDEA, IDEA);
-KERNEL_EXEC_BENCH(Mars, MARS);
-KERNEL_EXEC_BENCH(RC4, RC4);
-KERNEL_EXEC_BENCH(RC6, RC6);
-KERNEL_EXEC_BENCH(Rijndael, Rijndael);
-KERNEL_EXEC_BENCH(Twofish, Twofish);
-#undef KERNEL_EXEC_BENCH
+BENCHMARK_CAPTURE(kernelExec, 3DES, crypto::CipherId::TripleDES);
+BENCHMARK_CAPTURE(kernelExec, Blowfish, crypto::CipherId::Blowfish);
+BENCHMARK_CAPTURE(kernelExec, IDEA, crypto::CipherId::IDEA);
+BENCHMARK_CAPTURE(kernelExec, Mars, crypto::CipherId::MARS);
+BENCHMARK_CAPTURE(kernelExec, RC4, crypto::CipherId::RC4);
+BENCHMARK_CAPTURE(kernelExec, RC6, crypto::CipherId::RC6);
+BENCHMARK_CAPTURE(kernelExec, Rijndael, crypto::CipherId::Rijndael);
+BENCHMARK_CAPTURE(kernelExec, Twofish, crypto::CipherId::Twofish);
 BENCHMARK_CAPTURE(keySetup, Blowfish, crypto::CipherId::Blowfish);
 BENCHMARK_CAPTURE(keySetup, Twofish, crypto::CipherId::Twofish);
 BENCHMARK_CAPTURE(keySetup, Rijndael, crypto::CipherId::Rijndael);

@@ -11,20 +11,10 @@
  *
  *   simulated MIPS = instructions * reps / replay_seconds / 1e6
  *
- * Recording cost is split by phase (record / decode / gate / verify)
- * using the driver's RecordTiming, so the record/replay attribution in
- * the artifact is honest: the record-time oracle is reported as its
- * own field instead of inflating record_seconds.
- *
- * The record phase itself is benchmarked per execution backend: each
- * kernel is recorded by the reference interpreter and by the threaded
- * backend (after its one-time differential gate), and both
- * record_seconds land in the artifact as
- * record_seconds_interpreter / record_seconds_threaded together with
- * decode_seconds_threaded and the resulting record_speedup_threaded.
- * Both measurements go through driver::recordKernelTrace — same
- * workload synthesis, same reserve estimate, same oracle — so the
- * columns compare executors and nothing else.
+ * Recording cost is split by phase (record / verify) using the
+ * driver's RecordTiming, so the record/replay attribution in the
+ * artifact is honest: the record-time oracle is reported as its own
+ * field instead of inflating record_seconds.
  *
  * Trace footprint is reported two ways: the packed bytes actually
  * stored and the raw DynInst bytes. Results go to BENCH_simspeed.json
@@ -67,8 +57,8 @@ main(int argc, char **argv)
             quick = true;
 
     // Full mode covers the entire tab02 cipher grid, so the
-    // record-phase speedup column is measured over exactly the
-    // workload population the tab02 artifact records. Quick mode keeps
+    // record_seconds column is measured over exactly the workload
+    // population the tab02 artifact records. Quick mode keeps
     // two representative corners: a stream cipher dominated by byte
     // traffic and alias ordering (RC4) and the SBOX-heavy block cipher
     // the paper optimizes hardest (Rijndael).
@@ -104,44 +94,16 @@ main(int argc, char **argv)
                 "Variant", "Model", "insts", "reps", "sim-MIPS",
                 "trace-bytes");
 
-    struct RecordRow
-    {
-        crypto::CipherId id;
-        driver::RecordTiming interp;
-        driver::RecordTiming threaded;
-        driver::RecordTiming gate;
-    };
-    std::vector<RecordRow> recordRows;
-
     for (auto id : ciphers) {
-        // Per-backend record phase. The untimed interpreter warm-up
-        // seeds the driver's reserve estimate so both timed recordings
-        // append into pre-sized traces; the first threaded call pays
-        // the differential adoption gate (reported separately), and
-        // the steady-state call is the threaded record_seconds column
-        // — the same state every tab02-style sweep records in.
-        RecordRow row;
-        row.id = id;
-        driver::resetExecBackendGate();
-        driver::setExecBackendSelection(
-            driver::ExecBackendSelection::Interpreter);
+        // The untimed warm-up seeds the driver's reserve estimate, so
+        // the timed recording appends into a pre-sized trace — the
+        // same state every tab02-style sweep records in.
         driver::recordKernelTrace(id, variant, driver::session_bytes,
                                   kernels::KernelDirection::Encrypt);
-        driver::recordKernelTrace(id, variant, driver::session_bytes,
-                                  kernels::KernelDirection::Encrypt,
-                                  &row.interp);
-        driver::setExecBackendSelection(
-            driver::ExecBackendSelection::Threaded);
-        driver::recordKernelTrace(id, variant, driver::session_bytes,
-                                  kernels::KernelDirection::Encrypt,
-                                  &row.gate);
-
         driver::RecordTiming timing = {};
         auto trace = driver::recordKernelTrace(
             id, variant, driver::session_bytes,
             kernels::KernelDirection::Encrypt, &timing);
-        row.threaded = timing;
-        recordRows.push_back(row);
         const uint64_t insts = trace.instructions();
         const size_t storedBytes = trace.packed().packedBytes();
         const size_t rawBytes = insts * sizeof(isa::DynInst);
@@ -174,21 +136,11 @@ main(int argc, char **argv)
                 extra, sizeof(extra),
                 "\"simulated_mips\": %.2f, \"replay_reps\": %d, "
                 "\"replay_seconds\": %.6f, \"record_seconds\": %.6f, "
-                "\"record_seconds_interpreter\": %.6f, "
-                "\"record_seconds_threaded\": %.6f, "
-                "\"decode_seconds_threaded\": %.6f, "
-                "\"gate_seconds_threaded\": %.6f, "
-                "\"record_speedup_threaded\": %.2f, "
                 "\"verify_seconds\": %.6f, "
                 "\"trace_stored_bytes\": %zu, "
                 "\"trace_dyninst_bytes\": %zu, "
                 "\"stored_bytes_per_inst\": %.4f",
                 mips, reps, elapsed, timing.recordSeconds,
-                row.interp.recordSeconds, row.threaded.recordSeconds,
-                row.threaded.decodeSeconds, row.gate.gateSeconds,
-                row.threaded.recordSeconds > 0
-                    ? row.interp.recordSeconds / row.threaded.recordSeconds
-                    : 0.0,
                 timing.verifySeconds, storedBytes, rawBytes,
                 insts ? static_cast<double>(storedBytes) / insts : 0.0);
             extras.push_back(extra);
@@ -201,31 +153,6 @@ main(int argc, char **argv)
                         storedBytes);
         }
     }
-
-    // Record-phase backend comparison over the cipher grid above.
-    std::printf("\nRecord phase by execution backend (%zu-byte "
-                "sessions)\n\n",
-                driver::session_bytes);
-    std::printf("%-10s %12s %12s %12s %9s\n", "Cipher", "interp-ms",
-                "threaded-ms", "decode-ms", "speedup");
-    double sumInterp = 0.0;
-    double sumThreaded = 0.0;
-    for (const auto &row : recordRows) {
-        sumInterp += row.interp.recordSeconds;
-        sumThreaded += row.threaded.recordSeconds;
-        std::printf("%-10s %12.3f %12.3f %12.3f %8.2fx\n",
-                    crypto::cipherInfo(row.id).name.c_str(),
-                    row.interp.recordSeconds * 1e3,
-                    row.threaded.recordSeconds * 1e3,
-                    row.threaded.decodeSeconds * 1e3,
-                    row.threaded.recordSeconds > 0
-                        ? row.interp.recordSeconds
-                              / row.threaded.recordSeconds
-                        : 0.0);
-    }
-    std::printf("%-10s %12.3f %12.3f %12s %8.2fx\n", "total",
-                sumInterp * 1e3, sumThreaded * 1e3, "",
-                sumThreaded > 0 ? sumInterp / sumThreaded : 0.0);
 
     driver::writeBenchJson("BENCH_simspeed.json", "simspeed", results,
                            extras);

@@ -45,7 +45,7 @@ parseSweepIsolation(std::string_view name, SweepIsolation dflt)
     if (name == "process")
         return SweepIsolation::Process;
     // Anything unrecognized: the caller's safe default, same policy as
-    // the CRYPTARCH_EXEC_BACKEND parser.
+    // every util::envChoice knob.
     return dflt;
 }
 

@@ -38,54 +38,34 @@ enum class TraceCompression : uint8_t { Off, Auto, On };
 /** Stays only for perfbench's report; always Off. */
 inline TraceCompression traceCompression() { return TraceCompression::Off; }
 
-/**
- * Process-wide execution-backend policy for the record phase, settable
- * programmatically or via the CRYPTARCH_EXEC_BACKEND environment
- * variable ("interpreter", "threaded", "auto"; default auto).
- *
- *   Interpreter  record with the reference interpreter only.
- *   Threaded     record with the pre-decoded threaded-code backend.
- *   Auto         like Threaded (the split leaves room for future
- *                heuristics, e.g. interpreting tiny sessions whose
- *                pre-decode would dominate).
- *
- * Adoption is differentially gated: the first recording of each
- * (cipher, variant, direction) under Threaded/Auto runs the
- * interpreter too and proves the threaded DynInst stream
- * field-for-field identical (results included) before the threaded
- * stream is used; any divergence or trap difference permanently falls
- * back to the interpreter for that kernel. Fault-injection runs never
- * come through here — the fault harness drives isa::Machine directly,
- * the only backend with supportsFaults().
- */
+/** Stays only for perfbench's report; the interpreter records all. */
 enum class ExecBackendSelection : uint8_t { Interpreter, Threaded, Auto };
 
-ExecBackendSelection execBackendSelection();
-void setExecBackendSelection(ExecBackendSelection sel);
+/** Stays only for perfbench's report; always Interpreter. */
+inline ExecBackendSelection
+execBackendSelection()
+{
+    return ExecBackendSelection::Interpreter;
+}
 
-/** Differential backend-adoption checks performed (first-use gates). */
-uint64_t backendGateChecks();
-/** Gate failures that fell back to the interpreter stream. */
-uint64_t backendGateFallbacks();
-/** Recordings whose returned trace came from the threaded backend. */
-uint64_t threadedRecordings();
-/** Forget all gate verdicts (tests/benches re-exercising the gate). */
-void resetExecBackendGate();
+/** Stays only for perfbench's report; there is no adoption gate, so 0. */
+inline uint64_t backendGateChecks() { return 0; }
+
+/** Stays only for perfbench's report; there is no adoption gate, so 0. */
+inline uint64_t backendGateFallbacks() { return 0; }
 
 /**
  * Where recordKernelTrace's wall-clock time went, in seconds. The
  * fields are disjoint phases of the call, so their sum never exceeds
- * its wall clock (the driver tests assert it). recordSeconds is
- * deliberately ONLY the producing run — setup and pre-decode are
- * split out so per-backend record_seconds columns compare the
- * executors, not the workload synthesis both share.
+ * its wall clock (the driver tests assert it). recordSeconds is only
+ * the interpreter run, without workload synthesis or kernel build.
  */
 struct RecordTiming
 {
     double setupSeconds = 0;    ///< workload synthesis + kernel build
     double recordSeconds = 0;   ///< the trace-producing run
-    double decodeSeconds = 0;   ///< threaded backend pre-decode
-    double gateSeconds = 0;     ///< first-use gate: reference run + compare
+    double decodeSeconds = 0;   ///< stays only for perfbench's report; 0
+    double gateSeconds = 0;     ///< stays only for perfbench's report; 0
     double verifySeconds = 0;   ///< record-time output oracle
     double compressSeconds = 0; ///< stays only for perfbench's report; 0
 };
@@ -96,25 +76,13 @@ struct RecordTiming
  * timing model reads them, and the value-prediction studies attach
  * their sinks live to the Machine instead of replaying.
  */
-class RecordedTrace : public isa::TraceSink
+class RecordedTrace final : public isa::TraceSink
 {
   public:
     void
     emit(const isa::DynInst &inst) override
     {
         packed_.append(inst, /*keepResult=*/false);
-    }
-
-    /**
-     * Recording is a pure packed append (results dropped, same as
-     * emit()), so the threaded backend may take its pre-packed row
-     * fast path when producing into a RecordedTrace.
-     */
-    isa::PackedTrace *
-    packedSink(bool &keepResults) override
-    {
-        keepResults = false;
-        return &packed_;
     }
 
     /** Feed the captured stream, in order, into any sink. */
@@ -150,9 +118,8 @@ class RecordedTrace : public isa::TraceSink
 /**
  * Build the (cipher, variant, direction) kernel over the standard
  * deterministic workload for @p bytes, run it functionally exactly
- * once with the selected execution backend (see ExecBackendSelection;
- * first threaded use of a kernel is differentially gated against the
- * interpreter), and capture the trace. Increments functionalRuns().
+ * once on the interpreter, and capture the trace. Increments
+ * functionalRuns().
  *
  * Every recording is oracle-checked before any model replays it: the
  * machine's output buffer is compared byte-for-byte against the
@@ -162,8 +129,8 @@ class RecordedTrace : public isa::TraceSink
  * functionally wrong run.
  *
  * @p timing, when non-null, receives the wall-clock split between
- * setup, the functional run, the backend gate and the oracle — the
- * bench drivers report these as separate phases.
+ * setup, the functional run and the oracle — the bench drivers report
+ * these as separate phases.
  */
 RecordedTrace recordKernelTrace(crypto::CipherId cipher,
                                 kernels::KernelVariant variant,

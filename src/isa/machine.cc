@@ -14,6 +14,72 @@ using util::rotl64;
 using util::rotr32;
 using util::rotr64;
 
+namespace
+{
+
+[[noreturn]] void
+throwOobAccess(uint64_t addr, unsigned size, size_t mem_size,
+               bool is_store)
+{
+    char detail[96];
+    std::snprintf(detail, sizeof(detail),
+                  "%u-byte %s at addr=0x%llx beyond %zu-byte memory",
+                  size, is_store ? "store" : "load",
+                  static_cast<unsigned long long>(addr), mem_size);
+    throw Trap(is_store ? TrapCause::OobStore : TrapCause::OobLoad,
+               detail)
+        .withAccess(addr, size);
+}
+
+[[noreturn]] void
+throwMisaligned(uint64_t addr, unsigned size, bool is_store)
+{
+    char detail[96];
+    std::snprintf(detail, sizeof(detail),
+                  "misaligned %u-byte %s at addr=0x%llx", size,
+                  is_store ? "store" : "load",
+                  static_cast<unsigned long long>(addr));
+    throw Trap(TrapCause::Misaligned, detail).withAccess(addr, size);
+}
+
+[[noreturn]] void
+throwPcOverrun(uint32_t pc, size_t program_size)
+{
+    char detail[64];
+    std::snprintf(detail, sizeof(detail),
+                  "pc=%u beyond %zu-instruction program",
+                  static_cast<unsigned>(pc), program_size);
+    throw Trap(TrapCause::PcOverrun, detail);
+}
+
+[[noreturn]] void
+throwFuelExhausted(uint64_t max_insts)
+{
+    char detail[64];
+    std::snprintf(detail, sizeof(detail), "instruction limit %llu hit",
+                  static_cast<unsigned long long>(max_insts));
+    throw Trap(TrapCause::FuelExhausted, detail);
+}
+
+[[noreturn]] void
+throwInvalidSboxTable(unsigned table_id)
+{
+    char detail[64];
+    std::snprintf(detail, sizeof(detail), "SBOX table id %u >= %u",
+                  table_id, max_sbox_tables);
+    throw Trap(TrapCause::InvalidSboxTable, detail).withTable(table_id);
+}
+
+/** Alpha-style natural alignment for sized accesses. */
+void
+checkAlign(uint64_t addr, unsigned size, bool is_store)
+{
+    if (size > 1 && (addr & (size - 1)))
+        throwMisaligned(addr, size, is_store);
+}
+
+} // namespace
+
 Machine::Machine(size_t mem_bytes) : mem(mem_bytes, 0) {}
 
 void
@@ -26,7 +92,9 @@ Machine::setReg(Reg r, uint64_t v)
 void
 Machine::checkAddr(uint64_t addr, unsigned size, bool isStore) const
 {
-    detail::checkAddrRange(addr, size, mem.size(), isStore);
+    // Overflow-proof form of addr + size > mem.size().
+    if (addr > mem.size() || size > mem.size() - addr)
+        throwOobAccess(addr, size, mem.size(), isStore);
 }
 
 void
@@ -54,8 +122,6 @@ Machine::read32(uint64_t addr) const
 {
     return static_cast<uint32_t>(loadSized(addr, 4));
 }
-
-using detail::checkAlign;
 
 uint64_t
 Machine::loadSized(uint64_t addr, unsigned size) const
@@ -154,9 +220,9 @@ Machine::run(const Program &program, TraceSink *sink, uint64_t max_insts)
     try {
     while (true) {
         if (pc >= program.size())
-            detail::throwPcOverrun(pc, program.size());
+            throwPcOverrun(pc, program.size());
         if (stats.instructions >= max_insts)
-            detail::throwFuelExhausted(max_insts);
+            throwFuelExhausted(max_insts);
         if (!faults.empty())
             applyFaults(stats.instructions);
 
@@ -346,7 +412,7 @@ Machine::run(const Program &program, TraceSink *sink, uint64_t max_insts)
             addSrc(inst.ra);
             addSrc(inst.rb);
             if (inst.tableId >= max_sbox_tables)
-                detail::throwInvalidSboxTable(inst.tableId);
+                throwInvalidSboxTable(inst.tableId);
             uint64_t index = (regs[inst.rb.n] >> (8 * inst.byteSel))
                 & 0xFF;
             uint64_t addr = (a & ~0x3FFull) | (index << 2);

@@ -8,13 +8,9 @@
  * addresses, branch outcomes, result values — to a TraceSink. The
  * timing simulator (src/sim) is one such sink; the Figure 7 operation
  * classifier and the section 4.3 value-predictability experiment are
- * others.
- *
- * Machine is the reference ExecBackend (see isa/exec_backend.hh): the
- * semantic baseline other backends are differenced against, and the
- * only backend that honors scheduled fault injection. The stream types
- * (DynInst, TraceSink, RunStats, InjectedFault) live in
- * exec_backend.hh and are re-exported here for historical includes.
+ * others, and the driver's RecordedTrace captures the stream once for
+ * replay across a model grid. It is the only executor: every trace is
+ * recorded by it, and it honors scheduled fault injection.
  */
 
 #ifndef CRYPTARCH_ISA_MACHINE_HH
@@ -25,7 +21,6 @@
 #include <map>
 #include <vector>
 
-#include "isa/exec_backend.hh"
 #include "isa/program.hh"
 #include "isa/trap.hh"
 
@@ -33,32 +28,91 @@ namespace cryptarch::isa
 {
 
 /**
+ * A scheduled single-bit (or multi-bit) state corruption, applied just
+ * before the dynamic instruction with sequence number @p seq executes.
+ * The fault-injection harness (src/verify/faults.hh) uses these to
+ * prove the trap/oracle checks detect real corruption.
+ */
+struct InjectedFault
+{
+    uint64_t seq = 0;   ///< dynamic instruction before which to fire
+    bool isReg = false; ///< register-file fault vs. data-memory fault
+    uint64_t target = 0; ///< register number, or byte address
+    uint64_t xorMask = 0; ///< XORed into the register (low byte for mem)
+};
+
+/** One dynamically executed instruction, as seen by trace consumers. */
+struct DynInst
+{
+    uint64_t seq = 0;      ///< dynamic sequence number
+    uint32_t pc = 0;       ///< static instruction index
+    Opcode op = Opcode::Halt;
+    OpClass cls = OpClass::Nop;
+
+    uint8_t numSrcs = 0;
+    std::array<uint8_t, 3> srcs{}; ///< source register numbers
+    uint8_t dest = reg_zero.n;     ///< destination (reg_zero if none)
+
+    bool isLoad = false;
+    bool isStore = false;
+    uint64_t addr = 0;     ///< effective address for memory ops
+    uint8_t size = 0;      ///< access size in bytes
+    /**
+     * Register gating address generation (the base register). The
+     * timing model uses it to decide when a store's address resolves:
+     * later loads may not issue before that (unless the model has
+     * perfect alias disambiguation).
+     */
+    uint8_t addrSrc = reg_zero.n;
+
+    bool branch = false;
+    bool taken = false;
+    uint32_t nextPc = 0;   ///< actual successor pc
+
+    uint8_t tableId = 0;   ///< SBOX table designator
+    bool aliased = false;  ///< SBOX aliased flag
+
+    uint64_t result = 0;   ///< value written (for value prediction)
+
+    /** Field-for-field identity. */
+    bool operator==(const DynInst &) const = default;
+};
+
+/** Consumer of the dynamic instruction stream. */
+class TraceSink
+{
+  public:
+    virtual ~TraceSink() = default;
+    virtual void emit(const DynInst &inst) = 0;
+};
+
+/** Statistics of one functional run. */
+struct RunStats
+{
+    uint64_t instructions = 0;
+    uint64_t cyclesHint = 0; ///< unused by the machine; for sinks
+};
+
+/**
  * The functional interpreter. Memory is a flat byte array; programs
  * address it directly (kernels place tables at 1 KB-aligned offsets as
  * the SBOX instruction requires).
  */
-class Machine : public ExecBackend
+class Machine
 {
   public:
     explicit Machine(size_t mem_bytes = 1 << 22);
 
-    ExecBackendKind
-    kind() const override
-    {
-        return ExecBackendKind::Interpreter;
-    }
-
     /** Read an architectural register. */
-    uint64_t reg(Reg r) const override { return regs[r.n]; }
+    uint64_t reg(Reg r) const { return regs[r.n]; }
     /** Write an architectural register (writes to R63 are dropped). */
-    void setReg(Reg r, uint64_t v) override;
+    void setReg(Reg r, uint64_t v);
 
     /** Bulk memory initialization/readback. */
-    void writeMem(uint64_t addr, const std::vector<uint8_t> &bytes)
-        override;
-    std::vector<uint8_t> readMem(uint64_t addr, size_t n) const override;
-    void write32(uint64_t addr, uint32_t v) override;
-    uint32_t read32(uint64_t addr) const override;
+    void writeMem(uint64_t addr, const std::vector<uint8_t> &bytes);
+    std::vector<uint8_t> readMem(uint64_t addr, size_t n) const;
+    void write32(uint64_t addr, uint32_t v);
+    uint32_t read32(uint64_t addr) const;
 
     /**
      * Execute @p program from instruction 0 until Halt, emitting each
@@ -69,9 +123,7 @@ class Machine : public ExecBackend
      * and a register-file snapshot.
      */
     RunStats run(const Program &program, TraceSink *sink = nullptr,
-                 uint64_t max_insts = 1ull << 32) override;
-
-    bool supportsFaults() const override { return true; }
+                 uint64_t max_insts = 1ull << 32);
 
     /**
      * Schedule a state corruption for the next run() (fault-injection
@@ -80,7 +132,7 @@ class Machine : public ExecBackend
      * the run. Register faults against R63 are dropped, like writes.
      */
     void
-    scheduleFault(const InjectedFault &fault) override
+    scheduleFault(const InjectedFault &fault)
     {
         faults.push_back(fault);
     }
@@ -91,7 +143,7 @@ class Machine : public ExecBackend
      * access after the last SBOXSYNC — the paper's visibility rule.
      * Disabling makes SBOX read live memory.
      */
-    void setStrictSboxSync(bool strict) override { strictSbox = strict; }
+    void setStrictSboxSync(bool strict) { strictSbox = strict; }
 
   private:
     uint64_t loadSized(uint64_t addr, unsigned size) const;

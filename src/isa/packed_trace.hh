@@ -42,10 +42,10 @@
  * through a Reader cursor — exactly the access pattern replay has.
  *
  * The encoding lives only in process memory (every trace is replayed
- * by the process that recorded it). append(), appendRow() and
- * Stage::flush() are the only writers, and each keeps the flag words
- * and side tables consistent by construction; Reader::next() asserts
- * that it never decodes past the end of a side table.
+ * by the process that recorded it). append() is the only writer and
+ * keeps the flag words and side tables consistent by construction;
+ * Reader::next() asserts that it never decodes past the end of a side
+ * table.
  */
 
 #ifndef CRYPTARCH_ISA_PACKED_TRACE_HH
@@ -54,7 +54,6 @@
 #include <array>
 #include <cassert>
 #include <cstdint>
-#include <cstring>
 #include <vector>
 
 #include "isa/machine.hh"
@@ -72,97 +71,10 @@ class PackedTrace
      * Append @p inst to the stream. @p inst.seq must equal size().
      * With @p keepResult false the result value is dropped (decodes
      * as 0) — timing models never read it, and results are the one
-     * field that would otherwise dominate the encoding.
+     * field that would otherwise dominate the encoding. Defined
+     * inline below: it runs once per recorded instruction.
      */
     void append(const DynInst &inst, bool keepResult = true);
-
-    // Flag-word bit layout (see file comment). Public because the
-    // fast-path row producer below patches dynamic bits per
-    // retirement, and because the format tests assert against it.
-    static constexpr uint16_t num_srcs_mask = 0x0003;
-    static constexpr uint16_t f_load = 1u << 2;
-    static constexpr uint16_t f_store = 1u << 3;
-    static constexpr uint16_t f_branch = 1u << 4;
-    static constexpr uint16_t f_taken = 1u << 5;
-    static constexpr uint16_t f_aliased = 1u << 6;
-    static constexpr uint16_t f_has_addr = 1u << 7;
-    static constexpr uint16_t f_next_pc_exc = 1u << 8;
-    static constexpr uint16_t f_has_result = 1u << 9;
-    static constexpr unsigned size_code_shift = 10;
-    static constexpr uint16_t size_code_mask = 0x7;
-    static constexpr uint16_t f_wide_addr = 1u << 13;
-
-    /**
-     * Pack @p inst's static fields into @p row and return its base
-     * flag word: everything append() would compute for an instruction
-     * whose addr and result are zero (taken and the next-pc exception
-     * come from @p inst itself, so branch templates carry the right
-     * static bits). A fast-path producer packs one row per static
-     * instruction at decode time, then per retirement ORs in whichever
-     * of f_taken / f_has_addr / f_wide_addr / f_next_pc_exc /
-     * f_has_result apply and calls appendRow().
-     */
-    static uint16_t packRowBase(const DynInst &inst,
-                                uint8_t (&row)[row_bytes]);
-
-    /**
-     * Fast-path append for producers that pre-pack fixed records at
-     * decode time (the threaded execution backend). @p row is the
-     * 14-byte record from packRowBase(); its flag bytes are replaced
-     * by @p flags, the FINAL flag word for this retirement. Side-table
-     * entries are appended for exactly the side-table flags set in
-     * @p flags, taking the values from @p addr, @p nextPc, and
-     * @p result. The caller must follow append()'s canonicalization
-     * rules (has-addr iff addr != 0, wide iff addr >= 2^32, next-pc
-     * exception iff nextPc != pc + 1, result kept iff nonzero and
-     * wanted) so the encoding — not just the decode — is identical to
-     * an append() of the equivalent DynInst. The backend parity tests
-     * compare whole traces with operator== to prove it. Sequence
-     * numbers stay implicit: the row lands at index size().
-     */
-    void appendRow(const uint8_t (&row)[row_bytes], uint16_t flags,
-                   uint64_t addr, uint32_t nextPc, uint64_t result);
-
-    /**
-     * Retirement staging buffer for the row fast path. A per-row
-     * vector::push_back costs several times the 14-byte copy itself
-     * (capacity check, end-pointer update, aliasing reloads), so the
-     * threaded backend accumulates retirements into this L1-resident
-     * buffer with add() — same arguments and canonicalization contract
-     * as appendRow() — and lands them in cap-sized batches with
-     * flush(), which bulk-inserts each column. A Stage is bound to the
-     * single trace it flushes into; rows appear in the trace only
-     * after a flush, so the producer must flush before the trace is
-     * read (the backend flushes on every exit path, traps included).
-     */
-    class Stage
-    {
-      public:
-        /** Rows buffered between flushes. */
-        static constexpr uint32_t cap = 256;
-
-        /** Stage one retirement; see appendRow() for the contract. */
-        void add(const uint8_t (&row)[row_bytes], uint16_t flags,
-                 uint64_t addr, uint32_t nextPc, uint64_t result);
-
-        bool full() const { return nRows == cap; }
-        bool empty() const { return nRows == 0; }
-
-        /** Append everything staged to @p t and reset to empty. */
-        void flush(PackedTrace &t);
-
-      private:
-        std::array<uint8_t, row_bytes> rows[cap];
-        uint32_t addr32[cap];
-        uint64_t addrWide[cap];
-        uint32_t nextPcExc[cap];
-        uint64_t result[cap];
-        uint32_t nRows = 0;
-        uint32_t nAddr32 = 0;
-        uint32_t nWide = 0;
-        uint32_t nNextPc = 0;
-        uint32_t nResult = 0;
-    };
 
     /** Pre-size the fixed records for @p n instructions. */
     void reserve(size_t n);
@@ -207,10 +119,38 @@ class PackedTrace
     Reader reader() const { return Reader(*this); }
 
   private:
+    // Flag-word bit layout (see file comment).
+    static constexpr uint16_t num_srcs_mask = 0x0003;
+    static constexpr uint16_t f_load = 1u << 2;
+    static constexpr uint16_t f_store = 1u << 3;
+    static constexpr uint16_t f_branch = 1u << 4;
+    static constexpr uint16_t f_taken = 1u << 5;
+    static constexpr uint16_t f_aliased = 1u << 6;
+    static constexpr uint16_t f_has_addr = 1u << 7;
+    static constexpr uint16_t f_next_pc_exc = 1u << 8;
+    static constexpr uint16_t f_has_result = 1u << 9;
+    static constexpr unsigned size_code_shift = 10;
+    static constexpr uint16_t size_code_mask = 0x7;
+    static constexpr uint16_t f_wide_addr = 1u << 13;
+
     /** Access sizes the ISA produces, indexed by size code. */
     static constexpr uint8_t size_table[5] = {0, 1, 2, 4, 8};
 
-    static uint16_t sizeCode(uint8_t size);
+    /** Inverse of size_table. */
+    static uint16_t
+    sizeCode(uint8_t size)
+    {
+        switch (size) {
+          case 0: return 0;
+          case 1: return 1;
+          case 2: return 2;
+          case 4: return 3;
+          case 8: return 4;
+          default:
+            assert(!"unencodable access size");
+            return 0;
+        }
+    }
 
     /** Record field offsets within a 14-byte fixed record. */
     static constexpr size_t off_pc = 0;
@@ -253,45 +193,60 @@ class PackedTrace
 };
 
 inline void
-PackedTrace::appendRow(const uint8_t (&row)[row_bytes], uint16_t flags,
-                       uint64_t addr, uint32_t nextPc, uint64_t result)
+PackedTrace::append(const DynInst &inst, bool keepResult)
 {
-    std::array<uint8_t, row_bytes> rec;
-    std::memcpy(rec.data(), row, row_bytes);
-    rec[off_flags] = static_cast<uint8_t>(flags);
-    rec[off_flags + 1] = static_cast<uint8_t>(flags >> 8);
-    fixed_.push_back(rec);
-    if (flags & f_has_addr) {
-        if (flags & f_wide_addr)
-            addrWide_.push_back(addr);
-        else
-            addr32_.push_back(static_cast<uint32_t>(addr));
-    }
-    if (flags & f_next_pc_exc)
-        nextPcExc_.push_back(nextPc);
-    if (flags & f_has_result)
-        result_.push_back(result);
-}
+    assert(inst.seq == size() && "seq must equal append index");
+    assert(inst.numSrcs <= 3);
 
-inline void
-PackedTrace::Stage::add(const uint8_t (&row)[row_bytes], uint16_t flags,
-                        uint64_t addr, uint32_t nextPc, uint64_t result)
-{
-    assert(nRows < cap);
-    std::array<uint8_t, row_bytes> &rec = rows[nRows++];
-    std::memcpy(rec.data(), row, row_bytes);
-    rec[off_flags] = static_cast<uint8_t>(flags);
-    rec[off_flags + 1] = static_cast<uint8_t>(flags >> 8);
+    uint16_t flags = inst.numSrcs & num_srcs_mask;
+    if (inst.isLoad)
+        flags |= f_load;
+    if (inst.isStore)
+        flags |= f_store;
+    if (inst.branch)
+        flags |= f_branch;
+    if (inst.taken)
+        flags |= f_taken;
+    if (inst.aliased)
+        flags |= f_aliased;
+    flags |= sizeCode(inst.size) << size_code_shift;
+    if (inst.nextPc != inst.pc + 1)
+        flags |= f_next_pc_exc;
+    if (inst.addr != 0) {
+        flags |= f_has_addr;
+        if (inst.addr >> 32)
+            flags |= f_wide_addr;
+    }
+    if (keepResult && inst.result != 0)
+        flags |= f_has_result;
+
+    std::array<uint8_t, row_bytes> row;
+    row[off_pc] = static_cast<uint8_t>(inst.pc);
+    row[off_pc + 1] = static_cast<uint8_t>(inst.pc >> 8);
+    row[off_pc + 2] = static_cast<uint8_t>(inst.pc >> 16);
+    row[off_pc + 3] = static_cast<uint8_t>(inst.pc >> 24);
+    row[off_op] = static_cast<uint8_t>(inst.op);
+    row[off_cls] = static_cast<uint8_t>(inst.cls);
+    row[off_dest] = inst.dest;
+    row[off_addr_src] = inst.addrSrc;
+    row[off_table_id] = inst.tableId;
+    row[off_srcs] = inst.srcs[0];
+    row[off_srcs + 1] = inst.srcs[1];
+    row[off_srcs + 2] = inst.srcs[2];
+    row[off_flags] = static_cast<uint8_t>(flags);
+    row[off_flags + 1] = static_cast<uint8_t>(flags >> 8);
+    fixed_.push_back(row);
+
     if (flags & f_has_addr) {
         if (flags & f_wide_addr)
-            addrWide[nWide++] = addr;
+            addrWide_.push_back(inst.addr);
         else
-            addr32[nAddr32++] = static_cast<uint32_t>(addr);
+            addr32_.push_back(static_cast<uint32_t>(inst.addr));
     }
     if (flags & f_next_pc_exc)
-        nextPcExc[nNextPc++] = nextPc;
+        nextPcExc_.push_back(inst.nextPc);
     if (flags & f_has_result)
-        this->result[nResult++] = result;
+        result_.push_back(inst.result);
 }
 
 inline DynInst

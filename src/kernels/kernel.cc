@@ -137,7 +137,7 @@ fromWordImage(CipherId cipher, std::span<const uint8_t> image)
 }
 
 void
-KernelBuild::install(isa::ExecBackend &m,
+KernelBuild::install(isa::Machine &m,
                      std::span<const uint8_t> in_image) const
 {
     if (in_image.size() != sessionBytes)
@@ -148,7 +148,7 @@ KernelBuild::install(isa::ExecBackend &m,
 }
 
 std::vector<uint8_t>
-KernelBuild::readOutput(const isa::ExecBackend &m) const
+KernelBuild::readOutput(const isa::Machine &m) const
 {
     return m.readMem(outAddr, sessionBytes);
 }

@@ -127,15 +127,15 @@ struct KernelBuild
     size_t sessionBytes = 0;
 
     /**
-     * Install tables/keys and the plaintext word image into an
-     * execution backend. @p in_image must be sessionBytes long (see
+     * Install tables/keys and the plaintext word image into a
+     * Machine. @p in_image must be sessionBytes long (see
      * toWordImage).
      */
-    void install(isa::ExecBackend &m,
+    void install(isa::Machine &m,
                  std::span<const uint8_t> in_image) const;
 
     /** Read back the ciphertext word image after a run. */
-    std::vector<uint8_t> readOutput(const isa::ExecBackend &m) const;
+    std::vector<uint8_t> readOutput(const isa::Machine &m) const;
 };
 
 /**

@@ -8,9 +8,10 @@
  * rejected value and the accepted values is emitted to stderr — once
  * per variable per process, so a sweep spawning thousands of cells
  * cannot flood the log. Historically each call site parsed its
- * variable ad hoc and fell back silently (CRYPTARCH_EXEC_BACKEND=typo
- * quietly meant "auto"), which is exactly the class of config mistake
- * this repo's hardening layer exists to surface.
+ * variable ad hoc and fell back silently (a misspelled
+ * CRYPTARCH_SWEEP_ISOLATE quietly meant "thread"), which is exactly
+ * the class of config mistake this repo's hardening layer exists to
+ * surface.
  */
 
 #ifndef CRYPTARCH_UTIL_ENV_HH

@@ -58,7 +58,7 @@ referenceProcess(crypto::CipherId id, std::span<const uint8_t> key,
 
 void
 verifyKernelOutput(const kernels::KernelBuild &build,
-                   const isa::ExecBackend &m, std::span<const uint8_t> key,
+                   const isa::Machine &m, std::span<const uint8_t> key,
                    std::span<const uint8_t> iv,
                    std::span<const uint8_t> input,
                    kernels::KernelDirection direction)

@@ -68,7 +68,7 @@ std::vector<uint8_t> referenceProcess(crypto::CipherId id,
  * @p key / @p iv. Throws VerifyError on the first mismatch.
  */
 void verifyKernelOutput(const kernels::KernelBuild &build,
-                        const isa::ExecBackend &m,
+                        const isa::Machine &m,
                         std::span<const uint8_t> key,
                         std::span<const uint8_t> iv,
                         std::span<const uint8_t> input,

@@ -3,12 +3,14 @@
  * Bench driver tests: the parallel sweep runner interprets each
  * (cipher, variant) kernel functionally exactly once per run — for
  * exactly the grids the figure benches execute — collects results in
- * deterministic order regardless of thread count, and emits the
- * BENCH_*.json schema.
+ * deterministic order regardless of thread count, emits the
+ * BENCH_*.json schema, and splits a recording's wall clock into
+ * disjoint RecordTiming phases.
  */
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <fstream>
 #include <set>
 #include <sstream>
@@ -294,6 +296,33 @@ TEST(Driver, MixedSessionLengthsKeySeparateTraces)
     EXPECT_LT(results[0].stats.instructions, results[1].stats.instructions);
     EXPECT_EQ(results[0].bytes, 1024u);
     EXPECT_EQ(results[1].bytes, 2048u);
+}
+
+/**
+ * RecordTiming's fields are disjoint phases of one recordKernelTrace
+ * call, so together they never exceed its wall clock: recordSeconds
+ * is the interpreter run only, never the workload synthesis, build or
+ * oracle around it.
+ */
+TEST(Driver, TimingPhasesAreDisjointSplitsOfWallClock)
+{
+    driver::RecordTiming t;
+    const auto t0 = std::chrono::steady_clock::now();
+    driver::recordKernelTrace(crypto::CipherId::Blowfish,
+                              KernelVariant::Optimized, 512,
+                              kernels::KernelDirection::Encrypt, &t);
+    const double wall = std::chrono::duration<double>(
+                            std::chrono::steady_clock::now() - t0)
+                            .count();
+    EXPECT_GT(t.setupSeconds, 0.0);
+    EXPECT_GT(t.recordSeconds, 0.0);
+    EXPECT_GT(t.verifySeconds, 0.0);
+    EXPECT_EQ(t.decodeSeconds, 0.0);
+    EXPECT_EQ(t.gateSeconds, 0.0);
+    EXPECT_EQ(t.compressSeconds, 0.0);
+    EXPECT_LE(t.setupSeconds + t.recordSeconds + t.decodeSeconds
+                  + t.gateSeconds + t.verifySeconds + t.compressSeconds,
+              wall);
 }
 
 } // namespace

@@ -17,6 +17,7 @@
 #include "driver/grids.hh"
 #include "kernels/kernel.hh"
 #include "sim/pipeline.hh"
+#include "ssl/session.hh"
 #include "util/xorshift.hh"
 
 namespace
@@ -130,6 +131,37 @@ TEST(PaperShapes, Fig10SpeedupOrdering)
     EXPECT_LT(rc6_speedup, 1.45) << "RC6 gains must stay modest";
     EXPECT_GT(worst, 0.99);
     EXPECT_GT(idea_speedup, 1.8);
+}
+
+// EXPERIMENTS.md's Figure 2 table, cell for cell: the default
+// RSA-1024/3DES session model's public/private/other shares, each
+// formatted "%.1f" exactly as bench/fig02_ssl_breakdown prints it.
+TEST(PaperShapes, Fig02ExperimentsTable)
+{
+    struct Row
+    {
+        size_t kb;
+        std::array<const char *, 3> cells; // public, private, other
+    };
+    const Row experiments[] = {
+        {1, {"76.3", "4.1", "19.6"}},
+        {4, {"68.3", "13.8", "17.9"}},
+        {32, {"34.4", "54.5", "11.1"}},
+        {128, {"12.8", "80.6", "6.7"}},
+    };
+    auto onePlace = [](double fraction) {
+        char buf[32];
+        std::snprintf(buf, sizeof(buf), "%.1f", 100.0 * fraction);
+        return std::string(buf);
+    };
+
+    ssl::SessionModel model(CipherId::TripleDES);
+    for (const auto &row : experiments) {
+        const auto c = model.cost(row.kb * 1024);
+        EXPECT_EQ(onePlace(c.publicFraction()), row.cells[0]) << row.kb;
+        EXPECT_EQ(onePlace(c.privateFraction()), row.cells[1]) << row.kb;
+        EXPECT_EQ(onePlace(c.otherFraction()), row.cells[2]) << row.kb;
+    }
 }
 
 std::string

@@ -375,4 +375,39 @@ TEST(Machine, InstructionLimitGuards)
     EXPECT_THROW(m.run(p, nullptr, 1000), std::runtime_error);
 }
 
+/**
+ * An ALU result aimed at R63 is discarded: the emitted instruction
+ * names no destination and carries no result, so no timing model sees
+ * a dependence through the zero register.
+ */
+TEST(Machine, DiscardedDestinationEmitsNoDestOrResult)
+{
+    struct Capture : TraceSink
+    {
+        std::vector<DynInst> insts;
+        void emit(const DynInst &d) override { insts.push_back(d); }
+    };
+
+    Assembler a;
+    a.li(7, r1);
+    a.li(9, r2);
+    a.addq(r1, r2, reg_zero); // result discarded
+    a.xor_(r1, r2, reg_zero); // result discarded
+    a.mulq(r1, r2, r3);       // result kept
+    a.halt();
+    Program p = a.finalize();
+
+    Machine m;
+    Capture sink;
+    m.run(p, &sink);
+    ASSERT_EQ(sink.insts.size(), 6u);
+    for (size_t i : {2u, 3u}) {
+        EXPECT_EQ(sink.insts[i].dest, reg_zero.n) << "inst " << i;
+        EXPECT_EQ(sink.insts[i].result, 0u) << "inst " << i;
+    }
+    EXPECT_EQ(sink.insts[4].dest, r3.n);
+    EXPECT_EQ(sink.insts[4].result, 63u);
+    EXPECT_EQ(m.reg(reg_zero), 0u);
+}
+
 } // namespace

@@ -9,6 +9,7 @@
 
 #include <cstdlib>
 
+#include "driver/sweep.hh"
 #include "util/env.hh"
 
 namespace
@@ -135,19 +136,16 @@ TEST(Env, DoubleParsesAndRejectsNegative)
     EXPECT_EQ(util::envWarningCount(), before + 1);
 }
 
-TEST(Env, UnknownExecBackendWarnsThroughTheSharedParser)
+TEST(Env, UnknownSweepIsolateWarnsThroughTheSharedParser)
 {
-    // The satellite contract: CRYPTARCH_EXEC_BACKEND=typo must produce
-    // one typed warning listing the accepted values — exercised here
-    // against the same envChoice call the driver uses.
+    // CRYPTARCH_SWEEP_ISOLATE=typo must keep the thread default and
+    // produce one typed warning listing the accepted values, through
+    // the driver's own parse.
     util::resetEnvWarningsForTesting();
-    EnvGuard g("CRYPTARCH_EXEC_BACKEND", "typo");
+    EnvGuard g("CRYPTARCH_SWEEP_ISOLATE", "typo");
     const uint64_t before = util::envWarningCount();
-    EXPECT_EQ(util::envChoice("CRYPTARCH_EXEC_BACKEND",
-                              {{"auto", 0}, {"interpreter", 1},
-                               {"threaded", 2}},
-                              0),
-              0);
+    EXPECT_EQ(driver::sweepOptionsFromEnv().isolation,
+              driver::SweepIsolation::Thread);
     EXPECT_EQ(util::envWarningCount(), before + 1);
 }
 
