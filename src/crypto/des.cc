@@ -104,7 +104,7 @@ constexpr uint8_t sboxes[8][64] = {
  * MSB first, @p out_bits wide) takes input bit table[i-1] of an
  * @p in_bits wide value.
  */
-uint64_t
+constexpr uint64_t
 permuteBits(uint64_t v, const int *table, int out_bits, int in_bits)
 {
     uint64_t r = 0;
@@ -116,7 +116,7 @@ permuteBits(uint64_t v, const int *table, int out_bits, int in_bits)
 }
 
 /** S-box lookup: 6-bit chunk value (spec bit order) through box i. */
-uint32_t
+constexpr uint32_t
 sboxLookup(int box, uint32_t chunk)
 {
     uint32_t row = ((chunk >> 4) & 2) | (chunk & 1);
@@ -125,16 +125,108 @@ sboxLookup(int box, uint32_t chunk)
 }
 
 /** Inverse of the initial permutation, derived rather than transcribed. */
-const std::array<int, 64> &
-fpTable()
+constexpr std::array<int, 64> fp_table = [] {
+    std::array<int, 64> t{};
+    for (int i = 0; i < 64; i++)
+        t[ip_table[i] - 1] = i + 1;
+    return t;
+}();
+
+using ByteTables = std::array<std::array<uint64_t, 256>, 8>;
+
+/**
+ * A 64-bit permutation as eight 256-entry tables: entry [k][b] is the
+ * image of byte k (k = 0 most significant) holding b, so a block's
+ * image is the OR of its eight bytes' images.
+ */
+constexpr ByteTables
+byteTables(const int *table)
 {
-    static const std::array<int, 64> table = [] {
-        std::array<int, 64> t{};
-        for (int i = 0; i < 64; i++)
-            t[ip_table[i] - 1] = i + 1;
-        return t;
-    }();
-    return table;
+    ByteTables t{};
+    for (int k = 0; k < 8; k++)
+        for (uint64_t b = 0; b < 256; b++)
+            t[k][b] = permuteBits(b << (56 - 8 * k), table, 64, 64);
+    return t;
+}
+
+constexpr ByteTables ip_bytes = byteTables(ip_table);
+constexpr ByteTables fp_bytes = byteTables(fp_table.data());
+
+uint64_t
+permute(const ByteTables &t, uint64_t v)
+{
+    uint64_t r = 0;
+    for (int k = 0; k < 8; k++)
+        r |= t[k][(v >> (56 - 8 * k)) & 0xFF];
+    return r;
+}
+
+// SP box i maps a 6-bit E-chunk to the P-permuted contribution of
+// S-box i: the 4-bit S output placed in its nibble position and run
+// through P.
+constexpr std::array<std::array<uint32_t, 64>, 8> sp_boxes = [] {
+    std::array<std::array<uint32_t, 64>, 8> sp{};
+    for (int box = 0; box < 8; box++) {
+        for (uint32_t v = 0; v < 64; v++) {
+            uint64_t placed = static_cast<uint64_t>(sboxLookup(box, v))
+                << (28 - 4 * box);
+            sp[box][v] = static_cast<uint32_t>(
+                permuteBits(placed, p_table, 32, 32));
+        }
+    }
+    return sp;
+}();
+
+using SplitKey = std::array<uint32_t, 2>;
+
+/**
+ * Split a 48-bit subkey into its 6-bit chunks: the even chunks
+ * (0, 2, 4, 6) in word 0 and the odd ones in word 1, each set at bits
+ * 26, 18, 10 and 2.
+ */
+SplitKey
+splitSubkey(uint64_t subkey)
+{
+    SplitKey k{};
+    for (int i = 0; i < 8; i++) {
+        uint32_t k6 = static_cast<uint32_t>(subkey >> (42 - 6 * i)) & 0x3F;
+        k[i & 1] |= k6 << (26 - 8 * (i / 2));
+    }
+    return k;
+}
+
+/**
+ * The f-function. E expansion: chunk i is spec bits 4i..4i+5 of the
+ * half, taken cyclically (bit 0 means bit 32). Rotating the half right
+ * by one puts the even chunks at bits 26, 18, 10 and 2; rotating it
+ * left by three puts the odd chunks there.
+ */
+inline uint32_t
+f(uint32_t half, const SplitKey &k)
+{
+    uint32_t e = rotr32(half, 1) ^ k[0];
+    uint32_t o = rotl32(half, 3) ^ k[1];
+    return sp_boxes[0][e >> 26] ^ sp_boxes[2][(e >> 18) & 0x3F]
+        ^ sp_boxes[4][(e >> 10) & 0x3F] ^ sp_boxes[6][(e >> 2) & 0x3F]
+        ^ sp_boxes[1][o >> 26] ^ sp_boxes[3][(o >> 18) & 0x3F]
+        ^ sp_boxes[5][(o >> 10) & 0x3F] ^ sp_boxes[7][(o >> 2) & 0x3F];
+}
+
+/**
+ * Sixteen rounds on an IP-domain block, two per step so the halves
+ * never swap, then the final swap. Decryption runs the keys backwards.
+ */
+template <bool Decrypt>
+uint64_t
+rounds(uint64_t v, const std::array<SplitKey, 16> &k)
+{
+    uint32_t l = static_cast<uint32_t>(v >> 32);
+    uint32_t r = static_cast<uint32_t>(v);
+    for (int i = 0; i < 16; i += 2) {
+        l ^= f(r, k[Decrypt ? 15 - i : i]);
+        r ^= f(l, k[Decrypt ? 14 - i : i + 1]);
+    }
+    return (static_cast<uint64_t>(r) << 32) | l;
 }
 
 } // namespace
@@ -142,52 +234,25 @@ fpTable()
 uint64_t
 Des::initialPermutation(uint64_t v)
 {
-    return permuteBits(v, ip_table, 64, 64);
+    return permute(ip_bytes, v);
 }
 
 uint64_t
 Des::finalPermutation(uint64_t v)
 {
-    return permuteBits(v, fpTable().data(), 64, 64);
+    return permute(fp_bytes, v);
 }
 
 const std::array<std::array<uint32_t, 64>, 8> &
 Des::spBoxes()
 {
-    // SP box i maps a 6-bit E-chunk to the P-permuted contribution of
-    // S-box i: the 4-bit S output placed in its nibble position and run
-    // through P. Built once from the FIPS tables.
-    static const auto tables = [] {
-        std::array<std::array<uint32_t, 64>, 8> sp{};
-        for (int box = 0; box < 8; box++) {
-            for (uint32_t v = 0; v < 64; v++) {
-                uint32_t nibble = sboxLookup(box, v);
-                uint64_t placed = static_cast<uint64_t>(nibble)
-                    << (28 - 4 * box);
-                sp[box][v] = static_cast<uint32_t>(
-                    permuteBits(placed, p_table, 32, 32));
-            }
-        }
-        return sp;
-    }();
-    return tables;
+    return sp_boxes;
 }
 
 uint32_t
 Des::feistel(uint32_t half, uint64_t subkey)
 {
-    const auto &sp = spBoxes();
-    // E expansion: chunk i is spec bits 4i..4i+5 of the half, taken
-    // cyclically (bit 0 means bit 32). Rotating right by one aligns
-    // chunk boundaries so each chunk is a 6-bit field of the rotation.
-    uint32_t q = rotr32(half, 1);
-    uint32_t out = 0;
-    for (int i = 0; i < 8; i++) {
-        uint32_t chunk = rotr32(q, (26 - 4 * i) & 31) & 0x3F;
-        uint32_t k6 = (subkey >> (42 - 6 * i)) & 0x3F;
-        out ^= sp[i][chunk ^ k6];
-    }
-    return out;
+    return f(half, splitSubkey(subkey));
 }
 
 void
@@ -203,38 +268,32 @@ Des::setKey(std::span<const uint8_t, 8> key)
         d = ((d << s) | (d >> (28 - s))) & 0x0FFFFFFF;
         uint64_t merged = (static_cast<uint64_t>(c) << 28) | d;
         keys[round] = permuteBits(merged, pc2_table, 48, 56);
+        splitKeys[round] = splitSubkey(keys[round]);
     }
+}
+
+uint64_t
+Des::encryptCore(uint64_t v) const
+{
+    return rounds<false>(v, splitKeys);
+}
+
+uint64_t
+Des::decryptCore(uint64_t v) const
+{
+    return rounds<true>(v, splitKeys);
 }
 
 uint64_t
 Des::encrypt(uint64_t block) const
 {
-    uint64_t v = initialPermutation(block);
-    uint32_t l = static_cast<uint32_t>(v >> 32);
-    uint32_t r = static_cast<uint32_t>(v);
-    for (int round = 0; round < 16; round++) {
-        uint32_t next_r = l ^ feistel(r, keys[round]);
-        l = r;
-        r = next_r;
-    }
-    // Final swap: the last round's halves are exchanged before FP.
-    uint64_t pre = (static_cast<uint64_t>(r) << 32) | l;
-    return finalPermutation(pre);
+    return finalPermutation(encryptCore(initialPermutation(block)));
 }
 
 uint64_t
 Des::decrypt(uint64_t block) const
 {
-    uint64_t v = initialPermutation(block);
-    uint32_t l = static_cast<uint32_t>(v >> 32);
-    uint32_t r = static_cast<uint32_t>(v);
-    for (int round = 15; round >= 0; round--) {
-        uint32_t next_r = l ^ feistel(r, keys[round]);
-        l = r;
-        r = next_r;
-    }
-    uint64_t pre = (static_cast<uint64_t>(r) << 32) | l;
-    return finalPermutation(pre);
+    return finalPermutation(decryptCore(initialPermutation(block)));
 }
 
 // ---------------------------------------------------------------------
@@ -259,21 +318,23 @@ TripleDes::setKey(std::span<const uint8_t> key)
 void
 TripleDes::encryptBlock(const uint8_t *in, uint8_t *out) const
 {
-    uint64_t v = load64be(in);
-    v = des[0].encrypt(v);
-    v = des[1].decrypt(v);
-    v = des[2].encrypt(v);
-    store64be(out, v);
+    // FP after one stage and IP before the next cancel, so the three
+    // cores run between a single IP and a single FP.
+    uint64_t v = Des::initialPermutation(load64be(in));
+    v = des[0].encryptCore(v);
+    v = des[1].decryptCore(v);
+    v = des[2].encryptCore(v);
+    store64be(out, Des::finalPermutation(v));
 }
 
 void
 TripleDes::decryptBlock(const uint8_t *in, uint8_t *out) const
 {
-    uint64_t v = load64be(in);
-    v = des[2].decrypt(v);
-    v = des[1].encrypt(v);
-    v = des[0].decrypt(v);
-    store64be(out, v);
+    uint64_t v = Des::initialPermutation(load64be(in));
+    v = des[2].decryptCore(v);
+    v = des[1].encryptCore(v);
+    v = des[0].decryptCore(v);
+    store64be(out, Des::finalPermutation(v));
 }
 
 uint64_t

@@ -57,7 +57,22 @@ class Des
     static const std::array<std::array<uint32_t, 64>, 8> &spBoxes();
 
   private:
+    friend class TripleDes;
+
+    /**
+     * The 16 rounds plus the final half swap on an IP-domain block:
+     * encrypt() is FP(encryptCore(IP(x))). 3DES chains the cores
+     * between one IP and one FP, since FP undoes IP exactly.
+     */
+    uint64_t encryptCore(uint64_t v) const;
+    uint64_t decryptCore(uint64_t v) const;
+
     std::array<uint64_t, 16> keys{};
+    /**
+     * Each subkey split into its even and odd 6-bit E-chunks, placed
+     * where the round finds the matching chunks of the rotated half.
+     */
+    std::array<std::array<uint32_t, 2>, 16> splitKeys{};
 };
 
 /** Triple-DES EDE3 block cipher (24-byte key = K1 | K2 | K3). */

@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <mutex>
 #include <queue>
+#include <stdexcept>
 #include <thread>
 
 #include "util/xorshift.hh"
@@ -106,33 +108,49 @@ class ChainState
     uint64_t mix_ = 0;
 };
 
-} // namespace
-
-ServerSimResult
-runServerSim(const ServerRates &rates, const ServerSimParams &params)
+/**
+ * One cipher's session population: everything a simulation draws from
+ * its RNG, plus the chain pass over it. It depends only on the cipher
+ * and the params, so every machine model composes from the same one.
+ */
+struct Population
 {
-    const auto &info = crypto::cipherInfo(rates.cipher);
+    std::vector<uint64_t> bytes;
+    std::vector<uint8_t> requests; ///< in [1, 64]
+    std::vector<uint8_t> resumed;
+    uint64_t chainDigest = 0;
+    uint64_t resumedCount = 0;
+};
+
+void
+checkParams(const ServerSimParams &params)
+{
+    if (params.sessions == 0)
+        throw std::invalid_argument("server sim: sessions must be > 0");
+    if (params.servers == 0)
+        throw std::invalid_argument("server sim: servers must be > 0");
+}
+
+Population
+drawPopulation(crypto::CipherId cipher, const ServerSimParams &params)
+{
+    const auto &info = crypto::cipherInfo(cipher);
     std::unique_ptr<crypto::BlockCipher> chain_cipher;
     Xorshift64 rng(params.seed);
     if (!info.isStream) {
-        chain_cipher = crypto::makeBlockCipher(rates.cipher);
+        chain_cipher = crypto::makeBlockCipher(cipher);
         chain_cipher->setKey(rng.bytes(info.keyBits / 8));
     }
 
     const uint64_t n = params.sessions;
-    ServerSimResult res;
-    res.sessions = n;
-    res.servers = params.servers;
-
-    // --- population pass: draw every session, compose its service ---
-    std::vector<double> service(n);
-    double handshake_sum = 0, setup_sum = 0, bulk_sum = 0, other_sum = 0;
-    double bytes_sum = 0, requests_sum = 0;
-    uint64_t digest = 0, resumed_count = 0;
-
+    Population pop;
+    pop.bytes.resize(n);
+    pop.requests.resize(n);
+    pop.resumed.resize(n);
     for (uint64_t i = 0; i < n; i++) {
         bool resumed = rng.nextDouble() < params.resumedFraction;
-        resumed_count += resumed;
+        pop.resumed[i] = resumed;
+        pop.resumedCount += resumed;
         double z = normalSample(rng);
         double log2b = params.log2MedianBytes + params.log2SigmaBytes * z;
         double b = std::exp2(log2b);
@@ -141,6 +159,8 @@ runServerSim(const ServerRates &rates, const ServerSimParams &params)
         uint64_t bytes = static_cast<uint64_t>(b);
         uint32_t requests =
             requestCount(rng, params.meanRequestsPerSession);
+        pop.bytes[i] = bytes;
+        pop.requests[i] = static_cast<uint8_t>(requests);
 
         // CBC chaining state carried across the session's requests:
         // each boundary advances the running chain block, no fresh IV
@@ -149,14 +169,36 @@ runServerSim(const ServerRates &rates, const ServerSimParams &params)
         uint64_t per_req = bytes / requests, extra = bytes % requests;
         for (uint32_t r = 0; r < requests; r++)
             chain.absorbRequest(per_req + (r < extra ? 1 : 0));
-        digest ^= splitmix64(chain.fold()
-                             ^ (i * 0x9E3779B97F4A7C15ull));
+        pop.chainDigest ^= splitmix64(chain.fold()
+                                      ^ (i * 0x9E3779B97F4A7C15ull));
+    }
+    return pop;
+}
 
+/** Service times and aggregates from @p rates, then the load pass. */
+ServerSimResult
+composeServerSim(const ServerRates &rates, const ServerSimParams &params,
+                 const Population &pop)
+{
+    const uint64_t n = params.sessions;
+    ServerSimResult res;
+    res.sessions = n;
+    res.servers = params.servers;
+
+    // --- population pass: compose every session's service ---
+    std::vector<double> service(n);
+    double handshake_sum = 0, setup_sum = 0, bulk_sum = 0, other_sum = 0;
+    double bytes_sum = 0, requests_sum = 0;
+
+    for (uint64_t i = 0; i < n; i++) {
+        uint64_t bytes = pop.bytes[i];
+        uint32_t requests = pop.requests[i];
         // Resumed sessions skip the RSA private op but still derive
         // fresh session keys (the full key schedule); follow-on
         // requests ride the kept-alive connection at a fraction of
         // the first request's overhead.
-        double handshake = resumed ? 0.0 : rates.serverHandshakeCycles;
+        double handshake =
+            pop.resumed[i] ? 0.0 : rates.serverHandshakeCycles;
         double setup = rates.keySetupCycles;
         double bulk = rates.prologueCycles * requests
             + rates.cyclesPerByte * static_cast<double>(bytes);
@@ -178,12 +220,12 @@ runServerSim(const ServerRates &rates, const ServerSimParams &params)
     res.meanSessionBytes = bytes_sum / static_cast<double>(n);
     res.meanRequests = requests_sum / static_cast<double>(n);
     res.resumedShare =
-        static_cast<double>(resumed_count) / static_cast<double>(n);
+        static_cast<double>(pop.resumedCount) / static_cast<double>(n);
     res.handshakeFraction = handshake_sum / total;
     res.setupFraction = setup_sum / total;
     res.bulkFraction = bulk_sum / total;
     res.otherFraction = other_sum / total;
-    res.chainDigest = digest;
+    res.chainDigest = pop.chainDigest;
 
     // --- load pass: FCFS M/G/c queue per offered-load factor ---
     std::vector<double> latency(n);
@@ -237,26 +279,66 @@ runServerSim(const ServerRates &rates, const ServerSimParams &params)
     return res;
 }
 
+} // namespace
+
+ServerSimResult
+runServerSim(const ServerRates &rates, const ServerSimParams &params)
+{
+    checkParams(params);
+    return composeServerSim(rates, params,
+                            drawPopulation(rates.cipher, params));
+}
+
 std::vector<ServerSimResult>
 runServerSims(const std::vector<ServerRates> &rates,
               const ServerSimParams &params, unsigned threads)
 {
+    checkParams(params);
     std::vector<ServerSimResult> results(rates.size());
     if (rates.empty())
         return results;
+
+    // One population per distinct cipher, shared by its cells.
+    std::vector<crypto::CipherId> ciphers;
+    std::vector<size_t> pop_of(rates.size());
+    for (size_t i = 0; i < rates.size(); i++) {
+        auto it = std::find(ciphers.begin(), ciphers.end(),
+                            rates[i].cipher);
+        pop_of[i] = static_cast<size_t>(it - ciphers.begin());
+        if (it == ciphers.end())
+            ciphers.push_back(rates[i].cipher);
+    }
+    std::vector<Population> pops(ciphers.size());
+    std::vector<std::once_flag> drawn(ciphers.size());
+    auto population = [&](size_t p) -> const Population & {
+        std::call_once(drawn[p],
+                       [&] { pops[p] = drawPopulation(ciphers[p], params); });
+        return pops[p];
+    };
+
     unsigned hw = std::thread::hardware_concurrency();
     if (!threads)
         threads = hw ? hw : 1;
     threads = std::min<unsigned>(
         threads, static_cast<unsigned>(rates.size()));
 
+    // One queue: the draws first, so distinct ciphers draw in parallel,
+    // then the cells, each waiting only on its own cipher's draw.
     // Pre-assigned result slots: worker scheduling cannot reorder or
     // interleave output, so any thread count yields identical results.
+    const size_t tasks = ciphers.size() + rates.size();
     std::atomic<size_t> next{0};
     auto worker = [&] {
-        for (size_t i = next.fetch_add(1); i < rates.size();
-             i = next.fetch_add(1))
-            results[i] = runServerSim(rates[i], params);
+        for (size_t t = next.fetch_add(1); t < tasks;
+             t = next.fetch_add(1)) {
+            if (t < ciphers.size()) {
+                population(t);
+                continue;
+            }
+            size_t i = t - ciphers.size();
+            results[i] =
+                composeServerSim(rates[i], params, population(pop_of[i]));
+        }
     };
     std::vector<std::thread> pool;
     for (unsigned i = 1; i < threads; i++)

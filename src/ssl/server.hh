@@ -150,6 +150,9 @@ struct ServerSimResult
  * Run one server simulation. Sequential and deterministic: identical
  * (rates, params) always produce an identical result, including the
  * chain digest.
+ *
+ * @throws std::invalid_argument if params.sessions or params.servers
+ * is 0.
  */
 ServerSimResult runServerSim(const ServerRates &rates,
                              const ServerSimParams &params);
@@ -160,6 +163,14 @@ ServerSimResult runServerSim(const ServerRates &rates,
  * Results are written into pre-assigned slots, so the returned vector
  * is ordered exactly like @p rates for any thread count — the same
  * determinism contract as driver::runCells.
+ *
+ * The session population (sizes, requests, resumption and the chain
+ * pass) depends only on the cipher and @p params, so it is drawn once
+ * per distinct cipher per call and every entry with that cipher
+ * composes from it. Each result equals runServerSim(rates[i], params).
+ *
+ * @throws std::invalid_argument if params.sessions or params.servers
+ * is 0.
  */
 std::vector<ServerSimResult>
 runServerSims(const std::vector<ServerRates> &rates,

@@ -1,5 +1,8 @@
 /** @file Tests for the server-at-scale SSL workload simulation. */
 
+#include <stdexcept>
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "ssl/server.hh"
@@ -56,12 +59,14 @@ expectIdentical(const ServerSimResult &a, const ServerSimResult &b)
     EXPECT_EQ(a.meanServiceCycles, b.meanServiceCycles);
     EXPECT_EQ(a.meanSessionBytes, b.meanSessionBytes);
     EXPECT_EQ(a.meanRequests, b.meanRequests);
+    EXPECT_EQ(a.resumedShare, b.resumedShare);
     EXPECT_EQ(a.handshakeFraction, b.handshakeFraction);
     EXPECT_EQ(a.setupFraction, b.setupFraction);
     EXPECT_EQ(a.bulkFraction, b.bulkFraction);
     EXPECT_EQ(a.otherFraction, b.otherFraction);
     ASSERT_EQ(a.points.size(), b.points.size());
     for (size_t i = 0; i < a.points.size(); i++) {
+        EXPECT_EQ(a.points[i].loadFactor, b.points[i].loadFactor);
         EXPECT_EQ(a.points[i].offeredPerGcycle,
                   b.points[i].offeredPerGcycle);
         EXPECT_EQ(a.points[i].achievedPerGcycle,
@@ -95,6 +100,64 @@ TEST(ServerSim, DeterministicAcrossThreadCounts)
     ASSERT_EQ(serial.size(), parallel.size());
     for (size_t i = 0; i < serial.size(); i++)
         expectIdentical(serial[i], parallel[i]);
+}
+
+// runServerSims draws each cipher's population once and composes every
+// cell of that cipher from it; each cell must match its own
+// runServerSim exactly. Same-cipher cells are interleaved, never
+// adjacent, and the real chain ciphers run.
+TEST(ServerSim, SharedPopulationMatchesPerCell)
+{
+    std::vector<ServerRates> rates;
+    for (int set = 0; set < 4; set++) {
+        for (auto id : {crypto::CipherId::TripleDES, crypto::CipherId::RC4,
+                        crypto::CipherId::Blowfish}) {
+            ServerRates r = desLikeRates();
+            r.cipher = id;
+            r.model = "set" + std::to_string(set);
+            r.keySetupCycles = 20e3 * (set + 1);
+            r.prologueCycles = 500 + 200 * set;
+            r.cyclesPerByte = 40 + 30 * set;
+            rates.push_back(r);
+        }
+    }
+    auto params = smallParams();
+    params.sessions = 5000;
+    std::vector<ServerSimResult> per_cell;
+    for (const auto &r : rates)
+        per_cell.push_back(ssl::runServerSim(r, params));
+    for (unsigned threads : {1u, 2u, 4u, 12u}) {
+        auto shared = ssl::runServerSims(rates, params, threads);
+        ASSERT_EQ(shared.size(), rates.size());
+        for (size_t i = 0; i < rates.size(); i++) {
+            SCOPED_TRACE("threads " + std::to_string(threads) + " cell "
+                         + std::to_string(i));
+            expectIdentical(per_cell[i], shared[i]);
+        }
+    }
+}
+
+// An empty population or server bank has no defined result: both
+// entry points reject it instead of reading past the latency buffer
+// or popping an empty queue.
+TEST(ServerSim, RejectsZeroSessions)
+{
+    auto params = smallParams();
+    params.sessions = 0;
+    EXPECT_THROW(ssl::runServerSim(desLikeRates(), params),
+                 std::invalid_argument);
+    EXPECT_THROW(ssl::runServerSims({desLikeRates()}, params, 2),
+                 std::invalid_argument);
+}
+
+TEST(ServerSim, RejectsZeroServers)
+{
+    auto params = smallParams();
+    params.servers = 0;
+    EXPECT_THROW(ssl::runServerSim(desLikeRates(), params),
+                 std::invalid_argument);
+    EXPECT_THROW(ssl::runServerSims({desLikeRates()}, params, 2),
+                 std::invalid_argument);
 }
 
 TEST(ServerSim, FractionsSumToOne)
