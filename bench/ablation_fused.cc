@@ -20,7 +20,7 @@
 #include "bench/common.hh"
 
 int
-main()
+main(int argc, char **argv)
 {
     using namespace cryptarch;
     using namespace cryptarch::bench;
@@ -36,7 +36,7 @@ main()
     spec.variants = {KernelVariant::Optimized,
                      KernelVariant::OptimizedFused};
     spec.models = {MachineConfig::fourWidePlus()};
-    auto results = driver::runSweep(spec);
+    auto results = driver::runSweep(spec, sweepOptions(argc, argv));
 
     std::printf("Ablation: fused substitute-and-XOR (SBOXX, 3 register "
                 "reads)\nvs the paper's 2-read SBOX + XOR "

@@ -137,16 +137,28 @@ sweepOptions(int argc, char **argv)
                 std::exit(2);
             }
         } else if (std::strncmp(arg, "--deadline=", 11) == 0) {
-            opts.cellDeadlineSeconds = std::atof(arg + 11);
-            if (opts.cellDeadlineSeconds <= 0) {
+            char *end = nullptr;
+            opts.cellDeadlineSeconds = std::strtod(arg + 11, &end);
+            if (end == arg + 11 || *end != '\0'
+                || !(opts.cellDeadlineSeconds > 0)) {
                 std::fprintf(stderr,
-                             "%s: --deadline needs positive seconds\n",
-                             argv[0]);
+                             "%s: --deadline needs positive seconds, "
+                             "got '%s'\n",
+                             argv[0], arg + 11);
                 std::exit(2);
             }
         } else if (std::strncmp(arg, "--threads=", 10) == 0) {
-            opts.threads = static_cast<unsigned>(
-                std::strtoul(arg + 10, nullptr, 10));
+            const char *count = arg + 10;
+            if (*count == '\0'
+                || std::strspn(count, "0123456789") != std::strlen(count)) {
+                std::fprintf(stderr,
+                             "%s: --threads takes a count (0 = all "
+                             "cores), got '%s'\n",
+                             argv[0], count);
+                std::exit(2);
+            }
+            opts.threads =
+                static_cast<unsigned>(std::strtoul(count, nullptr, 10));
         }
     }
     return opts;

@@ -2,17 +2,18 @@
  * @file
  * Internal per-cell execution shared by the thread-pool sweep runner
  * (sweep.cc) and the forked process-pool workers (procpool.cc). Not
- * installed API: the contracts here (TraceGroup sharing, the
- * retry-once allowance, the never-throws guarantee) are documented on
- * driver::runCells.
+ * installed API: the contracts here (TraceGroup sharing, the group
+ * plan both isolation modes schedule from, the never-throws guarantee)
+ * are documented on driver::runCells.
  */
 
 #ifndef CRYPTARCH_DRIVER_CELL_EXEC_HH
 #define CRYPTARCH_DRIVER_CELL_EXEC_HH
 
+#include <cstdint>
 #include <exception>
 #include <mutex>
-#include <tuple>
+#include <vector>
 
 #include "driver/sweep.hh"
 #include "driver/trace.hh"
@@ -32,30 +33,28 @@ struct TraceGroup
     std::exception_ptr recordError;
 };
 
-/** The trace-sharing key: cells alike in these share a TraceGroup. */
-using GroupKey = std::tuple<crypto::CipherId, kernels::KernelVariant, size_t>;
-
-inline GroupKey
-keyOf(const SweepCell &cell)
-{
-    return {cell.cipher, cell.variant, cell.bytes};
-}
+/**
+ * Partition @p todo (indices into @p cells) into trace groups: one
+ * list per distinct (cipher, variant, bytes) kernel, groups in order
+ * of first appearance and each group's cells in @p todo order. The
+ * process pool sends one batch per group; the thread pool queues every
+ * group's first cell (its recording) before the remaining cells.
+ */
+std::vector<std::vector<uint32_t>>
+planGroups(const std::vector<SweepCell> &cells,
+           const std::vector<uint32_t> &todo);
 
 /** Fill outcome/message from the exception behind @p ep. */
 void classifyFailure(SweepResult &r, std::exception_ptr ep);
-
-/** Deterministic failures are not worth a second functional run. */
-bool isDeterministicFailure(std::exception_ptr ep);
 
 /** A result shell: @p cell's coordinates, no stats yet. */
 SweepResult makeResultShell(const SweepCell &cell);
 
 /**
- * Record (once per @p group, with the transient-failure retry) and
- * replay @p cell into @p r. Replay failures get the same retry-once
- * allowance as recording. Never throws: any escaping exception —
- * including one raised while building the result — classifies the
- * cell instead of propagating.
+ * Record (once per @p group) and replay @p cell into @p r. Never
+ * throws: any exception — a record or replay failure, or one raised
+ * while building the result — classifies the cell instead of
+ * propagating.
  */
 void executeCell(const SweepCell &cell, TraceGroup &group, SweepResult &r);
 

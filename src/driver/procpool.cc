@@ -7,8 +7,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <deque>
-#include <map>
-#include <thread>
+#include <iterator>
 
 #include <fcntl.h>
 #include <poll.h>
@@ -20,6 +19,7 @@
 
 #include "driver/cell_exec.hh"
 #include "util/checksum.hh"
+#include "util/parallel.hh"
 
 namespace cryptarch::driver
 {
@@ -705,19 +705,12 @@ runCellsProcess(const std::vector<SweepCell> &cells,
 {
     using Clock = std::chrono::steady_clock;
 
-    // Group-aligned batches in first-appearance order, so results are
-    // deterministic and each batch shares one recorded trace.
-    std::map<detail::GroupKey, size_t> batchOf;
-    std::vector<std::vector<uint32_t>> batchList;
-    for (uint32_t i : todo) {
-        auto [it, fresh] =
-            batchOf.try_emplace(detail::keyOf(cells[i]), batchList.size());
-        if (fresh)
-            batchList.emplace_back();
-        batchList[it->second].push_back(i);
-    }
-    std::deque<std::vector<uint32_t>> queue(batchList.begin(),
-                                            batchList.end());
+    // One batch per trace group, in first-appearance order, so each
+    // batch shares one recorded trace.
+    auto plan = detail::planGroups(cells, todo);
+    std::deque<std::vector<uint32_t>> queue(
+        std::make_move_iterator(plan.begin()),
+        std::make_move_iterator(plan.end()));
 
     const double deadlineSecs = options.cellDeadlineSeconds > 0
         ? options.cellDeadlineSeconds
@@ -725,10 +718,7 @@ runCellsProcess(const std::vector<SweepCell> &cells,
     const auto deadlineDur = std::chrono::duration_cast<Clock::duration>(
         std::chrono::duration<double>(deadlineSecs));
 
-    unsigned want = options.threads ? options.threads
-                                    : std::thread::hardware_concurrency();
-    want = std::max(1u, std::min<unsigned>(
-                            want, static_cast<unsigned>(queue.size())));
+    const unsigned want = util::workerCount(queue.size(), options.threads);
 
     // A worker dying between frames must surface as EPIPE on our next
     // write, not kill the whole bench with SIGPIPE.

@@ -7,10 +7,11 @@
  *
  * runCellsProcess() forks POSIX worker processes (no exec — workers
  * inherit the cell vector, so only indices cross the pipes). The
- * parent partitions the pending cells into group-aligned batches (one
- * batch per (cipher, variant, bytes) TraceGroup, so a worker records
- * each kernel once and replays it per model, same as the thread pool)
- * and supervises a single-threaded poll loop:
+ * parent sends one batch per trace group of the plan the thread pool
+ * also schedules from (detail::planGroups), so a worker records each
+ * kernel once and replays it per model; the worker count comes from
+ * util::workerCount, as the thread pool's does. The parent supervises
+ * a single-threaded poll loop:
  *
  *   parent -> worker   CMD frame:  magic, count, count x u32 indices
  *   worker -> parent   RES frame:  magic, index, payload length,

@@ -1,14 +1,10 @@
 #include "driver/sweep.hh"
 
-#include <atomic>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <stdexcept>
-#include <thread>
 #include <tuple>
 
 #include "driver/cell_exec.hh"
@@ -16,6 +12,7 @@
 #include "isa/trap.hh"
 #include "sim/validate.hh"
 #include "util/env.hh"
+#include "util/parallel.hh"
 #include "verify/oracle.hh"
 
 namespace cryptarch::driver
@@ -73,6 +70,25 @@ sweepOptionsFromEnv()
 namespace detail
 {
 
+std::vector<std::vector<uint32_t>>
+planGroups(const std::vector<SweepCell> &cells,
+           const std::vector<uint32_t> &todo)
+{
+    using GroupKey =
+        std::tuple<crypto::CipherId, kernels::KernelVariant, size_t>;
+    std::map<GroupKey, size_t> groupOf;
+    std::vector<std::vector<uint32_t>> groups;
+    for (uint32_t i : todo) {
+        const SweepCell &c = cells[i];
+        auto [it, fresh] = groupOf.try_emplace(
+            GroupKey{c.cipher, c.variant, c.bytes}, groups.size());
+        if (fresh)
+            groups.emplace_back();
+        groups[it->second].push_back(i);
+    }
+    return groups;
+}
+
 void
 classifyFailure(SweepResult &r, std::exception_ptr ep)
 {
@@ -101,22 +117,6 @@ classifyFailure(SweepResult &r, std::exception_ptr ep)
     }
 }
 
-bool
-isDeterministicFailure(std::exception_ptr ep)
-{
-    try {
-        std::rethrow_exception(ep);
-    } catch (const sim::ConfigRejected &) {
-        return true;
-    } catch (const isa::Trap &) {
-        return true;
-    } catch (const verify::VerifyError &) {
-        return true;
-    } catch (...) {
-        return false;
-    }
-}
-
 SweepResult
 makeResultShell(const SweepCell &cell)
 {
@@ -132,8 +132,8 @@ void
 executeCell(const SweepCell &cell, TraceGroup &group, SweepResult &r)
 {
     // The whole body is wrapped: an exception escaping any step —
-    // std::bad_alloc while building the result included — marks the
-    // cell Error instead of std::terminate-ing the sweep.
+    // std::bad_alloc while building the result included — classifies
+    // the cell instead of std::terminate-ing the sweep.
     try {
         std::call_once(group.once, [&]() {
             try {
@@ -141,40 +141,13 @@ executeCell(const SweepCell &cell, TraceGroup &group, SweepResult &r)
                                                 cell.bytes);
             } catch (...) {
                 group.recordError = std::current_exception();
-                if (isDeterministicFailure(group.recordError))
-                    return;
-                // One retry for anything unrecognized (transient
-                // allocation failure and the like).
-                try {
-                    group.trace = recordKernelTrace(cell.cipher,
-                                                    cell.variant,
-                                                    cell.bytes);
-                    group.recordError = nullptr;
-                } catch (...) {
-                    group.recordError = std::current_exception();
-                }
             }
         });
         if (group.recordError) {
             classifyFailure(r, group.recordError);
             return;
         }
-        try {
-            r.stats = group.trace.replay(cell.model);
-        } catch (...) {
-            std::exception_ptr ep = std::current_exception();
-            if (!isDeterministicFailure(ep)) {
-                // The same transient-failure allowance recording has:
-                // one retry before the cell is marked Error.
-                try {
-                    r.stats = group.trace.replay(cell.model);
-                    return;
-                } catch (...) {
-                    ep = std::current_exception();
-                }
-            }
-            classifyFailure(r, ep);
-        }
+        r.stats = group.trace.replay(cell.model);
     } catch (...) {
         classifyFailure(r, std::current_exception());
     }
@@ -184,10 +157,6 @@ executeCell(const SweepCell &cell, TraceGroup &group, SweepResult &r)
 
 namespace
 {
-
-using detail::GroupKey;
-using detail::keyOf;
-using detail::TraceGroup;
 
 /**
  * Open the journal for @p cells, falling back to a fresh run when the
@@ -231,48 +200,36 @@ runCellsThread(const std::vector<SweepCell> &cells,
                const SweepOptions &options,
                std::vector<SweepResult> &results, SweepJournal *journal)
 {
-    // Group table is fully built before workers start; workers only
-    // race on each group's once_flag.
-    std::map<GroupKey, std::unique_ptr<TraceGroup>> groups;
-    for (uint32_t i : todo) {
-        auto &slot = groups[keyOf(cells[i])];
-        if (!slot)
-            slot = std::make_unique<TraceGroup>();
+    // Every group's first cell (the one that records its trace) leads
+    // the queue, so distinct kernels record in parallel; the remaining
+    // cells follow in input order, each waiting only on its own
+    // group's once_flag.
+    const auto plan = detail::planGroups(cells, todo);
+    std::vector<detail::TraceGroup> groups(plan.size());
+    std::vector<uint32_t> groupOf(cells.size());
+    std::vector<uint32_t> queue;
+    queue.reserve(todo.size());
+    for (uint32_t g = 0; g < plan.size(); g++) {
+        for (uint32_t i : plan[g])
+            groupOf[i] = g;
+        queue.push_back(plan[g].front());
     }
+    for (uint32_t i : todo)
+        if (plan[groupOf[i]].front() != i)
+            queue.push_back(i);
 
-    std::atomic<size_t> next{0};
     std::mutex journalMutex;
-
-    auto worker = [&]() {
-        for (;;) {
-            size_t k = next.fetch_add(1, std::memory_order_relaxed);
-            if (k >= todo.size())
-                return;
-            const uint32_t i = todo[k];
-            const SweepCell &cell = cells[i];
-            SweepResult r = detail::makeResultShell(cell);
-            detail::executeCell(cell, *groups.at(keyOf(cell)), r);
-            if (journal) {
-                auto payload = serializeResultPayload(r);
-                std::lock_guard<std::mutex> lock(journalMutex);
-                journal->append(i, payload);
-            }
-            results[i] = std::move(r);
+    util::parallelFor(queue.size(), options.threads, [&](size_t k) {
+        const uint32_t i = queue[k];
+        SweepResult r = detail::makeResultShell(cells[i]);
+        detail::executeCell(cells[i], groups[groupOf[i]], r);
+        if (journal) {
+            auto payload = serializeResultPayload(r);
+            std::lock_guard<std::mutex> lock(journalMutex);
+            journal->append(i, payload);
         }
-    };
-
-    unsigned n =
-        options.threads ? options.threads : std::thread::hardware_concurrency();
-    n = std::max(1u,
-                 std::min<unsigned>(n, static_cast<unsigned>(todo.size())));
-
-    std::vector<std::thread> pool;
-    pool.reserve(n - 1);
-    for (unsigned t = 0; t + 1 < n; t++)
-        pool.emplace_back(worker);
-    worker();
-    for (auto &t : pool)
-        t.join();
+        results[i] = std::move(r);
+    });
 }
 
 } // namespace
@@ -334,10 +291,7 @@ runSweep(const SweepSpec &spec, const SweepOptions &options)
 std::vector<SweepResult>
 runSweep(const SweepSpec &spec)
 {
-    SweepOptions options = sweepOptionsFromEnv();
-    if (spec.threads)
-        options.threads = spec.threads;
-    return runSweep(spec, options);
+    return runSweep(spec, sweepOptionsFromEnv());
 }
 
 const SweepResult &

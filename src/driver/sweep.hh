@@ -5,10 +5,11 @@
  * A sweep is a list of cells; cells sharing a (cipher, variant, bytes)
  * kernel are grouped so the kernel is functionally interpreted exactly
  * once (recorded via RecordedTrace), then each cell replays the group's
- * trace into its own OooScheduler. Cells execute on a thread pool;
- * results are collected into a vector ordered exactly like the input
- * cells, so output is deterministic regardless of thread count or
- * scheduling.
+ * trace into its own OooScheduler. Cells execute on a thread pool
+ * (util::parallelFor) whose queue holds every group's first cell —
+ * the one that records — ahead of the rest, so distinct kernels record
+ * in parallel. Results land in slots pre-assigned by input position,
+ * so output is deterministic regardless of thread count or scheduling.
  *
  * Sweeps are fail-soft: one trapping or verify-failing cell does not
  * abort the grid. Every cell gets a SweepResult with an outcome; the
@@ -18,10 +19,11 @@
  *
  * Execution is isolation-selectable (SweepOptions / the
  * CRYPTARCH_SWEEP_* environment): the default Thread mode runs cells
- * on an in-process pool exactly as before, while Process mode forks
- * POSIX worker processes that claim group-aligned cell batches over a
- * pipe protocol and stream back checksummed serialized results
- * (src/driver/procpool.hh). Process mode survives host-level faults
+ * on that in-process pool, while Process mode forks POSIX worker
+ * processes that claim one cell batch per group over a pipe protocol
+ * and stream back checksummed serialized results
+ * (src/driver/procpool.hh). Both modes schedule from the same group
+ * plan (detail::planGroups). Process mode survives host-level faults
  * the thread pool cannot: a worker that dies on a signal marks only
  * its in-flight cell `crashed`, a worker past its per-cell watchdog
  * deadline is killed and the cell marked `timed_out`, and the dead
@@ -163,8 +165,6 @@ struct SweepSpec
     std::vector<kernels::KernelVariant> variants;
     std::vector<sim::MachineConfig> models;
     size_t bytes = session_bytes;
-    /** Worker threads; 0 = hardware concurrency. */
-    unsigned threads = 0;
 };
 
 /**
@@ -173,11 +173,10 @@ struct SweepSpec
  * distinct (cipher, variant, bytes) kernel is functionally interpreted
  * exactly once across the whole call — including when recording fails:
  * traps and oracle rejections are deterministic, so the failure is
- * cached and fanned out to every cell of the group. Unrecognized
- * record/replay errors — on the record AND the replay path — are
- * retried once (transient-failure allowance) before the cell is
- * marked Error, and any exception escaping a cell (including failures
- * while building its result) marks that cell Error instead of
+ * cached and fanned out to every cell of the group. Recording and
+ * replay are deterministic, so nothing is retried: every failure is
+ * classified once, and any exception escaping a cell (including
+ * failures while building its result) marks that cell instead of
  * terminating the sweep. Never throws for per-cell failures.
  *
  * Isolation, watchdog, and journal policy come from
@@ -197,8 +196,7 @@ std::vector<SweepResult> runCells(const std::vector<SweepCell> &cells,
  */
 std::vector<SweepResult> runSweep(const SweepSpec &spec);
 
-/** As above with explicit crash-safety options (spec.threads is
- *  superseded by options.threads). */
+/** As above with explicit crash-safety options. */
 std::vector<SweepResult> runSweep(const SweepSpec &spec,
                                   const SweepOptions &options);
 

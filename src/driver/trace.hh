@@ -82,7 +82,7 @@ class RecordedTrace final : public isa::TraceSink
     void
     emit(const isa::DynInst &inst) override
     {
-        packed_.append(inst, /*keepResult=*/false);
+        packed_.append(inst);
     }
 
     /** Feed the captured stream, in order, into any sink. */

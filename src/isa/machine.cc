@@ -147,8 +147,6 @@ uint32_t
 Machine::sboxRead(uint64_t addr)
 {
     checkAddr(addr, 4, /*isStore=*/false);
-    if (!strictSbox)
-        return static_cast<uint32_t>(loadSized(addr, 4));
     uint64_t frame = addr & ~0x3FFull;
     auto it = sboxSnapshots.find(frame);
     if (it == sboxSnapshots.end()) {

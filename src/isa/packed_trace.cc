@@ -15,8 +15,7 @@ PackedTrace::packedBytes() const
     return fixed_.size() * row_bytes
         + addr32_.size() * sizeof(uint32_t)
         + addrWide_.size() * sizeof(uint64_t)
-        + nextPcExc_.size() * sizeof(uint32_t)
-        + result_.size() * sizeof(uint64_t);
+        + nextPcExc_.size() * sizeof(uint32_t);
 }
 
 void
@@ -26,7 +25,6 @@ PackedTrace::clear()
     addr32_.clear();
     addrWide_.clear();
     nextPcExc_.clear();
-    result_.clear();
 }
 
 } // namespace cryptarch::isa

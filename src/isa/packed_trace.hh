@@ -5,9 +5,11 @@
  * A trace replayed across a model grid is read once per timing model,
  * so replay throughput is bounded by how many bytes per instruction
  * stream through the cache hierarchy. A full DynInst is 56 bytes;
- * PackedTrace stores the same information in 14 fixed bytes per
+ * PackedTrace stores every field but the result in 14 fixed bytes per
  * instruction plus small side tables, and decodes back to DynInst on
- * the fly during replay:
+ * the fly during replay. Results decode as 0: no timing model reads
+ * them, and they are the one field that would otherwise dominate the
+ * encoding.
  *
  *   fixed record (14 B/inst, interleaved)
  *     pc        u32   static instruction index
@@ -29,10 +31,9 @@
  *     addrWide  u64   escape for addresses >= 2^32
  *     nextPcExc u32   successor pc, when != pc + 1 (taken branches,
  *                     the final Halt)
- *     result    u64   written value, when kept and != 0
  *
  * flags bits: 0-1 numSrcs, 2 isLoad, 3 isStore, 4 branch, 5 taken,
- * 6 aliased, 7 hasAddr, 8 nextPc exception, 9 hasResult,
+ * 6 aliased, 7 hasAddr, 8 nextPc exception, 9 unused,
  * 10-12 size code (decode table {0,1,2,4,8}), 13 wide address.
  *
  * Sequence numbers are implicit: appended instructions must arrive
@@ -68,13 +69,11 @@ class PackedTrace
     static constexpr size_t row_bytes = 14;
 
     /**
-     * Append @p inst to the stream. @p inst.seq must equal size().
-     * With @p keepResult false the result value is dropped (decodes
-     * as 0) — timing models never read it, and results are the one
-     * field that would otherwise dominate the encoding. Defined
-     * inline below: it runs once per recorded instruction.
+     * Append @p inst, minus its result, to the stream. @p inst.seq
+     * must equal size(). Defined inline below: it runs once per
+     * recorded instruction.
      */
-    void append(const DynInst &inst, bool keepResult = true);
+    void append(const DynInst &inst);
 
     /** Pre-size the fixed records for @p n instructions. */
     void reserve(size_t n);
@@ -113,7 +112,6 @@ class PackedTrace
         size_t addr32Pos = 0;
         size_t addrWidePos = 0;
         size_t nextPcPos = 0;
-        size_t resultPos = 0;
     };
 
     Reader reader() const { return Reader(*this); }
@@ -128,7 +126,6 @@ class PackedTrace
     static constexpr uint16_t f_aliased = 1u << 6;
     static constexpr uint16_t f_has_addr = 1u << 7;
     static constexpr uint16_t f_next_pc_exc = 1u << 8;
-    static constexpr uint16_t f_has_result = 1u << 9;
     static constexpr unsigned size_code_shift = 10;
     static constexpr uint16_t size_code_mask = 0x7;
     static constexpr uint16_t f_wide_addr = 1u << 13;
@@ -189,11 +186,10 @@ class PackedTrace
     std::vector<uint32_t> addr32_;
     std::vector<uint64_t> addrWide_;
     std::vector<uint32_t> nextPcExc_;
-    std::vector<uint64_t> result_;
 };
 
 inline void
-PackedTrace::append(const DynInst &inst, bool keepResult)
+PackedTrace::append(const DynInst &inst)
 {
     assert(inst.seq == size() && "seq must equal append index");
     assert(inst.numSrcs <= 3);
@@ -217,8 +213,6 @@ PackedTrace::append(const DynInst &inst, bool keepResult)
         if (inst.addr >> 32)
             flags |= f_wide_addr;
     }
-    if (keepResult && inst.result != 0)
-        flags |= f_has_result;
 
     std::array<uint8_t, row_bytes> row;
     row[off_pc] = static_cast<uint8_t>(inst.pc);
@@ -245,8 +239,6 @@ PackedTrace::append(const DynInst &inst, bool keepResult)
     }
     if (flags & f_next_pc_exc)
         nextPcExc_.push_back(inst.nextPc);
-    if (flags & f_has_result)
-        result_.push_back(inst.result);
 }
 
 inline DynInst
@@ -288,10 +280,6 @@ PackedTrace::Reader::next()
         d.nextPc = t.nextPcExc_[nextPcPos++];
     } else {
         d.nextPc = d.pc + 1;
-    }
-    if (flags & f_has_result) {
-        assert(resultPos < t.result_.size());
-        d.result = t.result_[resultPos++];
     }
 
     ++index;

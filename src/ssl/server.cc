@@ -1,13 +1,12 @@
 #include "ssl/server.hh"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <mutex>
 #include <queue>
 #include <stdexcept>
-#include <thread>
 
+#include "util/parallel.hh"
 #include "util/xorshift.hh"
 
 namespace cryptarch::ssl
@@ -316,36 +315,20 @@ runServerSims(const std::vector<ServerRates> &rates,
         return pops[p];
     };
 
-    unsigned hw = std::thread::hardware_concurrency();
-    if (!threads)
-        threads = hw ? hw : 1;
-    threads = std::min<unsigned>(
-        threads, static_cast<unsigned>(rates.size()));
-
     // One queue: the draws first, so distinct ciphers draw in parallel,
     // then the cells, each waiting only on its own cipher's draw.
     // Pre-assigned result slots: worker scheduling cannot reorder or
     // interleave output, so any thread count yields identical results.
-    const size_t tasks = ciphers.size() + rates.size();
-    std::atomic<size_t> next{0};
-    auto worker = [&] {
-        for (size_t t = next.fetch_add(1); t < tasks;
-             t = next.fetch_add(1)) {
-            if (t < ciphers.size()) {
-                population(t);
-                continue;
-            }
-            size_t i = t - ciphers.size();
-            results[i] =
-                composeServerSim(rates[i], params, population(pop_of[i]));
-        }
-    };
-    std::vector<std::thread> pool;
-    for (unsigned i = 1; i < threads; i++)
-        pool.emplace_back(worker);
-    worker();
-    for (auto &th : pool)
-        th.join();
+    util::parallelFor(ciphers.size() + rates.size(), threads,
+                      [&](size_t t) {
+                          if (t < ciphers.size()) {
+                              population(t);
+                              return;
+                          }
+                          size_t i = t - ciphers.size();
+                          results[i] = composeServerSim(
+                              rates[i], params, population(pop_of[i]));
+                      });
     return results;
 }
 

@@ -159,7 +159,7 @@ ServerSimResult runServerSim(const ServerRates &rates,
 
 /**
  * Run one simulation per entry of @p rates on a pool of @p threads
- * workers (0 = hardware concurrency, capped at the cell count).
+ * workers (0 = hardware concurrency; see util::parallelFor).
  * Results are written into pre-assigned slots, so the returned vector
  * is ordered exactly like @p rates for any thread count — the same
  * determinism contract as driver::runCells.

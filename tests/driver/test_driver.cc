@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cstdio>
 #include <fstream>
 #include <set>
 #include <sstream>
@@ -18,6 +19,7 @@
 
 #include "driver/grids.hh"
 #include "driver/json.hh"
+#include "driver/procpool.hh"
 #include "driver/sweep.hh"
 #include "driver/trace.hh"
 
@@ -106,10 +108,11 @@ TEST(Driver, ResultsAreOrderedAndThreadCountInvariant)
     spec.variants = {KernelVariant::BaselineRot};
     spec.models = {MachineConfig::fourWide(), MachineConfig::dataflow()};
 
-    spec.threads = 1;
-    auto serial = driver::runSweep(spec);
-    spec.threads = 8;
-    auto parallel = driver::runSweep(spec);
+    driver::SweepOptions options;
+    options.threads = 1;
+    auto serial = driver::runSweep(spec, options);
+    options.threads = 8;
+    auto parallel = driver::runSweep(spec, options);
 
     ASSERT_EQ(serial.size(), 4u);
     ASSERT_EQ(parallel.size(), serial.size());
@@ -132,6 +135,42 @@ TEST(Driver, ResultsAreOrderedAndThreadCountInvariant)
                   parallel[i].stats.mispredicts);
         EXPECT_EQ(serial[i].stats.l1.misses, parallel[i].stats.l1.misses);
     }
+}
+
+TEST(Driver, RecordsLeadTheQueue)
+{
+    // Each group's first cell records its kernel, so the thread pool
+    // hands out every group's first cell before any group's second
+    // one. With one worker the journal shows the queue order.
+    const auto rc4 = crypto::CipherId::RC4;
+    const auto bf = crypto::CipherId::Blowfish;
+    const auto rot = KernelVariant::BaselineRot;
+    const auto opt = KernelVariant::Optimized;
+    const std::vector<SweepCell> cells = {
+        {rc4, rot, MachineConfig::fourWide()},
+        {rc4, rot, MachineConfig::dataflow()},
+        {bf, rot, MachineConfig::fourWide()},
+        {bf, rot, MachineConfig::dataflow()},
+        {rc4, opt, MachineConfig::fourWide()},
+    };
+    const std::string path =
+        ::testing::TempDir() + "journal_records_lead.bin";
+    std::remove(path.c_str());
+
+    driver::SweepOptions options;
+    options.threads = 1;
+    options.journalPath = path;
+    auto results = driver::runCells(cells, options);
+    for (const auto &r : results)
+        EXPECT_TRUE(r.ok()) << r.message;
+
+    driver::SweepJournal journal;
+    journal.open(path, driver::gridFingerprint(cells), cells.size());
+    std::vector<uint32_t> order;
+    for (const auto &rec : journal.loadedRecords())
+        order.push_back(rec.first);
+    EXPECT_EQ(order, (std::vector<uint32_t>{0, 2, 4, 1, 3}));
+    std::remove(path.c_str());
 }
 
 TEST(Driver, FindResultThrowsOnMissingCell)
