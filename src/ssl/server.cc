@@ -2,8 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <mutex>
-#include <queue>
+#include <memory>
 #include <stdexcept>
 
 #include "util/parallel.hh"
@@ -109,15 +108,18 @@ class ChainState
 
 /**
  * One cipher's session population: everything a simulation draws from
- * its RNG, plus the chain pass over it. It depends only on the cipher
- * and the params, so every machine model composes from the same one.
+ * its RNG, including each session's chain IV and the chain cipher's
+ * key. It depends only on the cipher and the params, so every machine
+ * model composes from the same one.
  */
 struct Population
 {
+    std::unique_ptr<crypto::BlockCipher> chainCipher; ///< null: stream
+    unsigned blockBytes = 0;
     std::vector<uint64_t> bytes;
     std::vector<uint8_t> requests; ///< in [1, 64]
     std::vector<uint8_t> resumed;
-    uint64_t chainDigest = 0;
+    std::vector<uint64_t> iv; ///< chain IV per session
     uint64_t resumedCount = 0;
 };
 
@@ -128,24 +130,33 @@ checkParams(const ServerSimParams &params)
         throw std::invalid_argument("server sim: sessions must be > 0");
     if (params.servers == 0)
         throw std::invalid_argument("server sim: servers must be > 0");
+    if (params.minBytes > params.maxBytes)
+        throw std::invalid_argument(
+            "server sim: minBytes must be <= maxBytes");
+    for (double load : params.loadFactors)
+        if (!std::isfinite(load) || load <= 0)
+            throw std::invalid_argument(
+                "server sim: load factors must be finite and > 0");
 }
 
+/** The serial RNG draw: one Xorshift64 stream per population. */
 Population
 drawPopulation(crypto::CipherId cipher, const ServerSimParams &params)
 {
     const auto &info = crypto::cipherInfo(cipher);
-    std::unique_ptr<crypto::BlockCipher> chain_cipher;
+    Population pop;
+    pop.blockBytes = info.blockBytes;
     Xorshift64 rng(params.seed);
     if (!info.isStream) {
-        chain_cipher = crypto::makeBlockCipher(cipher);
-        chain_cipher->setKey(rng.bytes(info.keyBits / 8));
+        pop.chainCipher = crypto::makeBlockCipher(cipher);
+        pop.chainCipher->setKey(rng.bytes(info.keyBits / 8));
     }
 
     const uint64_t n = params.sessions;
-    Population pop;
     pop.bytes.resize(n);
     pop.requests.resize(n);
     pop.resumed.resize(n);
+    pop.iv.resize(n);
     for (uint64_t i = 0; i < n; i++) {
         bool resumed = rng.nextDouble() < params.resumedFraction;
         pop.resumed[i] = resumed;
@@ -155,63 +166,90 @@ drawPopulation(crypto::CipherId cipher, const ServerSimParams &params)
         double b = std::exp2(log2b);
         b = std::clamp(b, static_cast<double>(params.minBytes),
                        static_cast<double>(params.maxBytes));
-        uint64_t bytes = static_cast<uint64_t>(b);
-        uint32_t requests =
-            requestCount(rng, params.meanRequestsPerSession);
-        pop.bytes[i] = bytes;
-        pop.requests[i] = static_cast<uint8_t>(requests);
-
-        // CBC chaining state carried across the session's requests:
-        // each boundary advances the running chain block, no fresh IV
-        // or key schedule mid-session.
-        ChainState chain(chain_cipher.get(), info.blockBytes, rng.next());
-        uint64_t per_req = bytes / requests, extra = bytes % requests;
-        for (uint32_t r = 0; r < requests; r++)
-            chain.absorbRequest(per_req + (r < extra ? 1 : 0));
-        pop.chainDigest ^= splitmix64(chain.fold()
-                                      ^ (i * 0x9E3779B97F4A7C15ull));
+        pop.bytes[i] = static_cast<uint64_t>(b);
+        pop.requests[i] = static_cast<uint8_t>(
+            requestCount(rng, params.meanRequestsPerSession));
+        pop.iv[i] = rng.next();
     }
     return pop;
 }
 
-/** Service times and aggregates from @p rates, then the load pass. */
-ServerSimResult
-composeServerSim(const ServerRates &rates, const ServerSimParams &params,
-                 const Population &pop)
+/**
+ * XOR of the digest terms of sessions [begin, end). Each term depends
+ * only on its own session, so any split of the population into chunks
+ * folds to the same digest.
+ */
+uint64_t
+chainFold(const Population &pop, uint64_t begin, uint64_t end)
+{
+    uint64_t digest = 0;
+    for (uint64_t i = begin; i < end; i++) {
+        // CBC chaining state carried across the session's requests:
+        // each boundary advances the running chain block, no fresh IV
+        // or key schedule mid-session.
+        ChainState chain(pop.chainCipher.get(), pop.blockBytes, pop.iv[i]);
+        uint32_t requests = pop.requests[i];
+        uint64_t per_req = pop.bytes[i] / requests;
+        uint64_t extra = pop.bytes[i] % requests;
+        for (uint32_t r = 0; r < requests; r++)
+            chain.absorbRequest(per_req + (r < extra ? 1 : 0));
+        digest ^= splitmix64(chain.fold() ^ (i * 0x9E3779B97F4A7C15ull));
+    }
+    return digest;
+}
+
+/** One session's service cycles, split the way Figure 2 splits them. */
+struct SessionCost
+{
+    double handshake, setup, bulk, other;
+
+    double
+    service() const
+    {
+        return handshake + setup + bulk + other;
+    }
+};
+
+SessionCost
+sessionCost(const ServerRates &rates, const ServerSimParams &params,
+            const Population &pop, uint64_t i)
+{
+    double bytes = static_cast<double>(pop.bytes[i]);
+    uint32_t requests = pop.requests[i];
+    // Resumed sessions skip the RSA private op but still derive fresh
+    // session keys (the full key schedule); follow-on requests ride the
+    // kept-alive connection at a fraction of the first request's
+    // overhead.
+    return {pop.resumed[i] ? 0.0 : rates.serverHandshakeCycles,
+            rates.keySetupCycles,
+            rates.prologueCycles * requests + rates.cyclesPerByte * bytes,
+            rates.requestOverheadCycles
+                    * (1.0 + params.keepAliveFactor * (requests - 1))
+                + rates.perByteOverheadCycles * bytes};
+}
+
+/**
+ * Population aggregates of one cell into @p res, summed in session
+ * order; returns the total service cycles the load passes bill.
+ */
+double
+aggregateCell(const ServerRates &rates, const ServerSimParams &params,
+              const Population &pop, ServerSimResult &res)
 {
     const uint64_t n = params.sessions;
-    ServerSimResult res;
     res.sessions = n;
     res.servers = params.servers;
 
-    // --- population pass: compose every session's service ---
-    std::vector<double> service(n);
     double handshake_sum = 0, setup_sum = 0, bulk_sum = 0, other_sum = 0;
     double bytes_sum = 0, requests_sum = 0;
-
     for (uint64_t i = 0; i < n; i++) {
-        uint64_t bytes = pop.bytes[i];
-        uint32_t requests = pop.requests[i];
-        // Resumed sessions skip the RSA private op but still derive
-        // fresh session keys (the full key schedule); follow-on
-        // requests ride the kept-alive connection at a fraction of
-        // the first request's overhead.
-        double handshake =
-            pop.resumed[i] ? 0.0 : rates.serverHandshakeCycles;
-        double setup = rates.keySetupCycles;
-        double bulk = rates.prologueCycles * requests
-            + rates.cyclesPerByte * static_cast<double>(bytes);
-        double other = rates.requestOverheadCycles
-                * (1.0 + params.keepAliveFactor * (requests - 1))
-            + rates.perByteOverheadCycles * static_cast<double>(bytes);
-        service[i] = handshake + setup + bulk + other;
-
-        handshake_sum += handshake;
-        setup_sum += setup;
-        bulk_sum += bulk;
-        other_sum += other;
-        bytes_sum += static_cast<double>(bytes);
-        requests_sum += requests;
+        SessionCost c = sessionCost(rates, params, pop, i);
+        handshake_sum += c.handshake;
+        setup_sum += c.setup;
+        bulk_sum += c.bulk;
+        other_sum += c.other;
+        bytes_sum += static_cast<double>(pop.bytes[i]);
+        requests_sum += pop.requests[i];
     }
 
     double total = handshake_sum + setup_sum + bulk_sum + other_sum;
@@ -224,58 +262,64 @@ composeServerSim(const ServerRates &rates, const ServerSimParams &params,
     res.setupFraction = setup_sum / total;
     res.bulkFraction = bulk_sum / total;
     res.otherFraction = other_sum / total;
-    res.chainDigest = pop.chainDigest;
+    res.points.resize(params.loadFactors.size());
+    return total;
+}
 
-    // --- load pass: FCFS M/G/c queue per offered-load factor ---
+/**
+ * One offered-load factor of one cell: FCFS M/G/c queue over the
+ * population, service times recomputed per session.
+ */
+ServerLoadPoint
+loadPoint(const ServerRates &rates, const ServerSimParams &params,
+          const Population &pop, double mean_service, double total,
+          size_t li)
+{
+    const uint64_t n = params.sessions;
+    double load = params.loadFactors[li];
+    // Capacity is servers/meanService sessions per cycle; the offered
+    // rate scales it by the load factor.
+    double lambda = load * params.servers / mean_service;
+    Xorshift64 arng(params.seed + 0x9E3779B97F4A7C15ull * (li + 1));
+
+    // Each arrival takes the earliest-free core; equal free times are
+    // interchangeable, so which of them it takes cannot change a value.
+    std::vector<double> free_at(params.servers, 0.0);
     std::vector<double> latency(n);
-    for (size_t li = 0; li < params.loadFactors.size(); li++) {
-        double load = params.loadFactors[li];
-        // Capacity is servers/meanService sessions per cycle; the
-        // offered rate scales it by the load factor.
-        double lambda = load * params.servers / res.meanServiceCycles;
-        Xorshift64 arng(params.seed
-                        + 0x9E3779B97F4A7C15ull * (li + 1));
-
-        std::priority_queue<double, std::vector<double>,
-                            std::greater<double>>
-            free_at;
-        for (unsigned s = 0; s < params.servers; s++)
-            free_at.push(0.0);
-
-        double t = 0, makespan = 0;
-        for (uint64_t i = 0; i < n; i++) {
-            t += expSample(arng, 1.0 / lambda);
-            double f = free_at.top();
-            free_at.pop();
-            double start = std::max(t, f);
-            double done = start + service[i];
-            free_at.push(done);
-            latency[i] = done - t;
-            makespan = std::max(makespan, done);
-        }
-
-        ServerLoadPoint pt;
-        pt.loadFactor = load;
-        pt.offeredPerGcycle = lambda * 1e9;
-        pt.achievedPerGcycle = static_cast<double>(n) / makespan * 1e9;
-        pt.utilization = total / (params.servers * makespan);
-        double mean = 0;
-        for (double l : latency)
-            mean += l;
-        pt.meanCycles = mean / static_cast<double>(n);
-        auto pct = [&](double q) {
-            size_t k = static_cast<size_t>(
-                q * static_cast<double>(n - 1));
-            std::nth_element(latency.begin(), latency.begin() + k,
-                             latency.end());
-            return latency[k];
-        };
-        pt.p50Cycles = pct(0.50);
-        pt.p95Cycles = pct(0.95);
-        pt.p99Cycles = pct(0.99);
-        res.points.push_back(pt);
+    double t = 0, makespan = 0;
+    for (uint64_t i = 0; i < n; i++) {
+        t += expSample(arng, 1.0 / lambda);
+        auto core = std::min_element(free_at.begin(), free_at.end());
+        double start = std::max(t, *core);
+        double done = start + sessionCost(rates, params, pop, i).service();
+        *core = done;
+        latency[i] = done - t;
+        makespan = std::max(makespan, done);
     }
-    return res;
+
+    ServerLoadPoint pt;
+    pt.loadFactor = load;
+    pt.offeredPerGcycle = lambda * 1e9;
+    pt.achievedPerGcycle = static_cast<double>(n) / makespan * 1e9;
+    pt.utilization = total / (params.servers * makespan);
+    double mean = 0;
+    for (double l : latency)
+        mean += l;
+    pt.meanCycles = mean / static_cast<double>(n);
+    // Each selection leaves every larger latency at or after its index,
+    // so the next, higher percentile is selected within that suffix.
+    size_t from = 0;
+    auto pct = [&](double q) {
+        size_t k = static_cast<size_t>(q * static_cast<double>(n - 1));
+        std::nth_element(latency.begin() + from, latency.begin() + k,
+                         latency.end());
+        from = k;
+        return latency[k];
+    };
+    pt.p50Cycles = pct(0.50);
+    pt.p95Cycles = pct(0.95);
+    pt.p99Cycles = pct(0.99);
+    return pt;
 }
 
 } // namespace
@@ -283,9 +327,7 @@ composeServerSim(const ServerRates &rates, const ServerSimParams &params,
 ServerSimResult
 runServerSim(const ServerRates &rates, const ServerSimParams &params)
 {
-    checkParams(params);
-    return composeServerSim(rates, params,
-                            drawPopulation(rates.cipher, params));
+    return runServerSims({rates}, params, 1).front();
 }
 
 std::vector<ServerSimResult>
@@ -307,28 +349,48 @@ runServerSims(const std::vector<ServerRates> &rates,
         if (it == ciphers.end())
             ciphers.push_back(rates[i].cipher);
     }
-    std::vector<Population> pops(ciphers.size());
-    std::vector<std::once_flag> drawn(ciphers.size());
-    auto population = [&](size_t p) -> const Population & {
-        std::call_once(drawn[p],
-                       [&] { pops[p] = drawPopulation(ciphers[p], params); });
-        return pops[p];
-    };
 
-    // One queue: the draws first, so distinct ciphers draw in parallel,
-    // then the cells, each waiting only on its own cipher's draw.
-    // Pre-assigned result slots: worker scheduling cannot reorder or
-    // interleave output, so any thread count yields identical results.
-    util::parallelFor(ciphers.size() + rates.size(), threads,
-                      [&](size_t t) {
-                          if (t < ciphers.size()) {
-                              population(t);
-                              return;
-                          }
-                          size_t i = t - ciphers.size();
-                          results[i] = composeServerSim(
-                              rates[i], params, population(pop_of[i]));
-                      });
+    // Three phases, each writing pre-assigned slots, so any thread
+    // count yields identical results. Phase 1: the RNG draws, one
+    // serial stream per cipher.
+    std::vector<Population> pops(ciphers.size());
+    util::parallelFor(ciphers.size(), threads, [&](size_t p) {
+        pops[p] = drawPopulation(ciphers[p], params);
+    });
+
+    // Phase 2: the chain pass in fixed chunks, each folding into its
+    // own slot, then every cell's aggregates.
+    const uint64_t n = params.sessions;
+    const size_t chunks = (n + chain_chunk_sessions - 1)
+        / chain_chunk_sessions;
+    const size_t chain_tasks = ciphers.size() * chunks;
+    std::vector<uint64_t> folds(chain_tasks);
+    std::vector<double> totals(rates.size());
+    util::parallelFor(chain_tasks + rates.size(), threads, [&](size_t t) {
+        if (t < chain_tasks) {
+            uint64_t begin = (t % chunks) * chain_chunk_sessions;
+            folds[t] = chainFold(pops[t / chunks], begin,
+                                 std::min(n, begin + chain_chunk_sessions));
+            return;
+        }
+        size_t i = t - chain_tasks;
+        totals[i] = aggregateCell(rates[i], params, pops[pop_of[i]],
+                                  results[i]);
+    });
+    for (size_t i = 0; i < rates.size(); i++)
+        for (size_t c = 0; c < chunks; c++)
+            results[i].chainDigest ^= folds[pop_of[i] * chunks + c];
+    for (auto &pop : pops)
+        std::vector<uint64_t>().swap(pop.iv); // read by the chain only
+
+    // Phase 3: one task per (cell, load factor).
+    const size_t loads = params.loadFactors.size();
+    util::parallelFor(rates.size() * loads, threads, [&](size_t t) {
+        size_t i = t / loads, li = t % loads;
+        results[i].points[li] =
+            loadPoint(rates[i], params, pops[pop_of[i]],
+                      results[i].meanServiceCycles, totals[i], li);
+    });
     return results;
 }
 

@@ -41,10 +41,11 @@
  * saturation (load > 1) achieved throughput pins at capacity while
  * the percentiles diverge, which is the curve shape the bench plots.
  *
- * Everything is deterministic: one Xorshift64 stream per simulation,
- * sequential event loop, and the grid runner writes results into
- * pre-assigned slots so output is identical for any worker-thread
- * count.
+ * Everything is deterministic for any worker-thread count. Each
+ * population comes from one serial Xorshift64 stream; the chain pass
+ * runs in fixed chunks whose XOR folds combine in any order; each
+ * (cell, load factor) event loop runs serially in its own task; and
+ * every task writes a pre-assigned slot.
  */
 
 #ifndef CRYPTARCH_SSL_SERVER_HH
@@ -78,6 +79,13 @@ struct ServerRates
     double requestOverheadCycles = 500e3; ///< parsing/socket/scheduling
     double perByteOverheadCycles = 4.0;   ///< copy/checksum per byte
 };
+
+/**
+ * Sessions per chain-pass task. A fixed constant, not a knob: the
+ * chain digest is an order-independent XOR fold, so the chunking never
+ * shows in a result.
+ */
+constexpr uint64_t chain_chunk_sessions = 4096;
 
 /** Shape of the simulated session population and server. */
 struct ServerSimParams
@@ -147,30 +155,36 @@ struct ServerSimResult
 };
 
 /**
- * Run one server simulation. Sequential and deterministic: identical
+ * Run one server simulation, serially on the calling thread: the same
+ * code as runServerSims({rates}, params, 1). Deterministic: identical
  * (rates, params) always produce an identical result, including the
  * chain digest.
  *
- * @throws std::invalid_argument if params.sessions or params.servers
- * is 0.
+ * @throws std::invalid_argument as runServerSims.
  */
 ServerSimResult runServerSim(const ServerRates &rates,
                              const ServerSimParams &params);
 
 /**
- * Run one simulation per entry of @p rates on a pool of @p threads
- * workers (0 = hardware concurrency; see util::parallelFor).
- * Results are written into pre-assigned slots, so the returned vector
- * is ordered exactly like @p rates for any thread count — the same
- * determinism contract as driver::runCells.
+ * Run one simulation per entry of @p rates on @p threads workers
+ * (0 = hardware concurrency; see util::parallelFor), in three phases:
  *
- * The session population (sizes, requests, resumption and the chain
- * pass) depends only on the cipher and @p params, so it is drawn once
- * per distinct cipher per call and every entry with that cipher
- * composes from it. Each result equals runServerSim(rates[i], params).
+ *  1. one serial RNG draw per distinct cipher: sizes, requests,
+ *     resumption and chain IVs. It depends only on the cipher and
+ *     @p params, so every entry with that cipher composes from it;
+ *  2. the chain pass in chunks of chain_chunk_sessions, alongside one
+ *     aggregate task per entry (means and Figure 2 fractions, summed in
+ *     session order);
+ *  3. one event-loop task per (entry, load factor).
+ *
+ * Every task writes a pre-assigned slot, so the returned vector is
+ * ordered exactly like @p rates and is bit-identical for any thread
+ * count — the same determinism contract as driver::runCells. Each
+ * result equals runServerSim(rates[i], params).
  *
  * @throws std::invalid_argument if params.sessions or params.servers
- * is 0.
+ * is 0, if params.minBytes > params.maxBytes, or if a load factor is
+ * not finite and > 0.
  */
 std::vector<ServerSimResult>
 runServerSims(const std::vector<ServerRates> &rates,
