@@ -33,7 +33,6 @@ main(int argc, char **argv)
 {
     using namespace cryptarch;
     using namespace cryptarch::bench;
-    using sim::MachineConfig;
 
     auto variant = kernels::KernelVariant::BaselineRot;
     const char *labels[] = {"Alias", "Branch", "Issue", "Mem",
@@ -41,18 +40,8 @@ main(int argc, char **argv)
     const char *models[] = {"DF+Alias", "DF+Branch", "DF+Issue",
                             "DF+Mem",   "DF+Res",    "DF+Window", "4W"};
 
-    driver::SweepSpec spec;
-    spec.ciphers = allCiphers();
-    spec.variants = {variant};
-    spec.models = {MachineConfig::dataflow(),
-                   MachineConfig::dfPlusAlias(),
-                   MachineConfig::dfPlusBranch(),
-                   MachineConfig::dfPlusIssue(),
-                   MachineConfig::dfPlusMem(),
-                   MachineConfig::dfPlusResources(),
-                   MachineConfig::dfPlusWindow(),
-                   MachineConfig::fourWide()};
-    auto results = driver::runSweep(spec, sweepOptions(argc, argv));
+    auto results =
+        driver::runSweep(driver::fig05Spec(), sweepOptions(argc, argv));
 
     std::printf("Figure 5. Analysis of Bottlenecks in Cipher Kernels\n"
                 "(performance relative to the dataflow machine; "

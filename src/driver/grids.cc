@@ -19,6 +19,23 @@ fig04Spec()
     return spec;
 }
 
+SweepSpec
+fig05Spec()
+{
+    SweepSpec spec;
+    spec.ciphers = allCiphers();
+    spec.variants = {KernelVariant::BaselineRot};
+    spec.models = {MachineConfig::dataflow(),
+                   MachineConfig::dfPlusAlias(),
+                   MachineConfig::dfPlusBranch(),
+                   MachineConfig::dfPlusIssue(),
+                   MachineConfig::dfPlusMem(),
+                   MachineConfig::dfPlusResources(),
+                   MachineConfig::dfPlusWindow(),
+                   MachineConfig::fourWide()};
+    return spec;
+}
+
 std::vector<SweepCell>
 fig10Cells()
 {

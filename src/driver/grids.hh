@@ -23,6 +23,13 @@ namespace cryptarch::driver
 SweepSpec fig04Spec();
 
 /**
+ * Figure 5: all ciphers, BaselineRot kernels, on DF and on DF with one
+ * bottleneck re-inserted (DF+Alias, DF+Branch, DF+Issue, DF+Mem,
+ * DF+Res, DF+Window), plus 4W ("All"). One functional pass per cipher.
+ */
+SweepSpec fig05Spec();
+
+/**
  * Figure 10: per cipher, the five bars — BaselineNoRot on 4W,
  * Optimized on 4W/4W+/8W+/DF — plus the BaselineRot/4W normalization
  * baseline. Three functional passes per cipher (one per variant).

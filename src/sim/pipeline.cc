@@ -179,27 +179,46 @@ OooScheduler::issueOf(const DynInst &inst, Cycle ready, unsigned &lat,
     // are stored once on exit: every stall slot is written at most
     // once per instruction, which is what lets emit() leave the
     // vector uninitialized outside recorded-timeline windows.
-    Cycle cycle = ready;
     uint64_t slotWait = 0;
     uint64_t fuWait = 0;
     Cycle slotAt;
-    while (true) {
-        slotAt = issueSlots.nextFree(cycle);
-        slotWait += slotAt - cycle;
-        issueSlots.bookProbed(slotAt);
-        if (!fu || fu->tryBook(slotAt, units))
-            break;
-        issueSlots.unbook(slotAt);
-        fuWait++;
-        // Forward-progress watchdog: fuWait counts exactly the failed
-        // unit bookings, so the uncontended path pays nothing and a
-        // contended retry pays one compare. An unsatisfiable pool
-        // (units can never fit the capacity) turns into a typed trap
-        // instead of an infinite loop.
-        if (fuWait > progressBudgetBase + 8 * instIndex) [[unlikely]]
-            throwNoProgress(inst, ready, slotAt, fuCause, slotWait,
-                            fuWait);
-        cycle = slotAt + 1;
+    if (!issueSlots.limited()
+        && (!fu || !fu->limited() || units <= fu->capacity())) {
+        // Unlimited issue width (the DF isolation models): every cycle
+        // has a slot, so the joint race reduces to the unit pool's
+        // first free cycle, found in one scan. fuWait is the number of
+        // cycles the loop below would have failed to book, and the
+        // watchdog keeps that loop's trip point (failed booking
+        // limit + 1, at cycle ready + limit). A pool the units fit
+        // cannot reach it today — each failed cycle holds an earlier
+        // instruction's booking, so fuWait <= instIndex — but the
+        // bound must not depend on that argument staying true.
+        slotAt = fu ? fu->reserve(ready, units) : ready;
+        fuWait = slotAt - ready;
+        const uint64_t limit = progressBudgetBase + 8 * instIndex;
+        if (fuWait > limit) [[unlikely]]
+            throwNoProgress(inst, ready, ready + limit, fuCause, 0,
+                            limit + 1);
+    } else {
+        Cycle cycle = ready;
+        while (true) {
+            slotAt = issueSlots.nextFree(cycle);
+            slotWait += slotAt - cycle;
+            issueSlots.bookProbed(slotAt);
+            if (!fu || fu->tryBook(slotAt, units))
+                break;
+            issueSlots.unbook(slotAt);
+            fuWait++;
+            // Forward-progress watchdog: fuWait counts exactly the
+            // failed unit bookings, so the uncontended path pays
+            // nothing and a contended retry pays one compare. An
+            // unsatisfiable pool (units can never fit the capacity)
+            // turns into a typed trap instead of an infinite loop.
+            if (fuWait > progressBudgetBase + 8 * instIndex) [[unlikely]]
+                throwNoProgress(inst, ready, slotAt, fuCause, slotWait,
+                                fuWait);
+            cycle = slotAt + 1;
+        }
     }
     if (slotWait) {
         stall[static_cast<size_t>(StallCause::IssueSlot)] = slotWait;

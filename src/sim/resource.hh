@@ -43,6 +43,27 @@
  * no zeroing pass — and the window only needs to cover the span
  * between the lowest live booking and the highest probed cycle (the
  * max in-flight latency for well-behaved callers).
+ *
+ * Two more invariants let the unlimited-window models skip work whose
+ * outcome is already known (the DF+Res and DF+Issue replays otherwise
+ * rescan the same cycles over and over):
+ *
+ *  3. Swept floor. Every cell below `swept` (where the last sweep
+ *     ended) was zeroed by a sweep, so a cell below it exists only if
+ *     touch() created it since — and touch() records exactly those in
+ *     `belowSwept`. The next sweep zeroes the recorded cells and scans
+ *     only [max(minExist, swept), end) linearly, instead of re-zeroing
+ *     the whole span from the lowest phantom probe up; it removes the
+ *     same cells and leaves the same entry count.
+ *
+ *  4. Full run. Every cell in [runLo, runHi) holds count >= capacity,
+ *     so no unit count fits there. Unit-1 scans establish it (each
+ *     cycle they pass is full), and nothing un-fills a cell except a
+ *     sweep, which trims the run, and unbook(), which only undoes a
+ *     tryBook that succeeded on a cell that was not full. nextFree()
+ *     jumps over the run without touching it: a full cell already
+ *     holds a booking and so already exists, so touch() would change
+ *     nothing there.
  */
 
 #ifndef CRYPTARCH_SIM_RESOURCE_HH
@@ -88,15 +109,17 @@ class CycleResource
      * terminates at the first cycle past the highest existing entry,
      * whose cell necessarily reads zero. @p units must fit the
      * capacity (the reference loop diverges otherwise too).
+     *
+     * Past the first probe, cycles in the known-full run are skipped
+     * without a touch (they already exist), and a unit-1 scan adds
+     * what it passed to the run (scanPast).
      */
     Cycle
     nextFree(Cycle cycle, unsigned units = 1)
     {
-        if (cap == unlimited)
+        if (cap == unlimited || touch(cycle) + units <= cap)
             return cycle;
-        while (touch(cycle) + units > cap)
-            ++cycle;
-        return cycle;
+        return scanPast(cycle, units);
     }
 
     /** True when @p units fit at @p cycle without booking them. */
@@ -175,12 +198,24 @@ class CycleResource
         if (minExist >= horizon)
             return;
         Cycle end = horizon < hiCycle ? horizon : hiCycle;
+        // Below the swept floor only recorded cells exist: zero those
+        // below end and keep the rest (a horizon that stepped back).
+        size_t removed = 0;
+        size_t kept = 0;
+        for (Cycle r : belowSwept) {
+            if (r < end) {
+                cells[r & mask] = 0;
+                ++removed;
+            } else {
+                belowSwept[kept++] = r;
+            }
+        }
+        belowSwept.resize(kept);
         // The swept cycles are contiguous ring positions (modulo at
         // most one wrap), so sweep them as raw spans — the count-and-
         // zero loop then vectorizes instead of paying a mask and a
         // branch per cycle.
-        size_t removed = 0;
-        Cycle c = minExist;
+        Cycle c = minExist > swept ? minExist : swept;
         while (c < end) {
             size_t pos = c & mask;
             size_t span = cells.size() - pos;
@@ -195,6 +230,13 @@ class CycleResource
         }
         entries -= removed;
         minExist = horizon;
+        if (end > swept)
+            swept = end;
+        // Every cell below end now reads zero.
+        if (runHi <= end)
+            runLo = runHi = 0;
+        else if (runLo < end)
+            runLo = end;
     }
 
     bool limited() const { return cap != unlimited; }
@@ -215,10 +257,14 @@ class CycleResource
   private:
     static constexpr uint32_t exists_bit = 0x80000000u;
     static constexpr uint32_t count_mask = exists_bit - 1;
-    /** First-allocation window size. Sized so that a scheduler-paced
-     *  resource (one entry per cycle, swept every prune_threshold
-     *  entries plus the in-flight overshoot) almost never regrows:
-     *  warm-up rebuilds otherwise show up in replay profiles. */
+    /** First-allocation window size. Sized so that a resource whose
+     *  probes stay near the retirement frontier (one entry per cycle,
+     *  swept every prune_threshold entries plus the in-flight
+     *  overshoot) almost never regrows: warm-up rebuilds otherwise
+     *  show up in replay profiles. Unlimited-window models do regrow —
+     *  their phantom probes reach back toward cycle 0, so the window
+     *  grows to the whole cycle span (a 64 KB 3DES DF+Res replay
+     *  regrows its resources' windows 20 times in all). */
     static constexpr size_t initial_cells = 16384;
     /** Entry-count gate before retireBefore sweeps — the reference
      *  map's amortization threshold, load-bearing for erase timing. */
@@ -238,9 +284,10 @@ class CycleResource
 
     /**
      * Ensure @p cycle has a cell inside the window, mark it existing
-     * (map::operator[]), and return its current count.
+     * (map::operator[]), and return its current count. Every probe
+     * runs this, so it is forced inline into the scheduler's loops.
      */
-    unsigned
+    [[gnu::always_inline]] unsigned
     touch(Cycle cycle)
     {
         // Single window check (see countAt): below-base wraps, empty
@@ -250,6 +297,8 @@ class CycleResource
         uint32_t &v = cells[cycle & mask];
         if (!(v & exists_bit)) {
             v = exists_bit;
+            if (cycle < swept) [[unlikely]]
+                belowSwept.push_back(cycle);
             if (entries == 0 || cycle < minExist)
                 minExist = cycle;
             ++entries;
@@ -257,6 +306,44 @@ class CycleResource
                 hiCycle = cycle + 1;
         }
         return v & count_mask;
+    }
+
+    /**
+     * nextFree() after its first probe, at @p full, failed: the rest
+     * of the scan, kept out of line so the common one-probe call stays
+     * small enough to inline into the scheduler's issue loop.
+     */
+    [[gnu::noinline]] Cycle
+    scanPast(Cycle full, unsigned units)
+    {
+        Cycle cycle = full + 1;
+        // One unsigned compare: cycle < runLo wraps past the run size.
+        if (cycle - runLo < runHi - runLo)
+            cycle = runHi;
+        while (touch(cycle) + units > cap) {
+            if (++cycle == runLo)
+                cycle = runHi;
+        }
+        if (units == 1)
+            noteFull(full, cycle);
+        return cycle;
+    }
+
+    /** Record that every cycle in [@p from, @p to) is full: merge
+     *  with the run when the two overlap or touch, else keep the
+     *  longer of the two. */
+    void
+    noteFull(Cycle from, Cycle to)
+    {
+        if (from <= runHi && to >= runLo) {
+            if (from < runLo)
+                runLo = from;
+            if (to > runHi)
+                runHi = to;
+        } else if (to - from > runHi - runLo) {
+            runLo = from;
+            runHi = to;
+        }
     }
 
     /** Slide or grow the window so @p cycle becomes addressable. */
@@ -326,6 +413,10 @@ class CycleResource
     Cycle hiCycle = 0; ///< one past the highest existing cell
     Cycle minExist = 0; ///< lower bound on the lowest existing cell
     size_t entries = 0; ///< live entry count (reference map size())
+    Cycle swept = 0;    ///< end of the last sweep (invariant 3)
+    std::vector<Cycle> belowSwept; ///< cells created below swept
+    Cycle runLo = 0;    ///< known-full run [runLo, runHi) (invariant 4)
+    Cycle runHi = 0;
 };
 
 } // namespace cryptarch::sim

@@ -172,6 +172,76 @@ twoPlaces(double v)
     return buf;
 }
 
+// EXPERIMENTS.md's Figure 5 table, cell for cell: the fig05 grid, each
+// DF/DF+X ratio formatted "%.2f" exactly as bench/fig05_bottlenecks
+// prints it, plus the exact DF+Res and DF+Issue cycle counts — the two
+// isolation models whose resource scans skip known-full cycles.
+TEST(PaperShapes, Fig05ExperimentsTable)
+{
+    struct Row
+    {
+        CipherId id;
+        std::array<const char *, 7> cells; // Alias .. All
+        uint64_t resCycles;
+        uint64_t issueCycles;
+    };
+    const Row experiments[] = {
+        {CipherId::TripleDES,
+         {"1.00", "1.00", "0.80", "0.98", "0.86", "1.00", "0.79"},
+         360952, 386506},
+        {CipherId::Blowfish,
+         {"1.00", "1.00", "0.97", "0.95", "0.99", "1.00", "0.94"},
+         79381, 80397},
+        {CipherId::IDEA,
+         {"1.00", "1.00", "1.00", "1.00", "1.00", "1.00", "1.00"},
+         157707, 157708},
+        {CipherId::MARS,
+         {"1.00", "1.00", "1.00", "0.97", "1.00", "1.00", "0.97"},
+         77579, 77581},
+        {CipherId::RC4,
+         {"0.33", "1.00", "0.41", "0.98", "0.61", "0.80", "0.28"},
+         13530, 20011},
+        {CipherId::RC6,
+         {"1.00", "1.00", "1.00", "1.00", "1.00", "1.00", "1.00"},
+         67337, 67339},
+        {CipherId::Rijndael,
+         {"1.00", "1.00", "0.52", "0.93", "0.71", "1.00", "0.50"},
+         33790, 46099},
+        {CipherId::Twofish,
+         {"1.00", "1.00", "0.77", "0.94", "0.84", "1.00", "0.73"},
+         56338, 61181},
+    };
+    const std::array<const char *, 7> models = {
+        "DF+Alias", "DF+Branch", "DF+Issue", "DF+Mem",
+        "DF+Res",   "DF+Window", "4W"};
+
+    const auto variant = KernelVariant::BaselineRot;
+    const auto results = driver::runSweep(driver::fig05Spec());
+    for (const auto &row : experiments) {
+        const auto &name = crypto::cipherInfo(row.id).name;
+        const auto &df = driver::findResult(results, row.id, variant, "DF");
+        ASSERT_TRUE(df.ok()) << name << ": " << df.message;
+        for (size_t c = 0; c < models.size(); c++) {
+            const auto &r =
+                driver::findResult(results, row.id, variant, models[c]);
+            ASSERT_TRUE(r.ok()) << name << " " << models[c] << ": "
+                                << r.message;
+            EXPECT_EQ(twoPlaces(static_cast<double>(df.stats.cycles)
+                                / static_cast<double>(r.stats.cycles)),
+                      row.cells[c])
+                << name << " " << models[c];
+        }
+        EXPECT_EQ(driver::findResult(results, row.id, variant, "DF+Res")
+                      .stats.cycles,
+                  row.resCycles)
+            << name;
+        EXPECT_EQ(driver::findResult(results, row.id, variant, "DF+Issue")
+                      .stats.cycles,
+                  row.issueCycles)
+            << name;
+    }
+}
+
 // README's Figure 10 table, cell for cell: the full 4 KB fig10 grid,
 // each speedup formatted "%.2f" exactly as bench/fig10_speedup prints
 // it, plus the Orig/4W and Opt/4W geomean row.

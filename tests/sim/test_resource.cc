@@ -10,10 +10,17 @@
  * joint tryBook/unbook reservations, horizon prunes, deliberate
  * below-horizon probes) and demands every return value and the live
  * entry count agree at every step.
+ *
+ * The ring's two shortcuts — the known-full run nextFree() jumps over
+ * and the incremental sweep above the last sweep's end — only engage
+ * on long densely booked spans probed from far below the frontier,
+ * which the random walk never builds. The dense episodes and the
+ * directed trim test below drive both, shaped like the DF+Res replay.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <random>
 
 #include "cycle_resource_ref.hh"
@@ -182,6 +189,151 @@ TEST(CycleResourceDifferential, EraseGateAndPhantomCapacity)
         ASSERT_EQ(ring.canReserve(c), ref.canReserve(c)) << c;
         ASSERT_FALSE(ring.canReserve(c)) << c; // survived the prune
     }
+}
+
+/**
+ * A DF+Res-shaped episode: an unlimited-issue machine with a finite
+ * unit pool. Most bookings land just below the frontier, so the pool
+ * is booked densely over tens of thousands of cycles; a slice scans
+ * up from anywhere between the prune horizon and the frontier (long
+ * unit-1 scans over full cycles, which build and reuse the full run),
+ * and a slice lands below the horizon (cells created below the last
+ * sweep). Every 4096 bookings the horizon is pruned: monotone, or in
+ * the @p stepBack variant sometimes lowered, so the next sweep must
+ * keep cells recorded above its end. Every returned cycle and entry
+ * count must match the reference.
+ */
+void
+denseEpisode(unsigned cap, uint32_t seed, bool stepBack)
+{
+    std::mt19937 rng(seed);
+    CycleResource ring(cap);
+    CycleResourceRef ref(cap);
+
+    Cycle frontier = 0;
+    Cycle horizon = 0;
+    unsigned sweeps = 0;
+    unsigned belowHorizon = 0;
+    unsigned steppedBack = 0;
+    for (int i = 1; i <= 100000; i++) {
+        Cycle ready;
+        unsigned kind = rng() % 100;
+        if (kind < 3 && horizon > 0) {
+            ready = rng() % horizon;
+            belowHorizon++;
+        } else if (kind < 8) {
+            ready = horizon + rng() % (frontier - horizon + 1);
+        } else {
+            ready = frontier > 8 ? frontier - rng() % 8 : frontier;
+        }
+        const unsigned units = cap > 1 && rng() % 4 == 0 ? cap : 1;
+        const Cycle got = ring.reserve(ready, units);
+        ASSERT_EQ(got, ref.reserve(ready, units))
+            << "reserve(" << ready << ", " << units << ") op " << i;
+        if (got > frontier)
+            frontier = got;
+        ASSERT_EQ(ring.entryCount(), ref.entryCount()) << "op " << i;
+
+        if (i % 4096 == 0) {
+            if (stepBack && rng() % 3 == 0 && horizon > 0) {
+                horizon -= rng() % (std::min<Cycle>(horizon, 3000) + 1);
+                steppedBack++;
+            } else {
+                const Cycle lag = 2000 + rng() % 4000;
+                if (frontier > lag && frontier - lag > horizon)
+                    horizon = frontier - lag;
+            }
+            const size_t before = ring.entryCount();
+            ring.retireBefore(horizon);
+            ref.retireBefore(horizon);
+            ASSERT_EQ(ring.entryCount(), ref.entryCount())
+                << "retireBefore(" << horizon << ") op " << i;
+            sweeps += ring.entryCount() < before;
+        }
+    }
+    // The episode really reached the states it exists for.
+    EXPECT_GT(frontier, 50000u);
+    EXPECT_GT(sweeps, 8u);
+    EXPECT_GT(belowHorizon, 1000u);
+    if (stepBack) {
+        EXPECT_GT(steppedBack, 0u);
+    }
+}
+
+TEST(CycleResourceDifferential, DenseMonotoneHorizonsMatchReference)
+{
+    for (unsigned cap : {1u, 2u})
+        denseEpisode(cap, 0x5EED + cap, false);
+}
+
+TEST(CycleResourceDifferential, DenseSteppedBackHorizonsMatchReference)
+{
+    for (unsigned cap : {1u, 2u})
+        denseEpisode(cap, 0xBAC4 + cap, true);
+}
+
+TEST(CycleResourceDifferential, FullRunTrimmedByPruneAndCellsBelowSweep)
+{
+    CycleResource ring(1);
+    CycleResourceRef ref(1);
+    auto same = [&](const char *what) {
+        ASSERT_EQ(ring.entryCount(), ref.entryCount()) << what;
+    };
+    auto nextFree = [&](Cycle c) {
+        const Cycle got = ring.nextFree(c);
+        EXPECT_EQ(got, ref.nextFree(c)) << "nextFree(" << c << ")";
+        return got;
+    };
+    auto reserve = [&](Cycle c) {
+        const Cycle got = ring.reserve(c);
+        EXPECT_EQ(got, ref.reserve(c)) << "reserve(" << c << ")";
+        return got;
+    };
+    auto prune = [&](Cycle h) {
+        ring.retireBefore(h);
+        ref.retireBefore(h);
+    };
+
+    for (Cycle c = 0; c < 6000; c++)
+        reserve(c);
+    // A unit-1 scan across the whole booked span makes it a full run.
+    EXPECT_EQ(nextFree(0), 6000u);
+    same("after the long scan");
+    // The prune erases the run's lower half: those cycles read free
+    // again (phantom capacity), the upper half is still skipped.
+    prune(3000);
+    same("after the first prune");
+    ASSERT_EQ(ring.entryCount(), 3001u); // 3000..5999 plus probed 6000
+    EXPECT_EQ(nextFree(2999), 2999u);
+    EXPECT_EQ(nextFree(3000), 6000u);
+    EXPECT_EQ(nextFree(100), 100u);
+    same("after probing both sides of the trim");
+    // Cells created below the sweep's end, some of which a stepped-
+    // back sweep must keep.
+    EXPECT_EQ(reserve(1000), 1000u);
+    EXPECT_EQ(reserve(1000), 1001u);
+    EXPECT_EQ(reserve(2500), 2500u);
+    for (Cycle c = 6000; c < 7200; c++)
+        reserve(c);
+    same("before the stepped-back prune");
+    prune(2000); // drops 100, 1000 and 1001; keeps 2500 and 2999
+    same("after the stepped-back prune");
+    EXPECT_TRUE(ring.canReserve(1000));
+    EXPECT_FALSE(ring.canReserve(2500));
+    EXPECT_EQ(nextFree(2400), 2400u);
+    EXPECT_EQ(nextFree(2500), 2501u);
+    for (Cycle c = 7200; c < 9000; c++)
+        reserve(c);
+    // Extend the run over the new bookings, then trim it again.
+    EXPECT_EQ(nextFree(3000), 9000u);
+    prune(6500);
+    same("after the forward prune");
+    ASSERT_EQ(ring.entryCount(), 2501u); // 6500..8999 plus probed 9000
+    EXPECT_TRUE(ring.canReserve(2500));
+    EXPECT_TRUE(ring.canReserve(6499));
+    EXPECT_EQ(nextFree(6400), 6400u);
+    EXPECT_EQ(nextFree(6500), 9000u);
+    same("at the end");
 }
 
 TEST(CycleResourceDifferential, BelowGateNothingIsErased)

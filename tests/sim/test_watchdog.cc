@@ -89,6 +89,60 @@ TEST(Watchdog, BudgetOverrideShortensTheFuse)
     }
 }
 
+/** DF+Res with a 1-slot multiplier pool: issue width unlimited, and
+ *  MULQ's 2 half-slots never fit. */
+MachineConfig
+dfResOneHalfSlot()
+{
+    MachineConfig cfg = MachineConfig::dfPlusResources();
+    cfg.mulHalfSlots = 1;
+    return cfg;
+}
+
+TEST(Watchdog, UnlimitedIssueUnsatisfiablePoolTraps)
+{
+    // The unlimited-issue scheduler finds a unit's first free cycle in
+    // one scan; a pool the units can never fit keeps the probe loop, so
+    // the trap must still fire on a trusted (unvalidated) config.
+    isa::Machine m;
+    sim::OooScheduler sched(dfResOneHalfSlot(), sim::ConfigPolicy::Trusted);
+    try {
+        m.run(mulqProgram(), &sched, 1000);
+        FAIL() << "expected the watchdog to fire";
+    } catch (const isa::Trap &t) {
+        EXPECT_EQ(t.cause(), isa::TrapCause::NoProgress);
+        EXPECT_NE(std::string(t.what()).find("'DF+Res'"),
+                  std::string::npos)
+            << t.what();
+    }
+}
+
+TEST(Watchdog, UnlimitedIssueTripMessageIsPinned)
+{
+    // The stalled-frontier snapshot, byte for byte: the probe the trap
+    // fires at and every count in it are part of the contract. (On the
+    // one-scan path the trap cannot fire: each cycle that fails a unit
+    // already holds an earlier instruction's booking, so the wait never
+    // exceeds the instruction index, let alone the budget.)
+    ASSERT_EQ(sim::progressBudgetOverride(), 0u);
+    sim::setProgressBudgetOverride(16);
+    std::string msg;
+    try {
+        isa::Machine m;
+        sim::simulate(m, mulqProgram(), dfResOneHalfSlot());
+    } catch (const isa::Trap &t) {
+        msg = t.what();
+    }
+    sim::setProgressBudgetOverride(0);
+    EXPECT_EQ(msg,
+              "Machine trap [no-progress]: scheduler made no forward "
+              "progress on model 'DF+Res': seq=10 pc=10 class=IntMult "
+              "blocked on fu_mul (ready cycle 9, probed through cycle "
+              "105: 97 failed unit bookings, 0 issue-slot wait cycles; "
+              "base budget 16, CRYPTARCH_SIM_PROGRESS_BUDGET overrides) "
+              "at pc=10 seq=10");
+}
+
 TEST(Watchdog, AdmissibleMachinesNeverFire)
 {
     // The same MULQ-bearing program completes on every preset: the
