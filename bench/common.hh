@@ -54,14 +54,6 @@ timeKernel(crypto::CipherId id, kernels::KernelVariant variant,
     return driver::recordKernelTrace(id, variant, bytes).replay(cfg);
 }
 
-/** Dynamic instruction count of a kernel run (the 1-CPI machine). */
-inline uint64_t
-countInsts(crypto::CipherId id, kernels::KernelVariant variant,
-           size_t bytes = session_bytes)
-{
-    return driver::recordKernelTrace(id, variant, bytes).instructions();
-}
-
 /**
  * bytes encrypted per 1000 cycles (the paper's Figure 4 metric). The
  * byte count is a required argument: a sweep that varies session

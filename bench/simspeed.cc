@@ -16,8 +16,9 @@
  * artifact is honest: the record-time oracle is reported as its own
  * field instead of inflating record_seconds.
  *
- * Trace footprint is reported two ways: the packed bytes actually
- * stored and the raw DynInst bytes. Results go to BENCH_simspeed.json
+ * Trace footprint is reported two ways: the bytes a RecordedTrace
+ * actually stores (decoded program, taken bits, addresses) and the raw
+ * DynInst bytes. Results go to BENCH_simspeed.json
  * (schema 3, with host-timing extras per result).
  *
  * Usage: simspeed [--quick]
@@ -95,17 +96,12 @@ main(int argc, char **argv)
                 "trace-bytes");
 
     for (auto id : ciphers) {
-        // The untimed warm-up seeds the driver's reserve estimate, so
-        // the timed recording appends into a pre-sized trace — the
-        // same state every tab02-style sweep records in.
-        driver::recordKernelTrace(id, variant, driver::session_bytes,
-                                  kernels::KernelDirection::Encrypt);
         driver::RecordTiming timing = {};
         auto trace = driver::recordKernelTrace(
             id, variant, driver::session_bytes,
             kernels::KernelDirection::Encrypt, &timing);
         const uint64_t insts = trace.instructions();
-        const size_t storedBytes = trace.packed().packedBytes();
+        const size_t storedBytes = trace.storedBytes();
         const size_t rawBytes = insts * sizeof(isa::DynInst);
         totalStored += storedBytes;
         totalRaw += rawBytes;
@@ -157,7 +153,7 @@ main(int argc, char **argv)
     driver::writeBenchJson("BENCH_simspeed.json", "simspeed", results,
                            extras);
     std::printf("\n(Host timing per cell: BENCH_simspeed.json; %zu "
-                "cells; packed traces %.1fx smaller than raw DynInst "
+                "cells; recorded traces %.1fx smaller than raw DynInst "
                 "records.)\n",
                 results.size(),
                 totalStored ? static_cast<double>(totalRaw) / totalStored

@@ -44,7 +44,7 @@ namespace
 
 // ---------------------------------------------------------------------
 // Little-endian byte codec shared by the result payload, the pipe
-// frames, and the journal (the PackedTrace serialization convention).
+// frames, and the journal.
 
 void
 putU16(std::vector<uint8_t> &b, uint16_t v)

@@ -2,9 +2,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <map>
-#include <mutex>
-#include <tuple>
 
 #include "verify/oracle.hh"
 
@@ -16,17 +13,6 @@ namespace
 
 std::atomic<uint64_t> functional_runs{0};
 
-/**
- * First-session instruction-count estimates, keyed by
- * (cipher, variant, direction) — decrypt kernels of the same cipher
- * can differ in dynamic length (extra chaining loads), so direction
- * is part of the key. A kernel's dynamic length is linear in its
- * session bytes, so one observation sizes every later recording's
- * reserve() and the packed columns never regrow mid-record.
- */
-std::mutex estimate_mutex;
-std::map<std::tuple<int, int, int>, double> insts_per_byte;
-
 double
 secondsSince(std::chrono::steady_clock::time_point t0)
 {
@@ -35,34 +21,47 @@ secondsSince(std::chrono::steady_clock::time_point t0)
         .count();
 }
 
+} // namespace
+
 /**
- * The one replay loop. Templated on the sink so replay(cfg) feeds the
- * concrete scheduler directly: each packed decode lands in a
- * register-resident temporary for exactly one emit.
+ * The one replay loop: walk the program from pc 0, start each
+ * instruction from its template, and patch in the recorded remainder.
+ * Templated on the sink so replay(cfg) feeds the concrete scheduler
+ * directly.
  */
 template <class Sink>
 void
-feed(const isa::PackedTrace &packed, Sink &sink)
+RecordedTrace::feed(Sink &sink) const
 {
-    for (auto r = packed.reader(); !r.done();) {
-        const isa::DynInst d = r.next();
-        sink.emit(d);
+    size_t next_taken = 0;
+    size_t next_addr = 0;
+    uint32_t pc = 0;
+    for (uint64_t seq = 0; seq < count_; seq++) {
+        const isa::DecodedInst &d = program_[pc];
+        isa::DynInst inst = d.tmpl;
+        inst.seq = seq;
+        if (inst.isLoad || inst.isStore)
+            inst.addr = addrs_[next_addr++];
+        if (d.conditional && taken_[next_taken++]) {
+            inst.taken = true;
+            inst.nextPc = d.target;
+        }
+        sink.emit(inst);
+        pc = inst.nextPc;
     }
 }
-
-} // namespace
 
 void
 RecordedTrace::replay(isa::TraceSink &sink) const
 {
-    feed(packed_, sink);
+    feed(sink);
 }
 
 sim::SimStats
 RecordedTrace::replay(const sim::MachineConfig &cfg) const
 {
     sim::OooScheduler sched(cfg);
-    feed(packed_, sched);
+    feed(sched);
     return sched.finish();
 }
 
@@ -84,20 +83,7 @@ recordKernelTrace(crypto::CipherId cipher, kernels::KernelVariant variant,
                                       direction);
     const std::vector<uint8_t> image = kernels::toWordImage(cipher, input);
 
-    const auto key = std::make_tuple(static_cast<int>(cipher),
-                                     static_cast<int>(variant),
-                                     static_cast<int>(direction));
-    size_t reserve_insts = 0;
-    {
-        std::lock_guard<std::mutex> lock(estimate_mutex);
-        auto it = insts_per_byte.find(key);
-        if (it != insts_per_byte.end())
-            reserve_insts = static_cast<size_t>(it->second * bytes) + 64;
-    }
-
-    RecordedTrace trace;
-    if (reserve_insts)
-        trace.reserveInsts(reserve_insts);
+    RecordedTrace trace(build.program);
     const double setup_seconds = secondsSince(t_setup);
 
     isa::Machine m;
@@ -110,12 +96,6 @@ recordKernelTrace(crypto::CipherId cipher, kernels::KernelVariant variant,
     const auto t_verify = std::chrono::steady_clock::now();
     verify::verifyKernelOutput(build, m, w.key, w.iv, input, direction);
     const double verify_seconds = secondsSince(t_verify);
-
-    if (bytes > 0) {
-        std::lock_guard<std::mutex> lock(estimate_mutex);
-        insts_per_byte[key] =
-            static_cast<double>(trace.instructions()) / bytes;
-    }
 
     if (timing) {
         timing->setupSeconds = setup_seconds;

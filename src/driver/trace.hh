@@ -12,20 +12,22 @@
  * per kernel instead of one per timing model — the record/replay
  * structure SimpleScalar-style studies exploit.
  *
- * Every stream is stored as one PackedTrace (see isa/packed_trace.hh,
- * ~14 B/inst), in memory only, and every replay is a sequential read
- * of it.
+ * A trace stores only what the program does not fix: the decoded
+ * program (isa::decode), one bit per conditional branch and one u32
+ * address per memory operation, 0.5-2.1 B/inst on the catalog kernels
+ * at 64 KB. It lives in memory only, and replay walks the program
+ * from pc 0.
  */
 
 #ifndef CRYPTARCH_DRIVER_TRACE_HH
 #define CRYPTARCH_DRIVER_TRACE_HH
 
 #include <cstdint>
+#include <stdexcept>
 #include <vector>
 
 #include "driver/workload.hh"
 #include "isa/machine.hh"
-#include "isa/packed_trace.hh"
 #include "kernels/kernel.hh"
 #include "sim/pipeline.hh"
 
@@ -71,18 +73,47 @@ struct RecordTiming
 };
 
 /**
- * A captured dynamic instruction stream, stored packed (see
- * packed_trace.hh). Result values are dropped at record time — no
- * timing model reads them, and the value-prediction studies attach
- * their sinks live to the Machine instead of replaying.
+ * A captured dynamic instruction stream of one program. Everything
+ * but seq, addr, taken and nextPc is a pure function of the pc (see
+ * isa::DecodedInst), and the pc of each instruction is the nextPc of
+ * the one before, so the trace keeps the decoded program plus the
+ * dynamic remainder. Result values are dropped — no timing model reads
+ * them, and the value-prediction studies attach their sinks live to
+ * the Machine instead of replaying.
  */
 class RecordedTrace final : public isa::TraceSink
 {
   public:
+    /** An empty trace of the empty program; assign a recording to it. */
+    RecordedTrace() = default;
+
+    /** An empty trace that accepts the stream of @p program. */
+    explicit RecordedTrace(const isa::Program &program)
+        : program_(isa::decode(program))
+    {
+    }
+
+    /**
+     * Append @p inst. Throws std::logic_error when the stream leaves
+     * the program (its pc is not the previous nextPc, or 0 first), and
+     * std::out_of_range on a memory address >= 2^32.
+     */
     void
     emit(const isa::DynInst &inst) override
     {
-        packed_.append(inst);
+        if (inst.pc != nextPc_ || inst.pc >= program_.size())
+            throw std::logic_error("RecordedTrace: stream left its program");
+        const isa::DecodedInst &d = program_[inst.pc];
+        if (d.conditional)
+            taken_.push_back(inst.taken);
+        if (d.tmpl.isLoad || d.tmpl.isStore) {
+            if (inst.addr >> 32)
+                throw std::out_of_range(
+                    "RecordedTrace: address beyond 32 bits");
+            addrs_.push_back(static_cast<uint32_t>(inst.addr));
+        }
+        nextPc_ = inst.nextPc;
+        ++count_;
     }
 
     /** Feed the captured stream, in order, into any sink. */
@@ -92,27 +123,32 @@ class RecordedTrace final : public isa::TraceSink
     sim::SimStats replay(const sim::MachineConfig &cfg) const;
 
     /** Dynamic instruction count (the 1-CPI machine's cycle count). */
-    uint64_t instructions() const { return packed_.size(); }
+    uint64_t instructions() const { return count_; }
 
     bool empty() const { return instructions() == 0; }
 
-    /** The stored stream (use the replay paths for hot loops). */
-    const isa::PackedTrace &packed() const { return packed_; }
+    /** Bytes held: decoded program, taken bits and addresses. */
+    size_t
+    storedBytes() const
+    {
+        return program_.size() * sizeof(isa::DecodedInst)
+            + (taken_.size() + 7) / 8 + addrs_.size() * sizeof(uint32_t);
+    }
 
-    /** Stays only for perfbench's report; the packed size. */
-    size_t storedBytes() const { return packed_.packedBytes(); }
-
-    /** Stays only for perfbench's report; the packed size. */
-    size_t packedEquivalentBytes() const { return packed_.packedBytes(); }
+    /** Stays only for perfbench's report; storedBytes(). */
+    size_t packedEquivalentBytes() const { return storedBytes(); }
 
     /** Stays only for perfbench's report; always false. */
     bool isCompressed() const { return false; }
 
-    /** Pre-size the packed encoding for an expected instruction count. */
-    void reserveInsts(size_t n) { packed_.reserve(n); }
-
   private:
-    isa::PackedTrace packed_;
+    template <class Sink> void feed(Sink &sink) const;
+
+    std::vector<isa::DecodedInst> program_;
+    std::vector<bool> taken_;     ///< one per conditional branch
+    std::vector<uint32_t> addrs_; ///< one per memory operation
+    uint32_t nextPc_ = 0;         ///< pc the next emit must carry
+    uint64_t count_ = 0;
 };
 
 /**

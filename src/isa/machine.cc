@@ -178,6 +178,7 @@ memSize(Opcode op)
       case Opcode::Ldl:
       case Opcode::Stl:
       case Opcode::Sbox:
+      case Opcode::Sboxx:
         return 4;
       case Opcode::Ldwu:
       case Opcode::Stw:
@@ -190,6 +191,114 @@ memSize(Opcode op)
 constexpr uint64_t mask32 = 0xFFFFFFFFull;
 
 } // namespace
+
+DecodedInst
+decode(const Inst &inst, uint32_t pc)
+{
+    DecodedInst d;
+    DynInst &t = d.tmpl;
+    t.pc = pc;
+    t.op = inst.op;
+    t.cls = opClass(inst);
+    t.tableId = inst.tableId;
+    t.aliased = inst.aliased;
+    t.nextPc = pc + 1;
+    d.target = static_cast<uint32_t>(inst.target);
+    if (inst.writesDest())
+        t.dest = inst.rc.n;
+
+    auto addSrc = [&](Reg r) {
+        if (r.n != reg_zero.n && t.numSrcs < 3)
+            t.srcs[t.numSrcs++] = r.n;
+    };
+
+    switch (inst.op) {
+      case Opcode::Halt:
+        t.nextPc = 0;
+        break;
+      case Opcode::Br:
+        t.branch = true;
+        t.taken = true;
+        t.nextPc = d.target;
+        break;
+      case Opcode::Beq:
+      case Opcode::Bne:
+      case Opcode::Blt:
+      case Opcode::Bge:
+        addSrc(inst.ra);
+        t.branch = true;
+        d.conditional = true;
+        break;
+
+      case Opcode::Ldq:
+      case Opcode::Ldl:
+      case Opcode::Ldwu:
+      case Opcode::Ldbu:
+        addSrc(inst.ra);
+        t.isLoad = true;
+        t.size = memSize(inst.op);
+        t.addrSrc = inst.ra.n;
+        break;
+      case Opcode::Stq:
+      case Opcode::Stl:
+      case Opcode::Stw:
+      case Opcode::Stb:
+        addSrc(inst.ra);
+        addSrc(inst.rc); // store value
+        t.isStore = true;
+        t.size = memSize(inst.op);
+        t.addrSrc = inst.ra.n;
+        break;
+
+      case Opcode::Extbl:
+        addSrc(inst.ra);
+        break;
+      case Opcode::Cmoveq:
+      case Opcode::Cmovne:
+        addSrc(inst.ra);
+        addSrc(inst.rb);
+        addSrc(inst.rc); // old value is a source
+        break;
+      case Opcode::Rolx32:
+      case Opcode::Rorx32:
+        addSrc(inst.ra);
+        addSrc(inst.rc); // destination is also a source
+        break;
+      case Opcode::Sbox:
+      case Opcode::Sboxx:
+        addSrc(inst.ra);
+        addSrc(inst.rb);
+        if (inst.op == Opcode::Sboxx)
+            addSrc(inst.rc); // destination is also a source
+        t.isLoad = true;
+        t.size = memSize(inst.op);
+        break;
+      case Opcode::Sboxsync:
+        break;
+      case Opcode::Grp:
+      case Opcode::Xbox:
+        addSrc(inst.ra);
+        addSrc(inst.rb);
+        break;
+
+      default: // two-operand ALU: rb or an immediate
+        addSrc(inst.ra);
+        if (!inst.useImm)
+            addSrc(inst.rb);
+        break;
+    }
+    return d;
+}
+
+std::vector<DecodedInst>
+decode(const Program &program)
+{
+    std::vector<DecodedInst> decoded;
+    decoded.reserve(program.size());
+    for (size_t pc = 0; pc < program.size(); pc++)
+        decoded.push_back(decode(program[pc], static_cast<uint32_t>(pc)));
+    return decoded;
+}
 
 void
 Machine::applyFaults(uint64_t seq)
@@ -214,6 +323,7 @@ Machine::run(const Program &program, TraceSink *sink, uint64_t max_insts)
 {
     RunStats stats;
     uint32_t pc = 0;
+    const std::vector<DecodedInst> decoded = decode(program);
 
     try {
     while (true) {
@@ -225,26 +335,14 @@ Machine::run(const Program &program, TraceSink *sink, uint64_t max_insts)
             applyFaults(stats.instructions);
 
         const Inst &inst = program[pc];
+        const DecodedInst &dec = decoded[pc];
         uint64_t a = regs[inst.ra.n];
         uint64_t b = inst.useImm ? static_cast<uint64_t>(inst.imm)
                                  : regs[inst.rb.n];
 
-        DynInst dyn;
+        DynInst dyn = dec.tmpl;
         dyn.seq = stats.instructions;
-        dyn.pc = pc;
-        dyn.op = inst.op;
-        dyn.cls = opClass(inst);
-        dyn.tableId = inst.tableId;
-        dyn.aliased = inst.aliased;
-
-        auto addSrc = [&](Reg r) {
-            if (r.n != reg_zero.n && dyn.numSrcs < 3)
-                dyn.srcs[dyn.numSrcs++] = r.n;
-        };
-
-        uint32_t next_pc = pc + 1;
         uint64_t result = 0;
-        bool writes = inst.writesDest();
 
         switch (inst.op) {
           case Opcode::Halt:
@@ -254,16 +352,11 @@ Machine::run(const Program &program, TraceSink *sink, uint64_t max_insts)
             return stats;
 
           case Opcode::Br:
-            dyn.branch = true;
-            dyn.taken = true;
-            next_pc = inst.target;
             break;
           case Opcode::Beq:
           case Opcode::Bne:
           case Opcode::Blt:
           case Opcode::Bge: {
-            addSrc(inst.ra);
-            dyn.branch = true;
             bool cond = false;
             switch (inst.op) {
               case Opcode::Beq: cond = a == 0; break;
@@ -271,161 +364,96 @@ Machine::run(const Program &program, TraceSink *sink, uint64_t max_insts)
               case Opcode::Blt: cond = static_cast<int64_t>(a) < 0; break;
               default: cond = static_cast<int64_t>(a) >= 0; break;
             }
-            dyn.taken = cond;
-            if (cond)
-                next_pc = inst.target;
+            if (cond) {
+                dyn.taken = true;
+                dyn.nextPc = dec.target;
+            }
             break;
           }
 
           case Opcode::Ldq:
           case Opcode::Ldl:
           case Opcode::Ldwu:
-          case Opcode::Ldbu: {
-            addSrc(inst.ra);
-            uint64_t addr = a + inst.imm;
-            dyn.isLoad = true;
-            dyn.addr = addr;
-            dyn.size = memSize(inst.op);
-            dyn.addrSrc = inst.ra.n;
-            result = loadSized(addr, dyn.size);
+          case Opcode::Ldbu:
+            dyn.addr = a + inst.imm;
+            result = loadSized(dyn.addr, dyn.size);
             break;
-          }
 
           case Opcode::Stq:
           case Opcode::Stl:
           case Opcode::Stw:
-          case Opcode::Stb: {
-            addSrc(inst.ra);
-            addSrc(inst.rc); // store value
-            uint64_t addr = a + inst.imm;
-            dyn.isStore = true;
-            dyn.addr = addr;
-            dyn.size = memSize(inst.op);
-            dyn.addrSrc = inst.ra.n;
-            storeSized(addr, dyn.size, regs[inst.rc.n]);
+          case Opcode::Stb:
+            dyn.addr = a + inst.imm;
+            storeSized(dyn.addr, dyn.size, regs[inst.rc.n]);
             break;
-          }
 
-          case Opcode::Addq: addSrc(inst.ra); if (!inst.useImm) addSrc(inst.rb); result = a + b; break;
-          case Opcode::Subq: addSrc(inst.ra); if (!inst.useImm) addSrc(inst.rb); result = a - b; break;
-          case Opcode::Addl: addSrc(inst.ra); if (!inst.useImm) addSrc(inst.rb); result = (a + b) & mask32; break;
-          case Opcode::Subl: addSrc(inst.ra); if (!inst.useImm) addSrc(inst.rb); result = (a - b) & mask32; break;
-          case Opcode::And: addSrc(inst.ra); if (!inst.useImm) addSrc(inst.rb); result = a & b; break;
-          case Opcode::Bis: addSrc(inst.ra); if (!inst.useImm) addSrc(inst.rb); result = a | b; break;
-          case Opcode::Xor: addSrc(inst.ra); if (!inst.useImm) addSrc(inst.rb); result = a ^ b; break;
-          case Opcode::Bic: addSrc(inst.ra); if (!inst.useImm) addSrc(inst.rb); result = a & ~b; break;
-          case Opcode::Ornot: addSrc(inst.ra); if (!inst.useImm) addSrc(inst.rb); result = a | ~b; break;
-          case Opcode::Sll: addSrc(inst.ra); if (!inst.useImm) addSrc(inst.rb); result = a << (b & 63); break;
-          case Opcode::Srl: addSrc(inst.ra); if (!inst.useImm) addSrc(inst.rb); result = a >> (b & 63); break;
+          case Opcode::Addq: result = a + b; break;
+          case Opcode::Subq: result = a - b; break;
+          case Opcode::Addl: result = (a + b) & mask32; break;
+          case Opcode::Subl: result = (a - b) & mask32; break;
+          case Opcode::And: result = a & b; break;
+          case Opcode::Bis: result = a | b; break;
+          case Opcode::Xor: result = a ^ b; break;
+          case Opcode::Bic: result = a & ~b; break;
+          case Opcode::Ornot: result = a | ~b; break;
+          case Opcode::Sll: result = a << (b & 63); break;
+          case Opcode::Srl: result = a >> (b & 63); break;
           case Opcode::Sra:
-            addSrc(inst.ra);
-            if (!inst.useImm)
-                addSrc(inst.rb);
             result = static_cast<uint64_t>(static_cast<int64_t>(a)
                                            >> (b & 63));
             break;
-          case Opcode::Sll32:
-            addSrc(inst.ra);
-            if (!inst.useImm)
-                addSrc(inst.rb);
-            result = ((a & mask32) << (b & 31)) & mask32;
-            break;
-          case Opcode::Srl32:
-            addSrc(inst.ra);
-            if (!inst.useImm)
-                addSrc(inst.rb);
-            result = (a & mask32) >> (b & 31);
-            break;
-          case Opcode::Extbl:
-            addSrc(inst.ra);
-            result = (a >> (8 * (b & 7))) & 0xFF;
-            break;
-          case Opcode::S4add: addSrc(inst.ra); if (!inst.useImm) addSrc(inst.rb); result = (a << 2) + b; break;
-          case Opcode::S8add: addSrc(inst.ra); if (!inst.useImm) addSrc(inst.rb); result = (a << 3) + b; break;
-          case Opcode::Cmpeq: addSrc(inst.ra); if (!inst.useImm) addSrc(inst.rb); result = a == b; break;
-          case Opcode::Cmpult: addSrc(inst.ra); if (!inst.useImm) addSrc(inst.rb); result = a < b; break;
+          case Opcode::Sll32: result = ((a & mask32) << (b & 31)) & mask32; break;
+          case Opcode::Srl32: result = (a & mask32) >> (b & 31); break;
+          case Opcode::Extbl: result = (a >> (8 * (b & 7))) & 0xFF; break;
+          case Opcode::S4add: result = (a << 2) + b; break;
+          case Opcode::S8add: result = (a << 3) + b; break;
+          case Opcode::Cmpeq: result = a == b; break;
+          case Opcode::Cmpult: result = a < b; break;
           case Opcode::Cmplt:
-            addSrc(inst.ra);
-            if (!inst.useImm)
-                addSrc(inst.rb);
             result = static_cast<int64_t>(a) < static_cast<int64_t>(b);
             break;
           case Opcode::Cmoveq:
           case Opcode::Cmovne: {
-            addSrc(inst.ra);
-            addSrc(inst.rb);
-            addSrc(inst.rc); // old value is a source
             bool move = inst.op == Opcode::Cmoveq ? a == 0 : a != 0;
             result = move ? b : regs[inst.rc.n];
             break;
           }
 
-          case Opcode::Mulq: addSrc(inst.ra); if (!inst.useImm) addSrc(inst.rb); result = a * b; break;
-          case Opcode::Mull:
-            addSrc(inst.ra);
-            if (!inst.useImm)
-                addSrc(inst.rb);
-            result = (a * b) & mask32;
-            break;
+          case Opcode::Mulq: result = a * b; break;
+          case Opcode::Mull: result = (a * b) & mask32; break;
 
-          case Opcode::Rol: addSrc(inst.ra); if (!inst.useImm) addSrc(inst.rb); result = rotl64(a, b & 63); break;
-          case Opcode::Ror: addSrc(inst.ra); if (!inst.useImm) addSrc(inst.rb); result = rotr64(a, b & 63); break;
-          case Opcode::Rol32:
-            addSrc(inst.ra);
-            if (!inst.useImm)
-                addSrc(inst.rb);
-            result = rotl32(static_cast<uint32_t>(a), b & 31);
-            break;
-          case Opcode::Ror32:
-            addSrc(inst.ra);
-            if (!inst.useImm)
-                addSrc(inst.rb);
-            result = rotr32(static_cast<uint32_t>(a), b & 31);
-            break;
+          case Opcode::Rol: result = rotl64(a, b & 63); break;
+          case Opcode::Ror: result = rotr64(a, b & 63); break;
+          case Opcode::Rol32: result = rotl32(static_cast<uint32_t>(a), b & 31); break;
+          case Opcode::Ror32: result = rotr32(static_cast<uint32_t>(a), b & 31); break;
           case Opcode::Rolx32:
-            addSrc(inst.ra);
-            addSrc(inst.rc); // destination is also a source
             result = (rotl32(static_cast<uint32_t>(a), inst.imm & 31)
                       ^ regs[inst.rc.n])
                 & mask32;
             break;
           case Opcode::Rorx32:
-            addSrc(inst.ra);
-            addSrc(inst.rc);
             result = (rotr32(static_cast<uint32_t>(a), inst.imm & 31)
                       ^ regs[inst.rc.n])
                 & mask32;
             break;
 
           case Opcode::Mulmod:
-            addSrc(inst.ra);
-            if (!inst.useImm)
-                addSrc(inst.rb);
             result = crypto::ideaMulMod(static_cast<uint16_t>(a),
                                         static_cast<uint16_t>(b));
             break;
 
           case Opcode::Sbox:
           case Opcode::Sboxx: {
-            addSrc(inst.ra);
-            addSrc(inst.rb);
             if (inst.tableId >= max_sbox_tables)
                 throwInvalidSboxTable(inst.tableId);
             uint64_t index = (regs[inst.rb.n] >> (8 * inst.byteSel))
                 & 0xFF;
-            uint64_t addr = (a & ~0x3FFull) | (index << 2);
-            dyn.isLoad = true;
-            dyn.addr = addr;
-            dyn.size = 4;
+            dyn.addr = (a & ~0x3FFull) | (index << 2);
             uint32_t value = inst.aliased
-                ? static_cast<uint32_t>(loadSized(addr, 4))
-                : sboxRead(addr);
-            if (inst.op == Opcode::Sboxx) {
-                addSrc(inst.rc); // destination is also a source
-                result = regs[inst.rc.n] ^ value;
-            } else {
-                result = value;
-            }
+                ? static_cast<uint32_t>(loadSized(dyn.addr, 4))
+                : sboxRead(dyn.addr);
+            result = inst.op == Opcode::Sboxx ? regs[inst.rc.n] ^ value
+                                              : value;
             break;
           }
 
@@ -434,8 +462,6 @@ Machine::run(const Program &program, TraceSink *sink, uint64_t max_insts)
             break;
 
           case Opcode::Grp: {
-            addSrc(inst.ra);
-            addSrc(inst.rb);
             // Group permutation [Shi & Lee 00]: source bits whose
             // control bit is 0 pack into the low end (ascending),
             // bits whose control bit is 1 pack into the high end.
@@ -456,8 +482,6 @@ Machine::run(const Program &program, TraceSink *sink, uint64_t max_insts)
           }
 
           case Opcode::Xbox: {
-            addSrc(inst.ra);
-            addSrc(inst.rb);
             // Partial general permutation: byte #byteSel of the result
             // receives eight bits of ra selected by the eight 6-bit
             // indices packed in rb; all other result bits are zero
@@ -474,17 +498,15 @@ Machine::run(const Program &program, TraceSink *sink, uint64_t max_insts)
           }
         }
 
-        if (writes) {
+        if (dyn.dest != reg_zero.n) {
             setReg(inst.rc, result);
-            dyn.dest = inst.rc.n;
             dyn.result = result;
         }
-        dyn.nextPc = next_pc;
 
         if (sink)
             sink->emit(dyn);
         stats.instructions++;
-        pc = next_pc;
+        pc = dyn.nextPc;
     }
     } catch (const Trap &t) {
         // Rethrow with execution context: faulting pc, sequence number

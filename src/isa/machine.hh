@@ -78,6 +78,27 @@ struct DynInst
     bool operator==(const DynInst &) const = default;
 };
 
+/**
+ * The static half of one instruction's DynInst: every field that
+ * program[pc] fixes. Machine::run starts each executed instruction
+ * from it and RecordedTrace replay rebuilds the stream from it, so the
+ * two agree by construction. A conditional branch's template is its
+ * fall-through (taken false, nextPc pc + 1); Halt's nextPc is 0. The
+ * dest is reg_zero unless the instruction writes a register.
+ */
+struct DecodedInst
+{
+    DynInst tmpl;             ///< seq, addr and result left zero
+    uint32_t target = 0;      ///< successor of a taken conditional branch
+    bool conditional = false; ///< taken and nextPc depend on a register
+};
+
+/** Decode @p inst, found at static index @p pc. */
+DecodedInst decode(const Inst &inst, uint32_t pc);
+
+/** Decode every instruction of @p program, indexed by pc. */
+std::vector<DecodedInst> decode(const Program &program);
+
 /** Consumer of the dynamic instruction stream. */
 class TraceSink
 {

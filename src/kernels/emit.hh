@@ -126,7 +126,6 @@ class KernelCtx
     OpCategory current = OpCategory::Arithmetic;
     unsigned labelCounter = 0;
 
-    friend struct KernelLoop;
     friend std::vector<OpCategory> takeCategories(KernelCtx &ctx);
 };
 

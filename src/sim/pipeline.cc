@@ -52,9 +52,8 @@ OooScheduler::OooScheduler(const MachineConfig &config, ConfigPolicy policy)
 }
 
 Cycle
-OooScheduler::fetchOf(const DynInst &inst)
+OooScheduler::fetchOf()
 {
-    (void)inst;
     if (nextCycleFetch) {
         fetchCycle++;
         fetchedThisCycle = 0;
@@ -338,7 +337,7 @@ OooScheduler::emit(const DynInst &inst)
         stats.sboxAccesses++;
 
     // ----- fetch -----
-    Cycle fetch = fetchOf(inst);
+    Cycle fetch = fetchOf();
 
     // Per-instruction stall breakdown, accumulated into SimStats and
     // (inside the recorded window) the timeline entry. `touched` keeps

@@ -171,7 +171,7 @@ class OooScheduler final : public isa::TraceSink
     }
 
   private:
-    Cycle fetchOf(const isa::DynInst &inst);
+    Cycle fetchOf();
     /**
      * Schedule @p inst at the first cycle >= @p ready with an issue
      * slot and a free functional unit. Returns the issue cycle and

@@ -1,7 +1,7 @@
 /**
  * @file
- * FNV-1a 64-bit checksum, used by the packed-trace serialization to
- * detect corrupted or truncated streams before anything decodes them.
+ * FNV-1a 64-bit checksum, used by procpool's pipe frames and journal
+ * to detect corrupted or truncated records before anything decodes them.
  * Not cryptographic — the threat model is bit rot and buggy writers,
  * not an adversary (the ciphers in src/crypto/ handle those).
  */

@@ -7,14 +7,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cmath>
 #include <cstdio>
 #include <iterator>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "driver/grids.hh"
+#include "driver/workload.hh"
 #include "kernels/kernel.hh"
 #include "sim/pipeline.hh"
 #include "ssl/session.hh"
@@ -363,6 +366,89 @@ TEST(PaperShapes, IssueWidthAblation)
     const double gain = static_cast<double>(w2.stats.cycles)
         / static_cast<double>(w4.stats.cycles) - 1.0;
     EXPECT_EQ(std::lround(100 * gain), 35) << gain;
+}
+
+// EXPERIMENTS.md's ablation_permute sentence: at 4 KB on 4W, the GRP
+// 3DES kernel is 18 static instructions smaller than the XBOX kernel
+// and lands within 0.6% of its cycle count, at 14.65 vs 14.73
+// bytes/kcycle ("%.2f", as bench/ablation_permute prints it).
+TEST(PaperShapes, AblationPermuteExperimentsSentence)
+{
+    const CipherId id = CipherId::TripleDES;
+    driver::SweepSpec spec;
+    spec.ciphers = {id};
+    spec.variants = {KernelVariant::Optimized, KernelVariant::OptimizedGrp};
+    spec.models = {MachineConfig::fourWide()};
+    const auto results = driver::runSweep(spec);
+
+    auto static_insts = [&](KernelVariant v) {
+        const auto w = driver::makeWorkload(id);
+        return kernels::buildKernel(id, v, w.key, w.iv,
+                                    driver::session_bytes)
+            .program.size();
+    };
+    EXPECT_EQ(static_insts(KernelVariant::Optimized)
+                  - static_insts(KernelVariant::OptimizedGrp),
+              18u);
+
+    const auto &xbox =
+        driver::findResult(results, id, KernelVariant::Optimized, "4W");
+    const auto &grp =
+        driver::findResult(results, id, KernelVariant::OptimizedGrp, "4W");
+    ASSERT_TRUE(xbox.ok()) << xbox.message;
+    ASSERT_TRUE(grp.ok()) << grp.message;
+    auto per_kcycle = [](const driver::SweepResult &r) {
+        return twoPlaces(1000.0 * static_cast<double>(r.bytes)
+                         / static_cast<double>(r.stats.cycles));
+    };
+    EXPECT_EQ(per_kcycle(grp), "14.65");
+    EXPECT_EQ(per_kcycle(xbox), "14.73");
+    char gap[32];
+    std::snprintf(gap, sizeof(gap), "%.1f",
+                  100.0 * (static_cast<double>(grp.stats.cycles)
+                               / static_cast<double>(xbox.stats.cycles)
+                           - 1.0));
+    EXPECT_STREQ(gap, "0.6");
+}
+
+// EXPERIMENTS.md's ablation_fused sentence: SBOXX runs 10-27% fewer
+// instructions on the substitution ciphers (whole percent of
+// bench/ablation_fused's "%.1f%%" column), and Rijndael gains 23% on
+// 4W+.
+TEST(PaperShapes, AblationFusedExperimentsSentence)
+{
+    const std::vector<CipherId> ids = {CipherId::Blowfish,
+                                       CipherId::Rijndael,
+                                       CipherId::Twofish,
+                                       CipherId::TripleDES};
+    driver::SweepSpec spec;
+    spec.ciphers = ids;
+    spec.variants = {KernelVariant::Optimized,
+                     KernelVariant::OptimizedFused};
+    spec.models = {MachineConfig::fourWidePlus()};
+    const auto results = driver::runSweep(spec);
+
+    long lo = 100, hi = 0;
+    for (auto id : ids) {
+        const auto &opt =
+            driver::findResult(results, id, KernelVariant::Optimized, "4W+");
+        const auto &fused = driver::findResult(
+            results, id, KernelVariant::OptimizedFused, "4W+");
+        ASSERT_TRUE(opt.ok()) << opt.message;
+        ASSERT_TRUE(fused.ok()) << fused.message;
+        const long saved = std::lround(
+            100.0 * (1.0 - static_cast<double>(fused.stats.instructions)
+                               / opt.stats.instructions));
+        lo = std::min(lo, saved);
+        hi = std::max(hi, saved);
+        if (id == CipherId::Rijndael) {
+            EXPECT_EQ(twoPlaces(static_cast<double>(opt.stats.cycles)
+                                / fused.stats.cycles),
+                      "1.23");
+        }
+    }
+    EXPECT_EQ(lo, 10);
+    EXPECT_EQ(hi, 27);
 }
 
 } // namespace

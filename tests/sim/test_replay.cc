@@ -142,14 +142,21 @@ TEST(Replay, StreamPreservesSequenceNumbers)
     auto trace = driver::recordKernelTrace(crypto::CipherId::Rijndael,
                                            KernelVariant::Optimized);
     ASSERT_FALSE(trace.empty());
-    const auto &packed = trace.packed();
-    uint64_t i = 0;
-    for (auto r = packed.reader(); !r.done(); i++)
-        ASSERT_EQ(r.next().seq, i);
-    EXPECT_EQ(i, trace.instructions());
+    struct SeqSink : isa::TraceSink
+    {
+        uint64_t next = 0;
+        void
+        emit(const isa::DynInst &inst) override
+        {
+            ASSERT_EQ(inst.seq, next);
+            next++;
+        }
+    } sink;
+    trace.replay(sink);
+    EXPECT_EQ(sink.next, trace.instructions());
 }
 
-// The packed encoding drops result values (timing models never read
+// The recorded trace drops result values (timing models never read
 // them) but must preserve every field the scheduler does read —
 // asserted here by the full schema-3 stall-counter comparison in
 // ReplayMatchesLiveSimulation above, and spot-checked structurally:
