@@ -74,7 +74,7 @@ main(int argc, char **argv)
     driver::writeBenchJson("BENCH_ablation_fused.json", "ablation_fused",
                            results);
     std::printf(
-        "\n(Static savings are real — 10-28%% fewer instructions — but "
+        "\n(Static savings are real — 10-27%% fewer instructions — but "
         "the cycle\nimpact splits by bottleneck: issue-bound Rijndael "
         "gains 23%%, while the\nlatency-bound ciphers break even or "
         "lose, because a fused lookup chains\nthe multi-cycle S-box "

@@ -119,8 +119,9 @@ sweepOptions(int argc, char **argv)
                              argv[0], mode);
                 std::exit(2);
             }
-            opts.isolation = driver::parseSweepIsolation(
-                mode, driver::SweepIsolation::Thread);
+            opts.isolation = std::strcmp(mode, "process") == 0
+                ? driver::SweepIsolation::Process
+                : driver::SweepIsolation::Thread;
         } else if (std::strncmp(arg, "--journal=", 10) == 0) {
             opts.journalPath = arg + 10;
             if (opts.journalPath.empty()) {

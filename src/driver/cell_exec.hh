@@ -1,8 +1,8 @@
 /**
  * @file
  * Internal per-cell execution shared by the thread-pool sweep runner
- * (sweep.cc) and the forked process-pool workers (procpool.cc). Not
- * installed API: the contracts here (TraceGroup sharing, the group
+ * (sweep.cc) and the forked process-isolation children (procpool.cc).
+ * Not installed API: the contracts here (TraceGroup sharing, the group
  * plan both isolation modes schedule from, the never-throws guarantee)
  * are documented on driver::runCells.
  */
@@ -37,7 +37,7 @@ struct TraceGroup
  * Partition @p todo (indices into @p cells) into trace groups: one
  * list per distinct (cipher, variant, bytes) kernel, groups in order
  * of first appearance and each group's cells in @p todo order. The
- * process pool sends one batch per group; the thread pool queues every
+ * process pool forks one child per group; the thread pool queues every
  * group's first cell (its recording) before the remaining cells.
  */
 std::vector<std::vector<uint32_t>>

@@ -49,8 +49,8 @@
  * stats. v4 added the top-level "outcomes" count object (one key per
  * CellOutcome, zeros included), the "crashed"/"timed_out" outcomes
  * from process isolation, and the per-result "worker" index — emitted
- * only on cells a worker process failed (crashed, timed out, or
- * corrupted mid-frame), so healthy grids remain byte-identical across
+ * only on cells a worker process failed (crashed, timed out, or sent
+ * a corrupt record), so healthy grids remain byte-identical across
  * isolation modes, thread counts, and kill-and-resume reruns. v5 added
  * the "rejected" (config validation refused the machine model) and
  * "stalled" (the scheduler's forward-progress watchdog fired) outcomes

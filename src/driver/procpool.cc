@@ -8,6 +8,7 @@
 #include <cstring>
 #include <deque>
 #include <iterator>
+#include <optional>
 
 #include <fcntl.h>
 #include <poll.h>
@@ -43,8 +44,8 @@ namespace
 {
 
 // ---------------------------------------------------------------------
-// Little-endian byte codec shared by the result payload, the pipe
-// frames, and the journal.
+// Little-endian byte codec shared by the result payload, the records
+// and the journal header.
 
 void
 putU16(std::vector<uint8_t> &b, uint16_t v)
@@ -169,7 +170,7 @@ class ByteReader
 };
 
 // ---------------------------------------------------------------------
-// Full-buffer pipe/file I/O (EINTR-safe).
+// Full-buffer write (EINTR-safe).
 
 bool
 writeFull(int fd, const void *data, size_t n)
@@ -184,26 +185,6 @@ writeFull(int fd, const void *data, size_t n)
         }
         p += w;
         n -= static_cast<size_t>(w);
-    }
-    return true;
-}
-
-/** False on EOF or error before @p n bytes arrive. */
-bool
-readFull(int fd, void *data, size_t n)
-{
-    auto *p = static_cast<uint8_t *>(data);
-    while (n) {
-        ssize_t r = ::read(fd, p, n);
-        if (r < 0) {
-            if (errno == EINTR)
-                continue;
-            return false;
-        }
-        if (r == 0)
-            return false;
-        p += r;
-        n -= static_cast<size_t>(r);
     }
     return true;
 }
@@ -334,7 +315,7 @@ gridFingerprint(const std::vector<SweepCell> &cells)
 }
 
 // ---------------------------------------------------------------------
-// Checkpoint journal.
+// Records and the checkpoint journal.
 
 namespace
 {
@@ -354,6 +335,50 @@ journalHeader(uint64_t fingerprint, uint64_t cellCount)
     putU64(b, fingerprint);
     putU64(b, cellCount);
     return b;
+}
+
+/** One record: index, payload length, payload, FNV-1a over all three. */
+std::vector<uint8_t>
+encodeRecord(uint32_t index, std::span<const uint8_t> payload)
+{
+    std::vector<uint8_t> rec;
+    rec.reserve(record_overhead_bytes + payload.size());
+    putU32(rec, index);
+    putU32(rec, static_cast<uint32_t>(payload.size()));
+    rec.insert(rec.end(), payload.begin(), payload.end());
+    putU64(rec, util::fnv1a64(rec.data(), rec.size()));
+    return rec;
+}
+
+/** A record parsed in place; @c bytes is its encoded size. */
+struct Record
+{
+    uint32_t index;
+    std::span<const uint8_t> payload;
+    size_t bytes;
+};
+
+/**
+ * The record at the front of @p in, nullopt while @p in holds only
+ * part of one. Throws JournalError on an impossible length or a
+ * checksum mismatch. The caller validates the index.
+ */
+std::optional<Record>
+parseRecord(std::span<const uint8_t> in)
+{
+    if (in.size() < record_overhead_bytes)
+        return std::nullopt;
+    const uint32_t len = loadU32(in.data() + 4);
+    if (len > SweepJournal::max_payload)
+        throw JournalError(JournalErrorKind::Inconsistent,
+                           "impossible record length");
+    if (in.size() < record_overhead_bytes + len)
+        return std::nullopt;
+    if (util::fnv1a64(in.data(), 8 + len) != loadU64(in.data() + 8 + len))
+        throw JournalError(JournalErrorKind::BadChecksum,
+                           "record checksum mismatch");
+    return Record{loadU32(in.data()), in.subspan(8, len),
+                  record_overhead_bytes + len};
 }
 
 } // namespace
@@ -381,13 +406,18 @@ SweepJournal::open(const std::string &path, uint64_t fingerprint,
     if (fd_ < 0)
         throw JournalError(JournalErrorKind::Io, "cannot open " + path + ": "
                                                      + std::strerror(errno));
-    auto fail = [&](JournalErrorKind kind,
-                    const std::string &detail) -> void {
+    try {
+        load(fingerprint, cellCount);
+    } catch (const JournalError &) {
         close();
         loaded_.clear();
-        throw JournalError(kind, detail);
-    };
+        throw;
+    }
+}
 
+void
+SweepJournal::load(uint64_t fingerprint, uint64_t cellCount)
+{
     // Journals are one small record per cell: read whole, then parse.
     std::vector<uint8_t> data;
     uint8_t chunk[65536];
@@ -396,8 +426,9 @@ SweepJournal::open(const std::string &path, uint64_t fingerprint,
         if (n < 0) {
             if (errno == EINTR)
                 continue;
-            fail(JournalErrorKind::Io,
-                 std::string("read failed: ") + std::strerror(errno));
+            throw JournalError(JournalErrorKind::Io,
+                               std::string("read failed: ")
+                                   + std::strerror(errno));
         }
         if (n == 0)
             break;
@@ -408,49 +439,47 @@ SweepJournal::open(const std::string &path, uint64_t fingerprint,
         // Missing or empty file: a fresh journal.
         auto header = journalHeader(fingerprint, cellCount);
         if (!writeFull(fd_, header.data(), header.size()))
-            fail(JournalErrorKind::Io, "cannot write journal header");
+            throw JournalError(JournalErrorKind::Io,
+                               "cannot write journal header");
         return;
     }
 
     if (data.size() < journal_header_bytes)
-        fail(JournalErrorKind::Truncated, "header cut short");
+        throw JournalError(JournalErrorKind::Truncated, "header cut short");
     if (loadU32(&data[0]) != magic)
-        fail(JournalErrorKind::BadMagic, "not a sweep journal");
+        throw JournalError(JournalErrorKind::BadMagic, "not a sweep journal");
     if (loadU32(&data[4]) != version)
-        fail(JournalErrorKind::BadVersion, "unknown journal version");
+        throw JournalError(JournalErrorKind::BadVersion,
+                           "unknown journal version");
     if (loadU64(&data[8]) != fingerprint || loadU64(&data[16]) != cellCount)
-        fail(JournalErrorKind::GridMismatch,
-             "journal belongs to a different sweep grid");
+        throw JournalError(JournalErrorKind::GridMismatch,
+                           "journal belongs to a different sweep grid");
 
+    // A partial trailing record (the SIGKILL-mid-append case) ends the
+    // loop like the end of the file does.
     std::vector<char> seen(cellCount, 0);
     size_t off = journal_header_bytes;
-    while (data.size() - off >= record_overhead_bytes) {
-        const uint8_t *rec = data.data() + off;
-        const uint32_t index = loadU32(rec);
-        const uint32_t len = loadU32(rec + 4);
-        if (len > max_payload)
-            fail(JournalErrorKind::Inconsistent, "impossible record length");
-        if (data.size() - off < record_overhead_bytes + len)
-            break; // partial trailing record: the SIGKILL-mid-append case
-        const uint64_t sum = util::fnv1a64(rec, 8 + len);
-        if (sum != loadU64(rec + 8 + len))
-            fail(JournalErrorKind::BadChecksum, "record checksum mismatch");
-        if (index >= cellCount)
-            fail(JournalErrorKind::Inconsistent, "record index out of range");
-        if (seen[index])
-            fail(JournalErrorKind::Inconsistent, "duplicate cell record");
-        seen[index] = 1;
-        loaded_.emplace_back(index,
-                             std::vector<uint8_t>(rec + 8, rec + 8 + len));
-        off += record_overhead_bytes + len;
+    while (auto rec = parseRecord(std::span(data).subspan(off))) {
+        if (rec->index >= cellCount)
+            throw JournalError(JournalErrorKind::Inconsistent,
+                               "record index out of range");
+        if (seen[rec->index])
+            throw JournalError(JournalErrorKind::Inconsistent,
+                               "duplicate cell record");
+        seen[rec->index] = 1;
+        loaded_.emplace_back(rec->index,
+                             std::vector<uint8_t>(rec->payload.begin(),
+                                                  rec->payload.end()));
+        off += rec->bytes;
     }
 
     // Drop the partial tail (if any) so appends start on a record
     // boundary, then position at the end.
     if (off < data.size() && ::ftruncate(fd_, static_cast<off_t>(off)) != 0)
-        fail(JournalErrorKind::Io, "cannot truncate partial record");
+        throw JournalError(JournalErrorKind::Io,
+                           "cannot truncate partial record");
     if (::lseek(fd_, 0, SEEK_END) < 0)
-        fail(JournalErrorKind::Io, "seek failed");
+        throw JournalError(JournalErrorKind::Io, "seek failed");
 }
 
 void
@@ -476,14 +505,9 @@ SweepJournal::append(uint32_t index, std::span<const uint8_t> payload)
 {
     if (fd_ < 0)
         return;
-    std::vector<uint8_t> rec;
-    rec.reserve(record_overhead_bytes + payload.size());
-    putU32(rec, index);
-    putU32(rec, static_cast<uint32_t>(payload.size()));
-    rec.insert(rec.end(), payload.begin(), payload.end());
-    putU64(rec, util::fnv1a64(rec.data(), rec.size()));
     // One write per record: a kill can only sever the trailing record,
     // which open() tolerates and truncates away.
+    const auto rec = encodeRecord(index, payload);
     if (!writeFull(fd_, rec.data(), rec.size()))
         throw JournalError(JournalErrorKind::Io,
                            std::string("append failed: ")
@@ -570,126 +594,70 @@ applyChaos(ChaosAction action)
     }
 }
 
-// ---------------------------------------------------------------------
-// Pipe protocol.
-
-constexpr uint32_t cmd_magic = 0x42575343; // "CSWB" little-endian
-constexpr uint32_t res_magic = 0x52575343; // "CSWR" little-endian
-/** Result frame header: magic, cell index, payload length, checksum. */
-constexpr size_t res_header_bytes = 4 + 4 + 4 + 8;
-
 /**
- * Worker process main loop: claim batches from the command pipe, run
- * each cell (chaos hook first), stream back one checksummed result
- * frame per cell. Exits on command-pipe EOF (orderly shutdown), a
- * malformed command, or a dead parent.
+ * A forked child's whole life: run each cell of @p batch (chaos hook
+ * first) and write one record per cell to @p fd. Returns never.
  */
 [[noreturn]] void
-workerMain(int cmdFd, int resFd, const std::vector<SweepCell> &cells)
+childMain(int fd, const std::vector<SweepCell> &cells,
+          const std::vector<uint32_t> &batch,
+          const std::vector<ChaosPoint> &chaos)
 {
-    const char *chaosEnv = std::getenv("CRYPTARCH_SWEEP_CHAOS");
-    const auto chaos = parseChaosSpec(chaosEnv ? chaosEnv : "");
-
-    for (;;) {
-        uint8_t hdr[8];
-        if (!readFull(cmdFd, hdr, sizeof(hdr)))
-            break; // EOF: orderly shutdown
-        if (loadU32(hdr) != cmd_magic)
-            ::_exit(4);
-        const uint32_t count = loadU32(hdr + 4);
-        if (count == 0 || count > cells.size())
-            ::_exit(4);
-        std::vector<uint8_t> raw(size_t{count} * 4);
-        if (!readFull(cmdFd, raw.data(), raw.size()))
-            break;
-
-        // Batches are group-aligned: one TraceGroup records the
-        // kernel once, every cell of the batch replays it.
-        detail::TraceGroup group;
-        for (uint32_t k = 0; k < count; k++) {
-            const uint32_t idx = loadU32(&raw[size_t{k} * 4]);
-            if (idx >= cells.size())
-                ::_exit(4);
-            const SweepCell &cell = cells[idx];
-            applyChaos(chaosActionFor(chaos, cell));
-            SweepResult r = detail::makeResultShell(cell);
-            detail::executeCell(cell, group, r);
-
-            const auto payload = serializeResultPayload(r);
-            std::vector<uint8_t> frame;
-            frame.reserve(res_header_bytes + payload.size());
-            putU32(frame, res_magic);
-            putU32(frame, idx);
-            putU32(frame, static_cast<uint32_t>(payload.size()));
-            uint64_t sum = util::fnv1a64(frame.data() + 4, 8);
-            sum = util::fnv1a64(payload.data(), payload.size(), sum);
-            putU64(frame, sum);
-            frame.insert(frame.end(), payload.begin(), payload.end());
-            if (!writeFull(resFd, frame.data(), frame.size()))
-                ::_exit(0); // parent went away
-        }
+    // Batches are group-aligned: one TraceGroup records the kernel
+    // once, every cell of the batch replays it.
+    detail::TraceGroup group;
+    for (uint32_t idx : batch) {
+        applyChaos(chaosActionFor(chaos, cells[idx]));
+        SweepResult r = detail::makeResultShell(cells[idx]);
+        detail::executeCell(cells[idx], group, r);
+        const auto rec = encodeRecord(idx, serializeResultPayload(r));
+        if (!writeFull(fd, rec.data(), rec.size()))
+            break; // parent went away
     }
     ::_exit(0);
 }
 
-/** Parent-side state of one worker slot. */
-struct WorkerProc
+/** Parent-side state of one slot; pid < 0 when the slot is free. */
+struct Child
 {
     pid_t pid = -1;
-    int cmdFd = -1;
-    int resFd = -1;
-    bool alive = false;
+    int fd = -1; ///< read end of the child's result pipe
     std::vector<uint32_t> batch;
-    size_t got = 0; ///< results received for the current batch
+    size_t got = 0; ///< records received so far
     std::chrono::steady_clock::time_point deadline{};
     std::vector<uint8_t> buf; ///< unparsed result-pipe bytes
-
-    bool busy() const { return alive && got < batch.size(); }
 };
 
-/** Fork a worker into slot @p w. The child closes the other slots'
- *  pipe ends (no exec, so nothing is CLOEXEC'd for us). */
-bool
-spawnWorker(WorkerProc &w, std::vector<WorkerProc> &all,
-            const std::vector<SweepCell> &cells)
+int
+waitStatus(pid_t pid)
 {
-    int toChild[2];
-    int fromChild[2];
-    if (::pipe(toChild) != 0)
-        return false;
-    if (::pipe(fromChild) != 0) {
-        ::close(toChild[0]);
-        ::close(toChild[1]);
-        return false;
+    int status = 0;
+    while (::waitpid(pid, &status, 0) < 0 && errno == EINTR) {
     }
-    const pid_t pid = ::fork();
-    if (pid < 0) {
-        ::close(toChild[0]);
-        ::close(toChild[1]);
-        ::close(fromChild[0]);
-        ::close(fromChild[1]);
-        return false;
+    return status;
+}
+
+std::string
+describeDeath(int status)
+{
+    char buf[160];
+    if (WIFSIGNALED(status)) {
+        const int sig = WTERMSIG(status);
+        const char *name = ::strsignal(sig);
+        std::snprintf(buf, sizeof(buf),
+                      "worker killed by signal %d (%s) while running cell",
+                      sig, name ? name : "?");
+    } else if (WIFEXITED(status)) {
+        std::snprintf(buf, sizeof(buf),
+                      "worker exited with status %d while running cell",
+                      WEXITSTATUS(status));
+    } else {
+        std::snprintf(buf, sizeof(buf),
+                      "worker vanished (wait status 0x%x) "
+                      "while running cell",
+                      static_cast<unsigned>(status));
     }
-    if (pid == 0) {
-        ::close(toChild[1]);
-        ::close(fromChild[0]);
-        for (const auto &other : all)
-            if (other.alive) {
-                ::close(other.cmdFd);
-                ::close(other.resFd);
-            }
-        workerMain(toChild[0], fromChild[1], cells);
-    }
-    ::close(toChild[0]);
-    ::close(fromChild[1]);
-    w.pid = pid;
-    w.cmdFd = toChild[1];
-    w.resFd = fromChild[0];
-    w.alive = true;
-    w.batch.clear();
-    w.got = 0;
-    w.buf.clear();
-    return true;
+    return buf;
 }
 
 } // namespace
@@ -706,7 +674,7 @@ runCellsProcess(const std::vector<SweepCell> &cells,
     using Clock = std::chrono::steady_clock;
 
     // One batch per trace group, in first-appearance order, so each
-    // batch shares one recorded trace.
+    // child records its kernel once.
     auto plan = detail::planGroups(cells, todo);
     std::deque<std::vector<uint32_t>> queue(
         std::make_move_iterator(plan.begin()),
@@ -718,298 +686,169 @@ runCellsProcess(const std::vector<SweepCell> &cells,
     const auto deadlineDur = std::chrono::duration_cast<Clock::duration>(
         std::chrono::duration<double>(deadlineSecs));
 
-    const unsigned want = util::workerCount(queue.size(), options.threads);
+    const char *chaosEnv = std::getenv("CRYPTARCH_SWEEP_CHAOS");
+    const auto chaos = parseChaosSpec(chaosEnv ? chaosEnv : "");
 
-    // A worker dying between frames must surface as EPIPE on our next
-    // write, not kill the whole bench with SIGPIPE.
-    struct sigaction ignorePipe{};
-    struct sigaction oldPipe{};
-    ignorePipe.sa_handler = SIG_IGN;
-    ::sigaction(SIGPIPE, &ignorePipe, &oldPipe);
+    std::vector<Child> slots(
+        util::workerCount(queue.size(), options.threads));
+    std::vector<pid_t> finished; // children that sent their last record
 
-    std::vector<WorkerProc> workers(want);
-    unsigned respawnsLeft = options.respawnBudget;
-
-    auto journalAppend = [&](uint32_t idx) {
-        if (!journal)
-            return;
-        const auto payload = serializeResultPayload(results[idx]);
-        journal->append(idx, payload);
+    // Fork a child for the next queued batch into @p slot; false when
+    // pipe() or fork() fails.
+    auto start = [&](Child &slot) {
+        int fds[2];
+        if (::pipe(fds) != 0)
+            return false;
+        const pid_t pid = ::fork();
+        if (pid < 0) {
+            ::close(fds[0]);
+            ::close(fds[1]);
+            return false;
+        }
+        if (pid == 0) {
+            ::close(fds[0]);
+            for (const Child &other : slots)
+                if (other.pid >= 0)
+                    ::close(other.fd);
+            childMain(fds[1], cells, queue.front(), chaos);
+        }
+        ::close(fds[1]);
+        slot.pid = pid;
+        slot.fd = fds[0];
+        slot.batch = std::move(queue.front());
+        queue.pop_front();
+        slot.deadline = Clock::now() + deadlineDur;
+        return true;
     };
 
-    auto finalizeCell = [&](uint32_t idx, CellOutcome outcome,
-                            std::string message, int workerIndex,
-                            bool journalIt) {
+    // The one retire path: the child will send nothing more (EOF,
+    // watchdog, corrupt record). Kill it (a no-op on a dead child),
+    // reap it, mark its in-flight cell and requeue the rest. A Crashed
+    // cell's message is the child's wait status.
+    auto retire = [&](size_t s, CellOutcome outcome, std::string message) {
+        Child &c = slots[s];
+        ::kill(c.pid, SIGKILL);
+        const int status = waitStatus(c.pid);
+        ::close(c.fd);
+        const uint32_t idx = c.batch[c.got];
         SweepResult r = detail::makeResultShell(cells[idx]);
         r.outcome = outcome;
-        r.message = std::move(message);
-        r.worker = workerIndex;
+        r.message = outcome == CellOutcome::Crashed ? describeDeath(status)
+                                                    : std::move(message);
+        r.worker = static_cast<int>(s);
+        if (journal)
+            journal->append(idx, serializeResultPayload(r));
         results[idx] = std::move(r);
-        if (journalIt)
-            journalAppend(idx);
+        if (c.got + 1 < c.batch.size())
+            queue.emplace_front(
+                c.batch.begin() + static_cast<ptrdiff_t>(c.got) + 1,
+                c.batch.end());
+        c = Child{};
     };
 
-    auto requeueRemainder = [&](WorkerProc &w) {
-        // Everything after the in-flight cell goes back to survivors.
-        if (w.got + 1 < w.batch.size())
-            queue.emplace_front(w.batch.begin()
-                                    + static_cast<ptrdiff_t>(w.got) + 1,
-                                w.batch.end());
-    };
-
-    auto reapWorker = [&](WorkerProc &w) -> int {
-        int status = 0;
-        while (::waitpid(w.pid, &status, 0) < 0 && errno == EINTR) {
-        }
-        ::close(w.cmdFd);
-        ::close(w.resFd);
-        w.cmdFd = w.resFd = -1;
-        w.alive = false;
-        return status;
-    };
-
-    auto describeDeath = [](int status) -> std::string {
-        char buf[160];
-        if (WIFSIGNALED(status)) {
-            const int sig = WTERMSIG(status);
-            const char *name = ::strsignal(sig);
-            std::snprintf(
-                buf, sizeof(buf),
-                "worker killed by signal %d (%s) while running cell", sig,
-                name ? name : "?");
-        } else if (WIFEXITED(status)) {
-            std::snprintf(buf, sizeof(buf),
-                          "worker exited with status %d while running cell",
-                          WEXITSTATUS(status));
-        } else {
-            std::snprintf(buf, sizeof(buf),
-                          "worker vanished (wait status 0x%x) "
-                          "while running cell",
-                          static_cast<unsigned>(status));
-        }
-        return buf;
-    };
-
-    auto handleDeath = [&](WorkerProc &w, int wi) {
-        const int status = reapWorker(w);
-        if (w.got < w.batch.size()) {
-            finalizeCell(w.batch[w.got], CellOutcome::Crashed,
-                         describeDeath(status), wi, /*journalIt=*/true);
-            requeueRemainder(w);
-        }
-        w.batch.clear();
-        w.got = 0;
-        w.buf.clear();
-    };
-
-    auto handleTimeout = [&](WorkerProc &w, int wi) {
-        ::kill(w.pid, SIGKILL);
-        reapWorker(w);
-        char msg[128];
-        std::snprintf(msg, sizeof(msg),
-                      "cell exceeded %.1f s watchdog deadline; "
-                      "worker killed",
-                      deadlineSecs);
-        finalizeCell(w.batch[w.got], CellOutcome::TimedOut, msg, wi,
-                     /*journalIt=*/true);
-        requeueRemainder(w);
-        w.batch.clear();
-        w.got = 0;
-        w.buf.clear();
-    };
-
-    auto handleProtocolError = [&](WorkerProc &w, int wi,
-                                   const std::string &what) {
-        ::kill(w.pid, SIGKILL);
-        reapWorker(w);
-        if (w.got < w.batch.size()) {
-            finalizeCell(w.batch[w.got], CellOutcome::Error,
-                         "corrupt result frame from worker: " + what, wi,
-                         /*journalIt=*/true);
-            requeueRemainder(w);
-        }
-        w.batch.clear();
-        w.got = 0;
-        w.buf.clear();
-    };
-
-    // Parse complete frames from w.buf into results. Returns a
-    // protocol-error description, empty while the stream is
-    // well-formed.
-    auto parseFrames = [&](WorkerProc &w) -> std::string {
+    // Take every complete record off slot @p s's buffer; the slot is
+    // freed on the batch's last record.
+    auto drain = [&](size_t s) {
+        Child &c = slots[s];
         size_t off = 0;
-        std::string error;
-        while (w.buf.size() - off >= res_header_bytes) {
-            const uint8_t *p = w.buf.data() + off;
-            if (loadU32(p) != res_magic) {
-                error = "bad frame magic";
-                break;
-            }
-            const uint32_t idx = loadU32(p + 4);
-            const uint32_t len = loadU32(p + 8);
-            if (len > SweepJournal::max_payload) {
-                error = "impossible frame length";
-                break;
-            }
-            if (w.buf.size() - off < res_header_bytes + len)
-                break; // incomplete frame: wait for more bytes
-            uint64_t sum = util::fnv1a64(p + 4, 8);
-            sum = util::fnv1a64(p + res_header_bytes, len, sum);
-            if (sum != loadU64(p + 12)) {
-                error = "frame checksum mismatch";
-                break;
-            }
-            if (w.got >= w.batch.size() || idx != w.batch[w.got]) {
-                error = "unexpected cell index in frame";
-                break;
-            }
+        for (;;) {
+            std::optional<Record> rec;
             try {
-                deserializeResultPayload({p + res_header_bytes, len},
-                                         results[idx]);
+                rec = parseRecord(std::span(c.buf).subspan(off));
+                if (!rec)
+                    break;
+                if (rec->index != c.batch[c.got])
+                    throw JournalError(JournalErrorKind::Inconsistent,
+                                       "unexpected cell index");
+                deserializeResultPayload(rec->payload, results[rec->index]);
             } catch (const JournalError &e) {
-                // Undo any partial fill before failing the worker.
-                results[idx] = detail::makeResultShell(cells[idx]);
-                error = e.what();
-                break;
+                retire(s, CellOutcome::Error,
+                       std::string("corrupt result record from worker: ")
+                           + e.what());
+                return;
             }
-            journalAppend(idx);
-            w.got++;
-            w.deadline = Clock::now() + deadlineDur;
-            off += res_header_bytes + len;
+            if (journal)
+                journal->append(rec->index, rec->payload);
+            off += rec->bytes;
+            c.deadline = Clock::now() + deadlineDur;
+            if (++c.got == c.batch.size()) {
+                ::close(c.fd);
+                finished.push_back(c.pid);
+                c = Child{};
+                return;
+            }
         }
-        w.buf.erase(w.buf.begin(),
-                    w.buf.begin() + static_cast<ptrdiff_t>(off));
-        return error;
+        c.buf.erase(c.buf.begin(),
+                    c.buf.begin() + static_cast<ptrdiff_t>(off));
     };
-
-    auto dispatch = [&](WorkerProc &w) {
-        w.batch = std::move(queue.front());
-        queue.pop_front();
-        w.got = 0;
-        w.buf.clear();
-        std::vector<uint8_t> frame;
-        frame.reserve(8 + 4 * w.batch.size());
-        putU32(frame, cmd_magic);
-        putU32(frame, static_cast<uint32_t>(w.batch.size()));
-        for (uint32_t idx : w.batch)
-            putU32(frame, idx);
-        if (!writeFull(w.cmdFd, frame.data(), frame.size())) {
-            // The worker died while idle: nothing was in flight, so
-            // the whole batch goes back and the slot is respawnable.
-            queue.push_front(std::move(w.batch));
-            w.batch.clear();
-            reapWorker(w);
-            w.got = 0;
-            return;
-        }
-        w.deadline = Clock::now() + deadlineDur;
-    };
-
-    for (auto &w : workers)
-        if (!spawnWorker(w, workers, cells))
-            break; // fork pressure: run with fewer workers
 
     for (;;) {
-        // Refill dead slots while queued work remains (bounded budget).
-        for (auto &w : workers)
-            if (!w.alive && !queue.empty() && respawnsLeft > 0) {
-                respawnsLeft--;
-                spawnWorker(w, workers, cells);
-            }
+        std::erase_if(finished, [](pid_t pid) {
+            return ::waitpid(pid, nullptr, WNOHANG) == pid;
+        });
+        for (auto &slot : slots)
+            if (slot.pid < 0 && !queue.empty() && !start(slot))
+                break; // fork pressure: go on with the running children
 
-        // Hand batches to idle live workers.
-        for (auto &w : workers)
-            if (w.alive && !w.busy() && !queue.empty())
-                dispatch(w);
-
-        std::vector<int> busyIdx;
-        for (size_t wi = 0; wi < workers.size(); wi++)
-            if (workers[wi].busy())
-                busyIdx.push_back(static_cast<int>(wi));
-
-        if (busyIdx.empty()) {
-            if (queue.empty())
-                break; // every cell accounted for
-            const bool anyAlive =
-                std::any_of(workers.begin(), workers.end(),
-                            [](const WorkerProc &w) { return w.alive; });
-            if (!anyAlive && respawnsLeft == 0) {
-                // Budget exhausted with work pending: fail the cells
-                // *without* journaling them, so a rerun retries.
-                for (const auto &batch : queue)
-                    for (uint32_t idx : batch)
-                        finalizeCell(idx, CellOutcome::Error,
-                                     "worker respawn budget exhausted; "
-                                     "cell not run",
-                                     -1, /*journalIt=*/false);
-                queue.clear();
-                break;
-            }
-            continue; // respawn/dispatch next round
-        }
-
-        // Poll until data or the nearest watchdog deadline.
+        std::vector<pollfd> fds;
+        std::vector<size_t> slotOf;
         auto now = Clock::now();
         long waitMs = 60'000;
-        for (int wi : busyIdx) {
+        for (size_t s = 0; s < slots.size(); s++) {
+            if (slots[s].pid < 0)
+                continue;
+            fds.push_back({slots[s].fd, POLLIN, 0});
+            slotOf.push_back(s);
             const auto remain =
                 std::chrono::duration_cast<std::chrono::milliseconds>(
-                    workers[static_cast<size_t>(wi)].deadline - now)
+                    slots[s].deadline - now)
                     .count();
             waitMs = std::min(waitMs, std::max<long>(0, remain + 1));
         }
-        std::vector<pollfd> fds;
-        fds.reserve(busyIdx.size());
-        for (int wi : busyIdx)
-            fds.push_back({workers[static_cast<size_t>(wi)].resFd, POLLIN,
-                           0});
+        if (fds.empty()) {
+            // Nothing running: either done, or a fork failed with no
+            // child left to wait for. Such cells are not journaled, so
+            // a rerun retries them.
+            for (const auto &batch : queue)
+                for (uint32_t idx : batch) {
+                    results[idx].outcome = CellOutcome::Error;
+                    results[idx].message =
+                        "could not fork a worker; cell not run";
+                }
+            break;
+        }
+
         const int rc = ::poll(fds.data(), static_cast<nfds_t>(fds.size()),
                               static_cast<int>(waitMs));
-        if (rc < 0 && errno != EINTR)
-            continue; // defensive: fall through to the watchdog pass
-
         for (size_t k = 0; rc > 0 && k < fds.size(); k++) {
-            WorkerProc &w = workers[static_cast<size_t>(busyIdx[k])];
-            if (!w.alive
-                || !(fds[k].revents & (POLLIN | POLLHUP | POLLERR)))
+            if (!(fds[k].revents & (POLLIN | POLLHUP | POLLERR)))
                 continue;
+            Child &c = slots[slotOf[k]];
             uint8_t chunk[65536];
-            const ssize_t n = ::read(w.resFd, chunk, sizeof(chunk));
+            const ssize_t n = ::read(c.fd, chunk, sizeof(chunk));
             if (n > 0) {
-                w.buf.insert(w.buf.end(), chunk, chunk + n);
-                const std::string err = parseFrames(w);
-                if (!err.empty())
-                    handleProtocolError(w, busyIdx[k], err);
-            } else if (n == 0) {
-                handleDeath(w, busyIdx[k]);
-            } else if (errno != EINTR && errno != EAGAIN) {
-                handleDeath(w, busyIdx[k]);
+                c.buf.insert(c.buf.end(), chunk, chunk + n);
+                drain(slotOf[k]);
+            } else if (n == 0 || (errno != EINTR && errno != EAGAIN)) {
+                retire(slotOf[k], CellOutcome::Crashed, {});
             }
         }
 
-        // Watchdog pass: anyone past deadline is killed.
+        // Watchdog pass: a child past its deadline is killed.
         now = Clock::now();
-        for (int wi : busyIdx) {
-            WorkerProc &w = workers[static_cast<size_t>(wi)];
-            if (w.busy() && now >= w.deadline)
-                handleTimeout(w, wi);
-        }
+        for (size_t s : slotOf)
+            if (slots[s].pid >= 0 && now >= slots[s].deadline) {
+                char msg[128];
+                std::snprintf(msg, sizeof(msg),
+                              "cell exceeded %.1f s watchdog deadline; "
+                              "worker killed",
+                              deadlineSecs);
+                retire(s, CellOutcome::TimedOut, msg);
+            }
     }
 
-    // Orderly shutdown: EOF on the command pipes, then reap everyone.
-    for (auto &w : workers)
-        if (w.alive)
-            ::close(w.cmdFd);
-    for (auto &w : workers) {
-        if (!w.alive)
-            continue;
-        int status = 0;
-        while (::waitpid(w.pid, &status, 0) < 0 && errno == EINTR) {
-        }
-        ::close(w.resFd);
-        w.alive = false;
-    }
-    ::sigaction(SIGPIPE, &oldPipe, nullptr);
+    for (pid_t pid : finished)
+        waitStatus(pid);
 }
 
 } // namespace cryptarch::driver

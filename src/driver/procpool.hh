@@ -5,39 +5,32 @@
  *
  * ## Process pool
  *
- * runCellsProcess() forks POSIX worker processes (no exec — workers
- * inherit the cell vector, so only indices cross the pipes). The
- * parent sends one batch per trace group of the plan the thread pool
- * also schedules from (detail::planGroups), so a worker records each
- * kernel once and replays it per model; the worker count comes from
- * util::workerCount, as the thread pool's does. The parent supervises
- * a single-threaded poll loop:
+ * runCellsProcess() forks one short-lived child per batch (no exec —
+ * a child inherits the cell vector and its batch, so nothing is sent
+ * to it). Batches are the trace groups of the plan the thread pool
+ * also schedules from (detail::planGroups), so a child records its
+ * kernel once and replays it per model; the number of children
+ * running at once comes from util::workerCount, as the thread pool's
+ * worker count does. A child runs each cell of its batch, writes one
+ * journal record per cell (format below) to its result pipe, and
+ * exits. The parent supervises the pipes from a single-threaded poll
+ * loop, appends each received payload to the journal as it arrives,
+ * and frees a slot as soon as the batch's last record is in.
  *
- *   parent -> worker   CMD frame:  magic, count, count x u32 indices
- *   worker -> parent   RES frame:  magic, index, payload length,
- *                                  FNV-1a checksum, payload
- *
- * The payload is the serialized SweepResult body (see codec below).
- * Every result frame is checksummed; a frame that fails validation
- * kills the worker and marks the in-flight cell Error rather than
- * trusting a corrupt stream.
- *
- * Fault handling, per the fail-soft sweep contract:
- *   - worker dies on a signal / exits mid-batch: the in-flight cell
- *     (the first one without a result) becomes Crashed with the
- *     signal or exit status in its message; the rest of the batch is
- *     requeued to surviving workers.
- *   - no result within the per-cell watchdog deadline: the worker is
- *     SIGKILLed and the in-flight cell becomes TimedOut; the rest of
- *     the batch is requeued.
- *   - dead workers are respawned while requeued work remains, up to
- *     SweepOptions::respawnBudget; past the budget, still-pending
- *     cells are marked Error ("respawn budget exhausted") and are NOT
- *     journaled, so a rerun retries them.
- *
- * Each worker death retires at least the in-flight cell, so a batch
- * whose every cell crashes deterministically still terminates after
- * one death per cell (budget permitting).
+ * A child that will send nothing more goes through one retire path:
+ *   - EOF before the last record (the child died on a signal or
+ *     exited): the in-flight cell (the first one without a record)
+ *     becomes Crashed with the signal or exit status in its message;
+ *   - no record within the per-cell watchdog deadline: the child is
+ *     SIGKILLed and the in-flight cell becomes TimedOut;
+ *   - a record that fails validation (length, checksum, index,
+ *     payload): the child is SIGKILLed and the in-flight cell becomes
+ *     Error rather than trusting a corrupt stream.
+ * In each case the rest of the batch is requeued for a new child.
+ * Each retire costs the batch at least one cell, so a grid whose every
+ * cell crashes still terminates after one child per cell. When fork()
+ * fails with no child running, the queued cells become Error and are
+ * NOT journaled, so a rerun retries them.
  *
  * ## Checkpoint journal
  *
@@ -48,6 +41,10 @@
  *           u64 cell count
  *   record  u32 cell index, u32 payload length, payload bytes,
  *           u64 FNV-1a over (index, length, payload)
+ *
+ * The payload is the serialized SweepResult body (see the codec
+ * below). The result pipes carry the same records, written and parsed
+ * by the same pair of functions.
  *
  * The grid fingerprint folds every cell's coordinates (cipher,
  * variant, session bytes, model name), so a journal can never replay
@@ -67,7 +64,7 @@
  * Worker cells contain an env-triggered fault hook for the chaos
  * harness (bench/chaos.cc): CRYPTARCH_SWEEP_CHAOS holds
  * ';'-separated "action@Cipher/Variant/Model" points (actions crash,
- * abort, exit, hang) evaluated in the worker immediately before the
+ * abort, exit, hang) evaluated in the child immediately before the
  * matching cell executes. The hook is how crash/hang classification
  * and kill-and-resume are exercised without special builds; it never
  * fires unless the variable is set.
@@ -128,10 +125,10 @@ class JournalError : public std::runtime_error
 
 /**
  * Serialize the non-coordinate body of @p r (outcome, worker,
- * message, full SimStats) as the versioned little-endian payload the
- * pipe protocol and the journal share. Coordinates are never encoded:
- * both consumers already know the cell and refill them, so a payload
- * cannot disagree with its grid position.
+ * message, full SimStats) as the versioned little-endian payload of a
+ * record, on a result pipe or in the journal. Coordinates are never
+ * encoded: both consumers already know the cell and refill them, so a
+ * payload cannot disagree with its grid position.
  */
 std::vector<uint8_t> serializeResultPayload(const SweepResult &r);
 
@@ -201,6 +198,8 @@ class SweepJournal
 
   private:
     void close();
+    /** Parse the open file into loaded_ (or write a fresh header). */
+    void load(uint64_t fingerprint, uint64_t cellCount);
 
     int fd_ = -1;
     std::vector<std::pair<uint32_t, std::vector<uint8_t>>> loaded_;

@@ -34,18 +34,6 @@ cellOutcomeName(CellOutcome outcome)
     return "?";
 }
 
-SweepIsolation
-parseSweepIsolation(std::string_view name, SweepIsolation dflt)
-{
-    if (name == "thread")
-        return SweepIsolation::Thread;
-    if (name == "process")
-        return SweepIsolation::Process;
-    // Anything unrecognized: the caller's safe default, same policy as
-    // every util::envChoice knob.
-    return dflt;
-}
-
 SweepOptions
 sweepOptionsFromEnv()
 {
@@ -62,8 +50,6 @@ sweepOptionsFromEnv()
         opts.journalPath = env;
     opts.cellDeadlineSeconds =
         util::envDouble("CRYPTARCH_SWEEP_DEADLINE", 0);
-    opts.respawnBudget = static_cast<unsigned>(
-        util::envU64("CRYPTARCH_SWEEP_RESPAWNS", opts.respawnBudget));
     return opts;
 }
 

@@ -19,19 +19,17 @@
  *
  * Execution is isolation-selectable (SweepOptions / the
  * CRYPTARCH_SWEEP_* environment): the default Thread mode runs cells
- * on that in-process pool, while Process mode forks POSIX worker
- * processes that claim one cell batch per group over a pipe protocol
- * and stream back checksummed serialized results
- * (src/driver/procpool.hh). Both modes schedule from the same group
- * plan (detail::planGroups). Process mode survives host-level faults
- * the thread pool cannot: a worker that dies on a signal marks only
- * its in-flight cell `crashed`, a worker past its per-cell watchdog
- * deadline is killed and the cell marked `timed_out`, and the dead
- * worker's remaining batch is requeued to survivors (workers are
- * respawned up to a bounded budget). Either mode can additionally
- * record an append-only checkpoint journal so a killed sweep resumes
- * without redoing finished cells and still emits byte-identical
- * BENCH_*.json artifacts.
+ * on that in-process pool, while Process mode forks one short-lived
+ * child per group batch that streams back one checksummed journal
+ * record per cell (src/driver/procpool.hh). Both modes schedule from
+ * the same group plan (detail::planGroups). Process mode survives
+ * host-level faults the thread pool cannot: a child that dies on a
+ * signal marks only its in-flight cell `crashed`, a child past its
+ * per-cell watchdog deadline is killed and the cell marked
+ * `timed_out`, and the rest of its batch is requeued for a new child.
+ * Either mode can additionally record an append-only checkpoint
+ * journal so a killed sweep resumes without redoing finished cells and
+ * still emits byte-identical BENCH_*.json artifacts.
  */
 
 #ifndef CRYPTARCH_DRIVER_SWEEP_HH
@@ -91,9 +89,9 @@ struct SweepResult
     std::string message;
 
     /**
-     * Index of the worker process that last held the cell, -1 outside
-     * process isolation. Only host-level failures (Crashed, TimedOut,
-     * corrupt-frame/exhaustion Error) carry attribution — healthy
+     * Process isolation's slot index of the child that held the cell
+     * when it failed, -1 otherwise. Only host-level failures (Crashed,
+     * TimedOut, corrupt-record Error) carry attribution — healthy
      * cells keep -1 in every mode, so ok-grid artifacts stay
      * byte-identical across thread counts, isolation modes, and
      * kill-and-resume reruns.
@@ -107,7 +105,7 @@ struct SweepResult
 enum class SweepIsolation : uint8_t
 {
     Thread,  ///< in-process thread pool (the historical behavior)
-    Process, ///< forked worker processes with watchdog supervision
+    Process, ///< one forked child per group batch, watchdog-supervised
 };
 
 /**
@@ -128,8 +126,6 @@ struct SweepOptions
      * a hung cell there would leave the pool wedged either way.
      */
     double cellDeadlineSeconds = 0;
-    /** Dead workers respawned before the pool gives up requeued work. */
-    unsigned respawnBudget = 8;
     /**
      * Append-only checkpoint journal path; empty = none. Completed
      * cells are recorded as they finish (either isolation mode); a
@@ -147,16 +143,12 @@ constexpr double default_cell_deadline_seconds = 300.0;
 /**
  * Sweep options from the environment: CRYPTARCH_SWEEP_ISOLATE
  * ("thread" | "process"; anything else keeps the thread default),
- * CRYPTARCH_SWEEP_JOURNAL (path), CRYPTARCH_SWEEP_DEADLINE (seconds),
- * CRYPTARCH_SWEEP_RESPAWNS (count). The plain runCells/runSweep
- * entry points start from these, so every existing bench is
- * crash-isolatable without touching its command line.
+ * CRYPTARCH_SWEEP_JOURNAL (path), CRYPTARCH_SWEEP_DEADLINE (seconds).
+ * The plain runCells/runSweep entry points start from these, so every
+ * existing bench is crash-isolatable without touching its command
+ * line.
  */
 SweepOptions sweepOptionsFromEnv();
-
-/** Parse an isolation name; unrecognized values return @p dflt. */
-SweepIsolation parseSweepIsolation(std::string_view name,
-                                   SweepIsolation dflt);
 
 /** A dense grid: every cipher x every variant x every model. */
 struct SweepSpec

@@ -120,8 +120,8 @@ TEST(Outcomes, RejectedInThreadAndProcessModes)
     // crash) and the JSON matches the thread run byte for byte.
     auto processResults = driver::runCells(cells, processOptions());
     expectRejectedGrid(processResults);
-    EXPECT_EQ(benchJsonString(threadResults, "thread"),
-              benchJsonString(processResults, "process"));
+    EXPECT_EQ(benchJsonString(threadResults, "rthread"),
+              benchJsonString(processResults, "rprocess"));
 }
 
 TEST(Outcomes, StalledInThreadAndProcessModes)
@@ -134,8 +134,8 @@ TEST(Outcomes, StalledInThreadAndProcessModes)
 
     auto processResults = driver::runCells(cells, processOptions());
     expectStalledGrid(processResults);
-    EXPECT_EQ(benchJsonString(threadResults, "thread"),
-              benchJsonString(processResults, "process"));
+    EXPECT_EQ(benchJsonString(threadResults, "sthread"),
+              benchJsonString(processResults, "sprocess"));
 }
 
 TEST(Outcomes, JournalResumeSkipsRejectedCells)

@@ -180,9 +180,9 @@ TEST(ProcPool, ChaosHangTripsTheWatchdog)
 
 TEST(ProcPool, SingleWorkerDeathRequeuesDeterministically)
 {
-    // One worker, fault in the middle of the first group's batch: the
-    // respawned worker must pick up the remainder and the result
-    // vector must stay in cell order.
+    // One slot, fault in the middle of the first group's batch: a new
+    // child must pick up the remainder and the result vector must stay
+    // in cell order.
     auto cells = smallGrid();
     ChaosGuard chaos("crash@RC4/optimized/DF");
     auto opts = processOptions();
@@ -200,35 +200,46 @@ TEST(ProcPool, SingleWorkerDeathRequeuesDeterministically)
     }
 }
 
-TEST(ProcPool, RespawnBudgetExhaustionFailsPendingCellsSoftly)
+TEST(ProcPool, EveryCellCrashingStillTerminates)
 {
-    // Every cell faults and no respawns are allowed: each initial
-    // worker retires (at most) its in-flight cell as Crashed, and
-    // whatever is still queued when the pool dies must come back as
-    // Error — never hang, never throw.
+    // One slot and every cell faults: each child retires its first
+    // cell as Crashed and requeues the rest, so the sweep ends after
+    // one child per cell — never hangs, never throws.
     auto cells = smallGrid();
-    ChaosGuard chaos("crash@RC4/optimized/4W;crash@RC4/optimized/DF;"
-                     "crash@Blowfish/optimized/4W;"
-                     "crash@Blowfish/optimized/DF");
+    const std::string path = tempPath("journal_all_crash.bin");
+    std::remove(path.c_str());
     auto opts = processOptions();
     opts.threads = 1;
-    opts.respawnBudget = 0;
-    auto results = driver::runCells(cells, opts);
-
-    ASSERT_EQ(results.size(), cells.size());
-    size_t crashed = 0, errored = 0;
-    for (const auto &r : results) {
-        EXPECT_FALSE(r.ok());
-        if (r.outcome == CellOutcome::Crashed)
-            crashed++;
-        else if (r.outcome == CellOutcome::Error) {
-            errored++;
-            EXPECT_NE(r.message.find("respawn budget"), std::string::npos)
-                << r.message;
-        }
+    opts.journalPath = path;
+    std::vector<SweepResult> first;
+    {
+        ChaosGuard chaos("crash@RC4/optimized/4W;crash@RC4/optimized/DF;"
+                         "crash@Blowfish/optimized/4W;"
+                         "crash@Blowfish/optimized/DF");
+        first = driver::runCells(cells, opts);
     }
-    EXPECT_EQ(crashed, 1u);
-    EXPECT_EQ(errored, cells.size() - 1);
+    ASSERT_EQ(first.size(), cells.size());
+    for (const auto &r : first) {
+        EXPECT_EQ(r.outcome, CellOutcome::Crashed) << r.message;
+        EXPECT_EQ(r.worker, 0);
+    }
+
+    // Crashed cells are journaled: a rerun with chaos disarmed runs no
+    // cell and returns the same four results.
+    SweepOptions resumeOpts;
+    resumeOpts.journalPath = path;
+    const uint64_t before = driver::functionalRuns();
+    auto second = driver::runCells(cells, resumeOpts);
+    EXPECT_EQ(driver::functionalRuns() - before, 0u);
+    ASSERT_EQ(second.size(), cells.size());
+    for (size_t i = 0; i < cells.size(); i++) {
+        EXPECT_EQ(second[i].outcome, first[i].outcome);
+        EXPECT_EQ(second[i].message, first[i].message);
+        EXPECT_EQ(second[i].worker, first[i].worker);
+    }
+    EXPECT_EQ(benchJsonString(first, "cfirst"),
+              benchJsonString(second, "csecond"));
+    std::remove(path.c_str());
 }
 
 TEST(ProcPool, JournalResumeSkipsFinishedCellsByteForByte)
@@ -474,12 +485,10 @@ TEST(ProcPool, SweepOptionsFromEnvironment)
     ::setenv("CRYPTARCH_SWEEP_ISOLATE", "process", 1);
     ::setenv("CRYPTARCH_SWEEP_JOURNAL", "/tmp/j.bin", 1);
     ::setenv("CRYPTARCH_SWEEP_DEADLINE", "12.5", 1);
-    ::setenv("CRYPTARCH_SWEEP_RESPAWNS", "3", 1);
     auto opts = driver::sweepOptionsFromEnv();
     EXPECT_EQ(opts.isolation, driver::SweepIsolation::Process);
     EXPECT_EQ(opts.journalPath, "/tmp/j.bin");
     EXPECT_DOUBLE_EQ(opts.cellDeadlineSeconds, 12.5);
-    EXPECT_EQ(opts.respawnBudget, 3u);
 
     // Unrecognized isolation names keep the safe default.
     ::setenv("CRYPTARCH_SWEEP_ISOLATE", "container", 1);
@@ -489,7 +498,6 @@ TEST(ProcPool, SweepOptionsFromEnvironment)
     ::unsetenv("CRYPTARCH_SWEEP_ISOLATE");
     ::unsetenv("CRYPTARCH_SWEEP_JOURNAL");
     ::unsetenv("CRYPTARCH_SWEEP_DEADLINE");
-    ::unsetenv("CRYPTARCH_SWEEP_RESPAWNS");
 }
 
 } // namespace
