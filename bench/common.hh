@@ -4,12 +4,11 @@
  *
  * Every bench uses the same deterministic key/IV/plaintext material
  * (seeded xorshift) and the paper's 4 KB session length unless a
- * figure calls for a sweep. Workload generation and kernel timing live
- * in the driver library (src/driver/); the helpers here are thin
- * wrappers kept for the single-model call sites. Grid-shaped benches
- * use driver::runSweep / driver::runCells directly so every kernel is
+ * figure calls for a sweep. Workload generation lives in the driver
+ * library (src/driver/) and is re-exported here. Benches time kernels
+ * with driver::runSweep / driver::runCells, so every kernel is
  * functionally interpreted once no matter how many timing models it
- * feeds.
+ * feeds; the helpers below share their flags, grid cells and exit code.
  */
 
 #ifndef CRYPTARCH_BENCH_COMMON_HH
@@ -41,20 +40,6 @@ using driver::Workload;
 using driver::makeWorkload;
 
 /**
- * Build a kernel, run it functionally, and time it on @p cfg.
- *
- * One functional interpretation per call: call sites that sweep many
- * models over the same kernel should record once and replay instead
- * (driver::recordKernelTrace / driver::runSweep).
- */
-inline sim::SimStats
-timeKernel(crypto::CipherId id, kernels::KernelVariant variant,
-           const sim::MachineConfig &cfg, size_t bytes = session_bytes)
-{
-    return driver::recordKernelTrace(id, variant, bytes).replay(cfg);
-}
-
-/**
  * bytes encrypted per 1000 cycles (the paper's Figure 4 metric). The
  * byte count is a required argument: a sweep that varies session
  * length must pass the length it actually simulated, so the metric can
@@ -68,11 +53,7 @@ bytesPerKiloCycle(uint64_t cycles, size_t bytes)
 }
 
 /** All eight cipher ids in Table 1 order. */
-inline std::vector<crypto::CipherId>
-allCiphers()
-{
-    return driver::allCiphers();
-}
+using driver::allCiphers;
 
 /**
  * Render one numeric grid cell: @p value formatted with @p fmt when
@@ -171,11 +152,14 @@ reportFailedCells(const std::vector<driver::SweepResult> &results)
         if (r.ok())
             continue;
         failed++;
-        std::fprintf(stderr, "FAILED cell (%s, %s, %s): [%s] %s\n",
+        std::fprintf(stderr, "FAILED cell (%s, %s, %s%s): [%s] %s\n",
                      crypto::cipherInfo(r.cipher).name.c_str(),
                      kernels::variantName(r.variant).c_str(),
-                     r.model.c_str(), driver::cellOutcomeName(r.outcome),
-                     r.message.c_str());
+                     r.model.c_str(),
+                     r.direction == kernels::KernelDirection::Decrypt
+                         ? ", decrypt"
+                         : "",
+                     driver::cellOutcomeName(r.outcome), r.message.c_str());
     }
     if (failed)
         std::fprintf(stderr, "%zu of %zu cells failed\n", failed,

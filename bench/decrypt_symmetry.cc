@@ -8,39 +8,34 @@
  * 4W machine and reports the ratio; the paper's claim holds when all
  * ratios sit near 1.0.
  *
- * Both directions record through driver::recordKernelTrace, so each
- * run is oracle-checked: encryption against the reference ciphertext,
- * decryption against round-trip recovery of the plaintext from the
- * reference ciphertext.
+ * Both directions run through the bench driver, one trace group per
+ * (cipher, variant, direction), so each run is oracle-checked:
+ * encryption against the reference ciphertext, decryption against
+ * round-trip recovery of the plaintext from the reference ciphertext.
+ * Stats: BENCH_decrypt_symmetry.json (decrypt rows carry
+ * "direction": "decrypt").
  */
 
 #include <cstdio>
 
 #include "bench/common.hh"
 
-namespace
-{
-
-cryptarch::sim::SimStats
-timeDirection(cryptarch::crypto::CipherId id,
-              cryptarch::kernels::KernelVariant variant,
-              cryptarch::kernels::KernelDirection dir)
-{
-    using namespace cryptarch;
-    using namespace cryptarch::bench;
-    return driver::recordKernelTrace(id, variant, session_bytes, dir)
-        .replay(sim::MachineConfig::fourWide());
-}
-
-} // namespace
-
 int
-main()
+main(int argc, char **argv)
 {
     using namespace cryptarch;
     using namespace cryptarch::bench;
     using kernels::KernelDirection;
     using kernels::KernelVariant;
+
+    std::vector<driver::SweepCell> cells;
+    for (auto id : allCiphers())
+        for (auto v : {KernelVariant::BaselineRot, KernelVariant::Optimized})
+            for (auto dir : {KernelDirection::Encrypt,
+                             KernelDirection::Decrypt})
+                cells.push_back({id, v, sim::MachineConfig::fourWide(),
+                                 session_bytes, dir});
+    const auto results = driver::runCells(cells, sweepOptions(argc, argv));
 
     std::printf("Encryption/decryption symmetry (paper footnote 1)\n"
                 "(4KB session, 4W machine, cycles).\n\n");
@@ -49,20 +44,20 @@ main()
     std::printf("%.60s\n",
                 "----------------------------------------------------"
                 "--------");
-    for (auto id : allCiphers()) {
-        const auto &info = crypto::cipherInfo(id);
-        for (auto v : {KernelVariant::BaselineRot,
-                       KernelVariant::Optimized}) {
-            auto enc = timeDirection(id, v, KernelDirection::Encrypt);
-            auto dec = timeDirection(id, v, KernelDirection::Decrypt);
-            std::printf("%-10s %-14s %12llu %12llu %8.2f\n",
-                        info.name.c_str(),
-                        kernels::variantName(v).c_str(),
-                        static_cast<unsigned long long>(enc.cycles),
-                        static_cast<unsigned long long>(dec.cycles),
-                        static_cast<double>(dec.cycles)
-                            / static_cast<double>(enc.cycles));
-        }
+    const auto cycles = [](const driver::SweepResult &r) {
+        return static_cast<double>(r.stats.cycles);
+    };
+    for (size_t i = 0; i < results.size(); i += 2) {
+        const auto &enc = results[i];
+        const auto &dec = results[i + 1];
+        std::printf("%-10s %-14s %12s %12s %8s\n",
+                    crypto::cipherInfo(enc.cipher).name.c_str(),
+                    kernels::variantName(enc.variant).c_str(),
+                    gridCell(enc.ok(), "%.0f", cycles(enc)).c_str(),
+                    gridCell(dec.ok(), "%.0f", cycles(dec)).c_str(),
+                    gridCell(enc.ok() && dec.ok(), "%.2f",
+                             cycles(dec) / cycles(enc))
+                        .c_str());
     }
     std::printf(
         "\n(Ratios below 1.0 are a real CBC effect the out-of-order\n"
@@ -71,5 +66,7 @@ main()
         "serial recurrence. Ciphers already at dataflow speed —\n"
         "3DES, Mars, Rijndael — show the paper's \"comparable\"\n"
         "behavior directly.)\n");
-    return 0;
+    driver::writeBenchJson("BENCH_decrypt_symmetry.json",
+                           "decrypt_symmetry", results);
+    return reportFailedCells(results);
 }

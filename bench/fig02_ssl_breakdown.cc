@@ -25,6 +25,7 @@ main(int argc, char **argv)
         bulk = crypto::CipherId::RC4;
 
     ssl::SessionModel model(bulk);
+    const ssl::ServerRates &r = model.rates();
     const auto &info = crypto::cipherInfo(bulk);
 
     std::printf("Figure 2. SSL Characterization by Session Length "
@@ -34,10 +35,8 @@ main(int argc, char **argv)
                 "(client public op: %.3f Mcycles, not server work)\n"
                 "bulk rate: %.1f cycles/byte steady-state; kernel "
                 "prologue: %.0f cycles/invocation; setup: %.0f cycles\n\n",
-                model.handshakeCycles() / 1e6,
-                model.clientHandshakeCycles() / 1e6,
-                model.bulkCyclesPerByte(), model.prologueCycles(),
-                model.setupCycles());
+                r.serverHandshakeCycles / 1e6, r.clientHandshakeCycles / 1e6,
+                r.cyclesPerByte, r.prologueCycles, r.keySetupCycles);
     std::printf("%10s %12s %12s %12s %14s\n", "Session", "Public-key",
                 "Private-key", "Other", "Total Mcycles");
     std::printf("%.64s\n",

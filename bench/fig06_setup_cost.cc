@@ -9,17 +9,28 @@
  * setup even at 16 bytes; most ciphers drop below 10% by 4 KB;
  * Blowfish — whose setup runs the cipher 521 times, the work of
  * encrypting ~8 KB — only drops below 10% past 64 KB.
+ *
+ * The probes run through the bench driver; stats: BENCH_fig06.json.
  */
 
 #include <cstdio>
 
 #include "bench/common.hh"
+#include "ssl/session.hh"
 
 int
-main()
+main(int argc, char **argv)
 {
     using namespace cryptarch;
     using namespace cryptarch::bench;
+    using kernels::KernelVariant;
+
+    // One 4 KB probe per cipher, also the per-byte divisor below.
+    std::vector<driver::SweepCell> cells;
+    for (auto id : allCiphers())
+        cells.push_back({id, KernelVariant::BaselineRot,
+                         sim::MachineConfig::fourWide(), session_bytes});
+    const auto results = driver::runCells(cells, sweepOptions(argc, argv));
 
     const size_t lengths[] = {16,   64,   256,   1024,
                               4096, 16384, 65536};
@@ -38,50 +49,40 @@ main()
                 "----------------------------------------------------"
                 "--------------");
 
-    for (auto id : allCiphers()) {
-        const auto &info = crypto::cipherInfo(id);
-        // Setup cycles: estimated instructions over the kernel's IPC.
-        uint64_t setup_insts = info.isStream
-            ? crypto::makeStreamCipher(id)->setupOpEstimate()
-            : crypto::makeBlockCipher(id)->setupOpEstimate();
-        // The probe's session length and the per-byte divisor must
-        // agree: both are spelled explicitly.
-        auto probe = timeKernel(id, kernels::KernelVariant::BaselineRot,
-                                sim::MachineConfig::fourWide(),
-                                session_bytes);
-        double cycles_per_byte =
-            static_cast<double>(probe.cycles) / session_bytes;
-        double setup_cycles =
-            static_cast<double>(setup_insts) / probe.ipc();
+    for (const auto &r : results) {
+        const auto &info = crypto::cipherInfo(r.cipher);
+        const double cycles_per_byte =
+            static_cast<double>(r.stats.cycles) / r.bytes;
+        const double setup_cycles =
+            ssl::keySetupCycles(r.cipher, r.stats.ipc());
 
         std::printf("%-10s", info.name.c_str());
         for (size_t l : lengths) {
             size_t bytes = std::max<size_t>(l, info.blockBytes);
             double kernel_cycles = cycles_per_byte * bytes;
             double frac = setup_cycles / (setup_cycles + kernel_cycles);
-            std::printf("%7.1f%%", 100.0 * frac);
+            std::printf("%8s",
+                        gridCell(r.ok(), "%.1f%%", 100.0 * frac).c_str());
         }
         std::printf("\n");
     }
 
     // The outlier, measured instead of estimated: run the Blowfish
-    // key-setup kernel itself through the simulator.
-    {
+    // key-setup kernel itself through the simulator. No grid has a
+    // place for it, so it runs directly.
+    const auto &bf = driver::findResult(results, crypto::CipherId::Blowfish,
+                                        KernelVariant::BaselineRot, "4W");
+    if (bf.ok()) {
         Workload w = makeWorkload(crypto::CipherId::Blowfish);
         auto setup = kernels::buildBlowfishSetupKernel(
-            kernels::KernelVariant::BaselineRot, w.key);
+            KernelVariant::BaselineRot, w.key);
         isa::Machine m;
         for (const auto &[addr, bytes] : setup.memInit)
             m.writeMem(addr, bytes);
-        sim::OooScheduler sched(sim::MachineConfig::fourWide());
-        m.run(setup.program, &sched, 1ull << 30);
-        auto s = sched.finish();
+        auto s = sim::simulate(m, setup.program,
+                               sim::MachineConfig::fourWide());
 
-        auto probe = timeKernel(crypto::CipherId::Blowfish,
-                                kernels::KernelVariant::BaselineRot,
-                                sim::MachineConfig::fourWide(),
-                                session_bytes);
-        double cpb = static_cast<double>(probe.cycles) / session_bytes;
+        double cpb = static_cast<double>(bf.stats.cycles) / bf.bytes;
         std::printf("\nBlowfish setup kernel, measured: %llu cycles "
                     "(%llu insts) —\n",
                     static_cast<unsigned long long>(s.cycles),
@@ -93,5 +94,6 @@ main()
                     100.0 * s.cycles / (s.cycles + cpb * 4096),
                     9.0 * static_cast<double>(s.cycles) / cpb / 1024.0);
     }
-    return 0;
+    driver::writeBenchJson("BENCH_fig06.json", "fig06", results);
+    return reportFailedCells(results);
 }

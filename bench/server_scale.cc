@@ -6,7 +6,7 @@
  * Per (bulk cipher, machine model) the kernel is timed through the
  * existing sweep runner at two probe lengths — the marginal slope is
  * the steady-state cycles/byte and the intercept the per-invocation
- * prologue (the same accounting SessionModel uses) — and the RSA-1024
+ * prologue (ssl::probeRates, shared with SessionModel) — and the RSA-1024
  * handshake word multiplies are measured once with per-side counter
  * resets, so only the server's CRT private operation is billed to the
  * server. Key-setup cycles use the Figure 6 estimate over the
@@ -49,17 +49,6 @@ using namespace cryptarch;
 
 constexpr size_t probe_lo = 2048;
 constexpr size_t probe_hi = 4096;
-
-/** Setup-cycle estimate at the measured IPC (the Figure 6 numbers). */
-double
-setupCycles(crypto::CipherId id, double ipc)
-{
-    const auto &info = crypto::cipherInfo(id);
-    uint64_t insts = info.isStream
-        ? crypto::makeStreamCipher(id)->setupOpEstimate()
-        : crypto::makeBlockCipher(id)->setupOpEstimate();
-    return static_cast<double>(insts) / (ipc > 0 ? ipc : 1.0);
-}
 
 } // namespace
 
@@ -143,23 +132,10 @@ main(int argc, char **argv)
                 kernel_results[(ci * models.size() + mi) * 2 + 1];
             driver::SweepResult row = hi; // probe-kernel stats
             if (lo.ok() && hi.ok()) {
-                ssl::ServerRates r;
-                r.cipher = ciphers[ci];
-                r.model = models[mi].name;
-                r.serverHandshakeCycles = server_handshake;
-                r.clientHandshakeCycles = client_handshake;
-                r.cyclesPerByte =
-                    static_cast<double>(hi.stats.cycles - lo.stats.cycles)
-                    / static_cast<double>(probe_hi - probe_lo);
-                r.prologueCycles =
-                    static_cast<double>(lo.stats.cycles)
-                    - r.cyclesPerByte * static_cast<double>(probe_lo);
-                r.keySetupCycles =
-                    setupCycles(ciphers[ci], hi.stats.ipc());
-                r.requestOverheadCycles = costs.requestOverheadCycles;
-                r.perByteOverheadCycles = costs.perByteOverheadCycles;
                 rate_row.push_back(rows.size());
-                rates.push_back(r);
+                rates.push_back(ssl::probeRates(ciphers[ci], lo.stats,
+                                                probe_lo, hi.stats,
+                                                probe_hi, ops, costs));
             } else if (!lo.ok()) {
                 row = lo; // carry the failing probe's outcome
             }

@@ -35,10 +35,10 @@ struct TraceGroup
 
 /**
  * Partition @p todo (indices into @p cells) into trace groups: one
- * list per distinct (cipher, variant, bytes) kernel, groups in order
- * of first appearance and each group's cells in @p todo order. The
- * process pool forks one child per group; the thread pool queues every
- * group's first cell (its recording) before the remaining cells.
+ * list per distinct (cipher, variant, bytes, direction) kernel, groups
+ * in order of first appearance and each group's cells in @p todo order.
+ * The process pool forks one child per group; the thread pool queues
+ * every group's first cell (its recording) before the remaining cells.
  */
 std::vector<std::vector<uint32_t>>
 planGroups(const std::vector<SweepCell> &cells,

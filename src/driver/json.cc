@@ -153,8 +153,10 @@ writeBenchJson(const std::string &path, std::string_view bench,
         out << "    {\"cipher\": \""
             << escape(crypto::cipherInfo(r.cipher).name) << "\", \"variant\": \""
             << escape(kernels::variantName(r.variant)) << "\", \"model\": \""
-            << escape(r.model) << "\", \"session_bytes\": " << r.bytes
-            << ", \"outcome\": \"" << cellOutcomeName(r.outcome) << "\"";
+            << escape(r.model) << "\", \"session_bytes\": " << r.bytes;
+        if (r.direction == kernels::KernelDirection::Decrypt)
+            out << ", \"direction\": \"decrypt\"";
+        out << ", \"outcome\": \"" << cellOutcomeName(r.outcome) << "\"";
         if (!r.message.empty())
             out << ",\n     \"message\": \"" << escape(r.message) << "\"";
         if (r.worker >= 0)

@@ -18,6 +18,7 @@
  *         "variant": "BaselineRot",
  *         "model": "4W",
  *         "session_bytes": 4096,
+ *         "direction": "decrypt",  // decrypt cells only
  *         "outcome": "ok" | "trapped" | "verify_failed" | "error"
  *                  | "crashed" | "timed_out" | "rejected" | "stalled",
  *         "message": "<error what(), present only on failed cells>",
@@ -56,7 +57,9 @@
  * "stalled" (the scheduler's forward-progress watchdog fired) outcomes
  * from the simulator hardening layer; both appear in the "outcomes"
  * counts and as per-result outcome values, zeroed stats as with every
- * failed cell.
+ * failed cell. Still within v5, a decrypt cell's row names its
+ * "direction"; encrypt rows omit the key, so encrypt-only grids write
+ * the same files as before.
  *
  * All emitted strings are escaped: quote/backslash/newline/tab with
  * their short escapes, every other byte outside printable ASCII

@@ -310,6 +310,10 @@ gridFingerprint(const std::vector<SweepCell> &cells)
         putU32(b, static_cast<uint32_t>(cell.variant));
         putU64(b, cell.bytes);
         putString(b, cell.model.name);
+        // Only decrypt cells add a tag (no CipherId value), so every
+        // encrypt-only grid keeps its fingerprint.
+        if (cell.direction == kernels::KernelDirection::Decrypt)
+            putU32(b, 0xDEC0DE);
     }
     return util::fnv1a64(b.data(), b.size());
 }

@@ -60,14 +60,15 @@ std::vector<std::vector<uint32_t>>
 planGroups(const std::vector<SweepCell> &cells,
            const std::vector<uint32_t> &todo)
 {
-    using GroupKey =
-        std::tuple<crypto::CipherId, kernels::KernelVariant, size_t>;
+    using GroupKey = std::tuple<crypto::CipherId, kernels::KernelVariant,
+                                size_t, kernels::KernelDirection>;
     std::map<GroupKey, size_t> groupOf;
     std::vector<std::vector<uint32_t>> groups;
     for (uint32_t i : todo) {
         const SweepCell &c = cells[i];
         auto [it, fresh] = groupOf.try_emplace(
-            GroupKey{c.cipher, c.variant, c.bytes}, groups.size());
+            GroupKey{c.cipher, c.variant, c.bytes, c.direction},
+            groups.size());
         if (fresh)
             groups.emplace_back();
         groups[it->second].push_back(i);
@@ -111,6 +112,7 @@ makeResultShell(const SweepCell &cell)
     r.variant = cell.variant;
     r.model = cell.model.name;
     r.bytes = cell.bytes;
+    r.direction = cell.direction;
     return r;
 }
 
@@ -124,7 +126,7 @@ executeCell(const SweepCell &cell, TraceGroup &group, SweepResult &r)
         std::call_once(group.once, [&]() {
             try {
                 group.trace = recordKernelTrace(cell.cipher, cell.variant,
-                                                cell.bytes);
+                                                cell.bytes, cell.direction);
             } catch (...) {
                 group.recordError = std::current_exception();
             }
@@ -282,15 +284,18 @@ runSweep(const SweepSpec &spec)
 
 const SweepResult &
 findResult(const std::vector<SweepResult> &results, crypto::CipherId cipher,
-           kernels::KernelVariant variant, std::string_view model)
+           kernels::KernelVariant variant, std::string_view model,
+           kernels::KernelDirection direction)
 {
     for (const auto &r : results)
-        if (r.cipher == cipher && r.variant == variant && r.model == model)
+        if (r.cipher == cipher && r.variant == variant && r.model == model
+            && r.direction == direction)
             return r;
     throw std::out_of_range("sweep: no result for ("
                             + crypto::cipherInfo(cipher).name + ", "
                             + kernels::variantName(variant) + ", "
-                            + std::string(model) + ")");
+                            + std::string(model) + ", "
+                            + kernels::directionName(direction) + ")");
 }
 
 } // namespace cryptarch::driver

@@ -2,8 +2,8 @@
  * @file
  * Parallel (cipher x variant x model) sweep runner.
  *
- * A sweep is a list of cells; cells sharing a (cipher, variant, bytes)
- * kernel are grouped so the kernel is functionally interpreted exactly
+ * A sweep is a list of cells; cells sharing a kernel (cipher, variant,
+ * bytes, direction) are grouped so it is functionally interpreted exactly
  * once (recorded via RecordedTrace), then each cell replays the group's
  * trace into its own OooScheduler. Cells execute on a thread pool
  * (util::parallelFor) whose queue holds every group's first cell —
@@ -52,6 +52,7 @@ struct SweepCell
     kernels::KernelVariant variant{};
     sim::MachineConfig model;
     size_t bytes = session_bytes;
+    kernels::KernelDirection direction = kernels::KernelDirection::Encrypt;
 };
 
 /** How a cell's record/replay ended. */
@@ -82,6 +83,7 @@ struct SweepResult
     kernels::KernelVariant variant{};
     std::string model;
     size_t bytes = session_bytes;
+    kernels::KernelDirection direction = kernels::KernelDirection::Encrypt;
     sim::SimStats stats;
 
     CellOutcome outcome = CellOutcome::Ok;
@@ -162,7 +164,7 @@ struct SweepSpec
 /**
  * Execute @p cells in parallel on @p threads workers (0 = hardware
  * concurrency). Returns one result per cell, in cell order. Each
- * distinct (cipher, variant, bytes) kernel is functionally interpreted
+ * distinct (cipher, variant, bytes, direction) kernel is interpreted
  * exactly once across the whole call — including when recording fails:
  * traps and oracle rejections are deterministic, so the failure is
  * cached and fanned out to every cell of the group. Recording and
@@ -193,13 +195,15 @@ std::vector<SweepResult> runSweep(const SweepSpec &spec,
                                   const SweepOptions &options);
 
 /**
- * First result matching (cipher, variant, model name). Throws
- * std::out_of_range when the sweep has no such cell.
+ * First result matching (cipher, variant, model name, direction).
+ * Throws std::out_of_range when the sweep has no such cell.
  */
 const SweepResult &findResult(const std::vector<SweepResult> &results,
                               crypto::CipherId cipher,
                               kernels::KernelVariant variant,
-                              std::string_view model);
+                              std::string_view model,
+                              kernels::KernelDirection direction
+                                  = kernels::KernelDirection::Encrypt);
 
 } // namespace cryptarch::driver
 

@@ -33,24 +33,47 @@ measureHandshakeOps(unsigned rsaBits, uint64_t seed)
     return ops;
 }
 
-SessionModel::SessionModel(crypto::CipherId bulk_cipher,
-                           SessionModelParams p)
-    : cipher(bulk_cipher), params(p)
+double
+keySetupCycles(crypto::CipherId cipher, double ipc)
 {
-    // --- handshake cost: count word multiplies of a real handshake ---
-    HandshakeOps ops = measureHandshakeOps(params.rsaBits);
-    clientHandshakeCyc =
-        static_cast<double>(ops.clientMulOps) * params.cyclesPerWordMul;
-    serverHandshakeCyc =
-        static_cast<double>(ops.serverMulOps) * params.cyclesPerWordMul;
+    const uint64_t insts = crypto::cipherInfo(cipher).isStream
+        ? crypto::makeStreamCipher(cipher)->setupOpEstimate()
+        : crypto::makeBlockCipher(cipher)->setupOpEstimate();
+    return static_cast<double>(insts) / (ipc > 0 ? ipc : 1.0);
+}
 
-    // --- bulk cost: simulate the cipher kernel at two probe lengths;
-    // the marginal slope is the steady-state rate and the intercept the
-    // one-time prologue, so neither contaminates the other ---
+ServerRates
+probeRates(crypto::CipherId cipher, const sim::SimStats &lo,
+           size_t loBytes, const sim::SimStats &hi, size_t hiBytes,
+           const HandshakeOps &ops, const SessionModelParams &params)
+{
+    ServerRates r;
+    r.cipher = cipher;
+    r.model = hi.model;
+    r.serverHandshakeCycles =
+        static_cast<double>(ops.serverMulOps) * params.cyclesPerWordMul;
+    r.clientHandshakeCycles =
+        static_cast<double>(ops.clientMulOps) * params.cyclesPerWordMul;
+    // The marginal slope is the steady-state rate and the intercept
+    // the one-time prologue, so neither contaminates the other.
+    r.cyclesPerByte = (static_cast<double>(hi.cycles)
+                       - static_cast<double>(lo.cycles))
+        / static_cast<double>(hiBytes - loBytes);
+    r.prologueCycles = static_cast<double>(lo.cycles)
+        - r.cyclesPerByte * static_cast<double>(loBytes);
+    r.keySetupCycles = keySetupCycles(cipher, hi.ipc());
+    r.requestOverheadCycles = params.requestOverheadCycles;
+    r.perByteOverheadCycles = params.perByteOverheadCycles;
+    return r;
+}
+
+SessionModel::SessionModel(crypto::CipherId cipher, SessionModelParams p)
+{
+    // --- bulk cost: simulate the cipher kernel at two probe lengths ---
     const auto &info = crypto::cipherInfo(cipher);
-    if (params.probeBytesLo >= params.probeBytesHi
-        || params.probeBytesLo % info.blockBytes
-        || params.probeBytesHi % info.blockBytes)
+    if (p.probeBytesLo >= p.probeBytesHi
+        || p.probeBytesLo % info.blockBytes
+        || p.probeBytesHi % info.blockBytes)
         throw std::invalid_argument(
             "SessionModel: probe sizes must be increasing multiples of "
             "the cipher block size");
@@ -59,43 +82,30 @@ SessionModel::SessionModel(crypto::CipherId bulk_cipher,
     auto cipher_key = rng.bytes(info.keyBits / 8);
     auto iv = rng.bytes(info.isStream ? 0 : info.blockBytes);
 
-    double last_ipc = 1.0;
-    auto probe_cycles = [&](size_t probe_bytes) {
+    auto probe = [&](size_t probe_bytes) {
         auto build = kernels::buildKernel(
             cipher, kernels::KernelVariant::BaselineRot, cipher_key, iv,
             probe_bytes);
         isa::Machine m;
         auto pt = rng.bytes(probe_bytes);
         build.install(m, kernels::toWordImage(cipher, pt));
-        sim::OooScheduler sched(params.model);
-        m.run(build.program, &sched, 1ull << 30);
-        auto stats = sched.finish();
-        last_ipc = stats.ipc();
-        return static_cast<double>(stats.cycles);
+        return sim::simulate(m, build.program, p.model);
     };
-    double cyc_lo = probe_cycles(params.probeBytesLo);
-    double cyc_hi = probe_cycles(params.probeBytesHi);
-    bulkCpb = (cyc_hi - cyc_lo)
-        / static_cast<double>(params.probeBytesHi - params.probeBytesLo);
-    prologueCyc =
-        cyc_lo - bulkCpb * static_cast<double>(params.probeBytesLo);
-
-    // --- setup cost: instruction estimate over the measured IPC ---
-    uint64_t setup_insts = info.isStream
-        ? crypto::makeStreamCipher(cipher)->setupOpEstimate()
-        : crypto::makeBlockCipher(cipher)->setupOpEstimate();
-    setupCyc = static_cast<double>(setup_insts) / last_ipc;
+    const sim::SimStats lo = probe(p.probeBytesLo);
+    const sim::SimStats hi = probe(p.probeBytesHi);
+    rates_ = probeRates(cipher, lo, p.probeBytesLo, hi, p.probeBytesHi,
+                        measureHandshakeOps(p.rsaBits), p);
 }
 
 SessionCost
 SessionModel::cost(size_t bytes) const
 {
     SessionCost c;
-    c.publicKeyCycles = serverHandshakeCyc;
-    c.privateKeyCycles =
-        setupCyc + prologueCyc + bulkCpb * static_cast<double>(bytes);
-    c.otherCycles = params.requestOverheadCycles
-        + params.perByteOverheadCycles * static_cast<double>(bytes);
+    c.publicKeyCycles = rates_.serverHandshakeCycles;
+    c.privateKeyCycles = rates_.keySetupCycles + rates_.prologueCycles
+        + rates_.cyclesPerByte * static_cast<double>(bytes);
+    c.otherCycles = rates_.requestOverheadCycles
+        + rates_.perByteOverheadCycles * static_cast<double>(bytes);
     return c;
 }
 

@@ -32,7 +32,9 @@
 
 #include "crypto/cipher.hh"
 #include "sim/config.hh"
+#include "sim/pipeline.hh"
 #include "ssl/rsa.hh"
+#include "ssl/server.hh"
 
 namespace cryptarch::ssl
 {
@@ -98,6 +100,26 @@ struct SessionModelParams
     size_t probeBytesHi = 4096;
 };
 
+/**
+ * Key-setup cycles of @p cipher: its setupOpEstimate() instructions
+ * over the kernel's measured @p ipc (the Figure 6 estimate). An IPC of
+ * 0 divides by 1.
+ */
+double keySetupCycles(crypto::CipherId cipher, double ipc);
+
+/**
+ * Server rates from two kernel probes of @p cipher on one machine
+ * model, @p lo over @p loBytes and @p hi over @p hiBytes. The marginal
+ * slope between them is the steady-state cycles/byte, the intercept
+ * the per-invocation prologue, and key setup is keySetupCycles at
+ * @p hi's IPC. Handshake cycles are @p ops' word multiplies at
+ * params.cyclesPerWordMul; the overheads come from @p params.
+ */
+ServerRates probeRates(crypto::CipherId cipher, const sim::SimStats &lo,
+                       size_t loBytes, const sim::SimStats &hi,
+                       size_t hiBytes, const HandshakeOps &ops,
+                       const SessionModelParams &params);
+
 /** Figure 2 generator for one bulk cipher. */
 class SessionModel
 {
@@ -113,26 +135,14 @@ class SessionModel
     /** Cycle breakdown for a session transferring @p bytes. */
     SessionCost cost(size_t bytes) const;
 
-    /** Steady-state bulk rate, cycles per byte (marginal slope). */
-    double bulkCyclesPerByte() const { return bulkCpb; }
-    /** One-time kernel prologue cycles, charged per invocation. */
-    double prologueCycles() const { return prologueCyc; }
-    /** Amortized key-setup cycles charged once per session. */
-    double setupCycles() const { return setupCyc; }
-    /** Server-side handshake cost (the CRT private op) in cycles. */
-    double handshakeCycles() const { return serverHandshakeCyc; }
-    /** Client-side public-op cost in cycles (reference only; never
-     *  part of the server breakdown). */
-    double clientHandshakeCycles() const { return clientHandshakeCyc; }
+    /**
+     * The measured rates: server and client handshake, key setup,
+     * kernel prologue, steady-state cycles/byte and the overheads.
+     */
+    const ServerRates &rates() const { return rates_; }
 
   private:
-    crypto::CipherId cipher;
-    SessionModelParams params;
-    double serverHandshakeCyc = 0;
-    double clientHandshakeCyc = 0;
-    double bulkCpb = 0;
-    double prologueCyc = 0;
-    double setupCyc = 0;
+    ServerRates rates_;
 };
 
 } // namespace cryptarch::ssl

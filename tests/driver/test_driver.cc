@@ -209,6 +209,8 @@ TEST(Driver, JsonEmitterWritesSchema)
                         "\"rejected\": 0, \"stalled\": 0}"),
               std::string::npos);
     EXPECT_EQ(json.find("\"worker\": "), std::string::npos);
+    // Encrypt rows carry no direction key.
+    EXPECT_EQ(json.find("\"direction\""), std::string::npos);
     // Schema v3: fail-soft outcome on every result, message only on
     // failed cells.
     EXPECT_NE(json.find("\"outcome\": \"ok\""), std::string::npos);
@@ -335,6 +337,48 @@ TEST(Driver, MixedSessionLengthsKeySeparateTraces)
     EXPECT_LT(results[0].stats.instructions, results[1].stats.instructions);
     EXPECT_EQ(results[0].bytes, 1024u);
     EXPECT_EQ(results[1].bytes, 2048u);
+}
+
+TEST(Driver, DirectionsKeySeparateTraces)
+{
+    // A kernel in both directions is two trace groups. The decrypt
+    // cell comes first, so findResult must match the direction to
+    // return the encrypt cell.
+    const auto bf = crypto::CipherId::Blowfish;
+    const auto rot = KernelVariant::BaselineRot;
+    std::vector<SweepCell> cells = {
+        {bf, rot, MachineConfig::fourWide(), 1024,
+         kernels::KernelDirection::Decrypt},
+        {bf, rot, MachineConfig::fourWide(), 1024},
+    };
+    uint64_t before = driver::functionalRuns();
+    auto results = driver::runCells(cells);
+    EXPECT_EQ(driver::functionalRuns() - before, 2u);
+    ASSERT_TRUE(results[0].ok()) << results[0].message;
+    ASSERT_TRUE(results[1].ok()) << results[1].message;
+    EXPECT_EQ(driver::toJson(results[0].stats),
+              driver::toJson(driver::recordKernelTrace(
+                                 bf, rot, 1024,
+                                 kernels::KernelDirection::Decrypt)
+                                 .replay(MachineConfig::fourWide())));
+    EXPECT_NE(results[0].stats.cycles, results[1].stats.cycles);
+
+    EXPECT_EQ(&driver::findResult(results, bf, rot, "4W"), &results[1]);
+    EXPECT_EQ(&driver::findResult(results, bf, rot, "4W",
+                                  kernels::KernelDirection::Decrypt),
+              &results[0]);
+
+    // Only the decrypt row names its direction in BENCH_*.json.
+    std::string path = ::testing::TempDir() + "BENCH_direction.json";
+    driver::writeBenchJson(path, "direction", results);
+    std::ifstream in(path);
+    std::stringstream buf;
+    buf << in.rdbuf();
+    const std::string json = buf.str();
+    const auto key = json.find("\"direction\": \"decrypt\"");
+    ASSERT_NE(key, std::string::npos);
+    EXPECT_EQ(json.find("\"direction\"", key + 1), std::string::npos);
+    EXPECT_LT(key, json.find("\"cipher\"", json.find("\"cipher\"") + 1));
 }
 
 /**

@@ -408,6 +408,39 @@ TEST(ProcPool, CorruptJournalFallsBackToFreshRun)
     std::remove(path.c_str());
 }
 
+TEST(ProcPool, DecryptCellChangesTheGridFingerprint)
+{
+    // An encrypt-only grid keeps the fingerprint it had before cells
+    // carried a direction, so existing journals stay valid.
+    auto cells = smallGrid();
+    EXPECT_EQ(driver::gridFingerprint(cells), 0x9fbaf283468d6e75ull);
+
+    auto flipped = cells;
+    flipped[0].direction = kernels::KernelDirection::Decrypt;
+    EXPECT_NE(driver::gridFingerprint(flipped),
+              driver::gridFingerprint(cells));
+
+    // A journal of the encrypt grid is rejected for the flipped grid,
+    // so the flipped sweep starts fresh: all three kernels record.
+    // Thread isolation keeps the functionalRuns counter in-process.
+    const std::string path = tempPath("journal_direction.bin");
+    std::remove(path.c_str());
+    SweepOptions opts;
+    opts.journalPath = path;
+    driver::runCells(cells, opts);
+    const uint64_t before = driver::functionalRuns();
+    auto results = driver::runCells(flipped, opts);
+    EXPECT_EQ(driver::functionalRuns() - before, 3u);
+    ASSERT_TRUE(results[0].ok()) << results[0].message;
+    EXPECT_EQ(results[0].direction, kernels::KernelDirection::Decrypt);
+
+    SweepJournal j;
+    EXPECT_EQ(openKind(j, path, driver::gridFingerprint(cells),
+                       cells.size()),
+              JournalErrorKind::GridMismatch);
+    std::remove(path.c_str());
+}
+
 TEST(ProcPool, ResultPayloadRoundTrips)
 {
     SweepResult r;

@@ -451,4 +451,50 @@ TEST(PaperShapes, AblationFusedExperimentsSentence)
     EXPECT_EQ(hi, 27);
 }
 
+
+// EXPERIMENTS.md's footnote-1 sentence: decrypt/encrypt cycle ratios
+// on 4W span 0.61-1.10, the dataflow-speed ciphers (3DES, Mars,
+// Rijndael) span 0.92-1.10 ("%.2f", as bench/decrypt_symmetry prints
+// them), and Blowfish/IDEA/RC6 decryption runs up to 1.6x faster.
+TEST(PaperShapes, DecryptSymmetryExperimentsSentence)
+{
+    using kernels::KernelDirection;
+    std::vector<driver::SweepCell> cells;
+    for (auto id : driver::allCiphers())
+        for (auto v : {KernelVariant::BaselineRot, KernelVariant::Optimized})
+            for (auto dir : {KernelDirection::Encrypt,
+                             KernelDirection::Decrypt})
+                cells.push_back({id, v, MachineConfig::fourWide(),
+                                 driver::session_bytes, dir});
+    const auto results = driver::runCells(cells);
+
+    double lo = 10, hi = 0, flat_lo = 10, flat_hi = 0, speedup = 0;
+    for (size_t i = 0; i < results.size(); i += 2) {
+        const auto &enc = results[i];
+        const auto &dec = results[i + 1];
+        ASSERT_TRUE(enc.ok()) << enc.message;
+        ASSERT_TRUE(dec.ok()) << dec.message;
+        const double ratio = static_cast<double>(dec.stats.cycles)
+            / static_cast<double>(enc.stats.cycles);
+        lo = std::min(lo, ratio);
+        hi = std::max(hi, ratio);
+        if (enc.cipher == CipherId::TripleDES
+            || enc.cipher == CipherId::MARS
+            || enc.cipher == CipherId::Rijndael) {
+            flat_lo = std::min(flat_lo, ratio);
+            flat_hi = std::max(flat_hi, ratio);
+        }
+        if (enc.cipher == CipherId::Blowfish || enc.cipher == CipherId::IDEA
+            || enc.cipher == CipherId::RC6)
+            speedup = std::max(speedup, 1.0 / ratio);
+    }
+    EXPECT_EQ(twoPlaces(lo), "0.61");
+    EXPECT_EQ(twoPlaces(hi), "1.10");
+    EXPECT_EQ(twoPlaces(flat_lo), "0.92");
+    EXPECT_EQ(twoPlaces(flat_hi), "1.10");
+    char buf[16];
+    std::snprintf(buf, sizeof(buf), "%.1f", speedup);
+    EXPECT_STREQ(buf, "1.6");
+}
+
 } // namespace

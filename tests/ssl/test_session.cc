@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "crypto/cipher.hh"
 #include "ssl/session.hh"
 
 namespace
@@ -31,10 +32,10 @@ TEST(SessionModel, HandshakeBillsOnlyServerWork)
 
     SessionModelParams p = fastParams();
     SessionModel model(crypto::CipherId::TripleDES, p);
-    EXPECT_DOUBLE_EQ(model.handshakeCycles(),
+    EXPECT_DOUBLE_EQ(model.rates().serverHandshakeCycles,
                      static_cast<double>(ops.serverMulOps)
                          * p.cyclesPerWordMul);
-    EXPECT_DOUBLE_EQ(model.clientHandshakeCycles(),
+    EXPECT_DOUBLE_EQ(model.rates().clientHandshakeCycles,
                      static_cast<double>(ops.clientMulOps)
                          * p.cyclesPerWordMul);
 }
@@ -51,12 +52,12 @@ TEST(SessionModel, BulkRateIsProbeSizeInvariant)
     b.probeBytesHi = 8192;
     SessionModel ma(crypto::CipherId::TripleDES, a);
     SessionModel mb(crypto::CipherId::TripleDES, b);
-    EXPECT_NEAR(mb.bulkCyclesPerByte() / ma.bulkCyclesPerByte(), 1.0,
+    EXPECT_NEAR(mb.rates().cyclesPerByte / ma.rates().cyclesPerByte, 1.0,
                 0.01);
-    EXPECT_GT(ma.prologueCycles(), 0.0);
+    EXPECT_GT(ma.rates().prologueCycles, 0.0);
     // The prologue is one-time work, a fraction of a 2 KB probe.
-    EXPECT_LT(ma.prologueCycles(),
-              ma.bulkCyclesPerByte() * 2048);
+    EXPECT_LT(ma.rates().prologueCycles,
+              ma.rates().cyclesPerByte * 2048);
 }
 
 // Golden cycle fractions for the deterministic 512-bit/3DES model.
@@ -128,9 +129,53 @@ TEST(SessionModel, FasterCipherLowersPrivateShare)
 {
     SessionModel des(crypto::CipherId::TripleDES, fastParams());
     SessionModel rc4(crypto::CipherId::RC4, fastParams());
-    EXPECT_LT(rc4.bulkCyclesPerByte(), des.bulkCyclesPerByte());
+    EXPECT_LT(rc4.rates().cyclesPerByte, des.rates().cyclesPerByte);
     EXPECT_LT(rc4.cost(32768).privateFraction(),
               des.cost(32768).privateFraction());
+}
+
+// The one rate derivation, on hand-built probes whose slope, intercept
+// and IPC are exact in binary floating point.
+TEST(ProbeRates, ExactSlopeInterceptAndSetup)
+{
+    sim::SimStats lo, hi;
+    lo.cycles = 12000;
+    lo.instructions = 24000;
+    hi.cycles = 20000;
+    hi.instructions = 50000; // IPC 2.5
+    hi.model = "4W";
+    ssl::HandshakeOps ops;
+    ops.clientMulOps = 100;
+    ops.serverMulOps = 1000;
+    SessionModelParams p;
+    p.cyclesPerWordMul = 2.5;
+    p.requestOverheadCycles = 123e3;
+    p.perByteOverheadCycles = 7.0;
+
+    const auto id = crypto::CipherId::Blowfish;
+    const auto r = ssl::probeRates(id, lo, 1024, hi, 2048, ops, p);
+    EXPECT_EQ(r.cipher, id);
+    EXPECT_EQ(r.model, "4W");
+    EXPECT_EQ(r.cyclesPerByte, 8000.0 / 1024);
+    EXPECT_EQ(r.prologueCycles, 4000.0);
+    EXPECT_EQ(r.keySetupCycles,
+              static_cast<double>(
+                  crypto::makeBlockCipher(id)->setupOpEstimate())
+                  / 2.5);
+    EXPECT_EQ(r.serverHandshakeCycles, 2500.0);
+    EXPECT_EQ(r.clientHandshakeCycles, 250.0);
+    EXPECT_EQ(r.requestOverheadCycles, 123e3);
+    EXPECT_EQ(r.perByteOverheadCycles, 7.0);
+}
+
+// An empty probe has IPC 0; the setup estimate then divides by 1.
+TEST(ProbeRates, ZeroIpcDividesByOne)
+{
+    const auto id = crypto::CipherId::RC4;
+    const double insts = static_cast<double>(
+        crypto::makeStreamCipher(id)->setupOpEstimate());
+    EXPECT_EQ(ssl::keySetupCycles(id, 0.0), insts);
+    EXPECT_EQ(ssl::keySetupCycles(id, 2.0), insts / 2);
 }
 
 } // namespace
