@@ -11,6 +11,11 @@
  *
  *   simulated MIPS = instructions * reps / replay_seconds / 1e6
  *
+ * On the window-limited models replay fast-forwards block-loop
+ * iterations it has already simulated (sim::IterationMemo), and the
+ * instructions it skips count here too: the figure is replay
+ * throughput, not the speed of OooScheduler::emit().
+ *
  * Recording cost is split by phase (record / verify) using the
  * driver's RecordTiming, so the record/replay attribution in the
  * artifact is honest: the record-time oracle is reported as its own

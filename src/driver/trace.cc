@@ -3,6 +3,7 @@
 #include <atomic>
 #include <chrono>
 
+#include "sim/memo.hh"
 #include "verify/oracle.hh"
 
 namespace cryptarch::driver
@@ -24,44 +25,84 @@ secondsSince(std::chrono::steady_clock::time_point t0)
 } // namespace
 
 /**
- * The one replay loop: walk the program from pc 0, start each
- * instruction from its template, and patch in the recorded remainder.
- * Templated on the sink so replay(cfg) feeds the concrete scheduler
- * directly.
+ * The one trace walk: from @p at, start each instruction from its
+ * template and patch in the recorded remainder.
  */
-template <class Sink>
-void
-RecordedTrace::feed(Sink &sink) const
+template <bool toHead, class Fn>
+RecordedTrace::Cursor
+RecordedTrace::walk(Cursor at, Fn &&fn) const
 {
-    size_t next_taken = 0;
-    size_t next_addr = 0;
-    uint32_t pc = 0;
-    for (uint64_t seq = 0; seq < count_; seq++) {
-        const isa::DecodedInst &d = program_[pc];
+    while (at.seq < count_) {
+        const isa::DecodedInst &d = program_[at.pc];
         isa::DynInst inst = d.tmpl;
-        inst.seq = seq;
+        inst.seq = at.seq++;
         if (inst.isLoad || inst.isStore)
-            inst.addr = addrs_[next_addr++];
-        if (d.conditional && taken_[next_taken++]) {
+            inst.addr = addrs_[at.addr++];
+        if (d.conditional && taken_[at.taken++]) {
             inst.taken = true;
             inst.nextPc = d.target;
         }
-        sink.emit(inst);
-        pc = inst.nextPc;
+        fn(inst);
+        at.pc = inst.nextPc;
+        if constexpr (toHead) {
+            if (at.pc == loopHead_)
+                break;
+        }
     }
+    return at;
 }
 
 void
 RecordedTrace::replay(isa::TraceSink &sink) const
 {
-    feed(sink);
+    walk<false>({}, [&](const isa::DynInst &inst) { sink.emit(inst); });
 }
 
 sim::SimStats
-RecordedTrace::replay(const sim::MachineConfig &cfg) const
+RecordedTrace::replay(const sim::MachineConfig &cfg,
+                      uint64_t *fastForwarded) const
 {
     sim::OooScheduler sched(cfg);
-    feed(sched);
+    if (fastForwarded)
+        *fastForwarded = 0;
+    if (loopHead_ == no_loop_head
+        || !sim::IterationMemo::fastForwardable(sched)) {
+        walk<false>({}, [&](const isa::DynInst &inst) { sched.emit(inst); });
+        return sched.finish();
+    }
+
+    // One segment per pass: the prologue, then one block-loop
+    // iteration each, the last running to the end of the trace. The
+    // outcome step sees every instruction in program order; the core
+    // sees the ones the memo cannot skip.
+    sim::IterationMemo memo(sched);
+    sim::OutcomeVector outcomes;
+    Cursor at;
+    while (at.seq < count_) {
+        const Cursor start = at;
+        outcomes.clear();
+        if (memo.armed()) {
+            at = walk<true>(at, [&](const isa::DynInst &inst) {
+                outcomes.push(sched.resolve(inst));
+            });
+            if (memo.skip(outcomes))
+                continue;
+            sim::OutcomeVector::Reader read(outcomes);
+            walk<true>(start, [&](const isa::DynInst &inst) {
+                sched.schedule(inst, read.next());
+            });
+        } else {
+            at = walk<true>(at, [&](const isa::DynInst &inst) {
+                const sim::Outcome out = sched.resolve(inst);
+                outcomes.push(out);
+                sched.schedule(inst, out);
+            });
+        }
+        memo.ran(outcomes, at.seq < count_);
+    }
+    memo.settle();
+    if (fastForwarded)
+        *fastForwarded = memo.skippedInstructions();
     return sched.finish();
 }
 
@@ -83,7 +124,7 @@ recordKernelTrace(crypto::CipherId cipher, kernels::KernelVariant variant,
                                       direction);
     const std::vector<uint8_t> image = kernels::toWordImage(cipher, input);
 
-    RecordedTrace trace(build.program);
+    RecordedTrace trace(build.program, build.loopHead);
     const double setup_seconds = secondsSince(t_setup);
 
     isa::Machine m;

@@ -23,6 +23,7 @@
 #define CRYPTARCH_DRIVER_TRACE_HH
 
 #include <cstdint>
+#include <optional>
 #include <stdexcept>
 #include <vector>
 
@@ -87,9 +88,14 @@ class RecordedTrace final : public isa::TraceSink
     /** An empty trace of the empty program; assign a recording to it. */
     RecordedTrace() = default;
 
-    /** An empty trace that accepts the stream of @p program. */
-    explicit RecordedTrace(const isa::Program &program)
-        : program_(isa::decode(program))
+    /**
+     * An empty trace that accepts the stream of @p program, whose
+     * block loop starts at @p loopHead (see kernels::KernelBuild).
+     */
+    explicit RecordedTrace(const isa::Program &program,
+                           std::optional<uint32_t> loopHead = {})
+        : program_(isa::decode(program)),
+          loopHead_(loopHead.value_or(no_loop_head))
     {
     }
 
@@ -116,11 +122,20 @@ class RecordedTrace final : public isa::TraceSink
         ++count_;
     }
 
-    /** Feed the captured stream, in order, into any sink. */
+    /** Feed the captured stream, in order, into any sink. This is the
+     *  full per-instruction path. */
     void replay(isa::TraceSink &sink) const;
 
-    /** Replay into a fresh OooScheduler for @p cfg; returns its stats. */
-    sim::SimStats replay(const sim::MachineConfig &cfg) const;
+    /**
+     * Replay into a fresh OooScheduler for @p cfg; returns its stats,
+     * the same as the full path's. On a window-limited model (outside
+     * the auditor) a trace with a loop head fast-forwards block-loop
+     * iterations the scheduler already ran from the same state with
+     * the same outcomes (sim::IterationMemo); @p fastForwarded, when
+     * non-null, receives how many instructions it skipped that way.
+     */
+    sim::SimStats replay(const sim::MachineConfig &cfg,
+                         uint64_t *fastForwarded = nullptr) const;
 
     /** Dynamic instruction count (the 1-CPI machine's cycle count). */
     uint64_t instructions() const { return count_; }
@@ -142,11 +157,27 @@ class RecordedTrace final : public isa::TraceSink
     bool isCompressed() const { return false; }
 
   private:
-    template <class Sink> void feed(Sink &sink) const;
+    static constexpr uint32_t no_loop_head = UINT32_MAX;
+
+    /** A position in the stream: the next instruction's seq and pc,
+     *  and the next taken bit and address to patch in. */
+    struct Cursor
+    {
+        uint64_t seq = 0;
+        uint32_t pc = 0;
+        size_t taken = 0;
+        size_t addr = 0;
+    };
+
+    /** Rebuild instructions from @p at and pass each to @p fn, up to
+     *  the end, or up to the next loop head when @p toHead. */
+    template <bool toHead, class Fn>
+    Cursor walk(Cursor at, Fn &&fn) const;
 
     std::vector<isa::DecodedInst> program_;
     std::vector<bool> taken_;     ///< one per conditional branch
     std::vector<uint32_t> addrs_; ///< one per memory operation
+    uint32_t loopHead_ = no_loop_head;
     uint32_t nextPc_ = 0;         ///< pc the next emit must carry
     uint64_t count_ = 0;
 };

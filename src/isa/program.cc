@@ -248,6 +248,15 @@ Assembler::sboxx(unsigned table_id, unsigned byte_sel, Reg table,
     emit(inst);
 }
 
+std::optional<uint32_t>
+Assembler::labelPc(const std::string &name) const
+{
+    auto it = labels.find(name);
+    if (it == labels.end())
+        return std::nullopt;
+    return static_cast<uint32_t>(it->second);
+}
+
 Program
 Assembler::finalize()
 {

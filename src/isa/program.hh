@@ -13,6 +13,7 @@
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -156,6 +157,9 @@ class Assembler
 
     /** Number of instructions emitted so far. */
     size_t size() const { return insts.size(); }
+
+    /** Instruction index of label @p name, if it is defined. */
+    std::optional<uint32_t> labelPc(const std::string &name) const;
 
     /**
      * Resolve labels and produce the program. Throws std::runtime_error

@@ -151,6 +151,7 @@ buildBlowfishKernel(KernelVariant v, std::span<const uint8_t> key,
     as.halt();
 
     b.program = as.finalize();
+    b.loopHead = as.labelPc("block");
     b.categories = takeCategories(ctx);
     return b;
 }

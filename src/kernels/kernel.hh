@@ -30,6 +30,7 @@
 #define CRYPTARCH_KERNELS_KERNEL_HH
 
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -125,6 +126,14 @@ struct KernelBuild
     uint64_t outAddr = 0x200000;
     /** Bytes of plaintext processed per run. */
     size_t sessionBytes = 0;
+    /**
+     * Pc of the block loop's head (the `block` label, `blk8` for
+     * RC4): it executes once per block (8 bytes for RC4), so the
+     * trace positions carrying it split the run into prologue and
+     * iterations. Empty when the kernel has no block loop (an RC4
+     * session shorter than 8 bytes).
+     */
+    std::optional<uint32_t> loopHead;
 
     /**
      * Install tables/keys and the plaintext word image into a

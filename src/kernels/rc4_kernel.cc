@@ -128,6 +128,7 @@ buildRc4Kernel(KernelVariant v, std::span<const uint8_t> key,
     as.halt();
 
     b.program = as.finalize();
+    b.loopHead = as.labelPc("blk8");
     b.categories = takeCategories(ctx);
     return b;
 }

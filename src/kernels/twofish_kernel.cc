@@ -216,6 +216,7 @@ buildTwofishKernel(KernelVariant v, std::span<const uint8_t> key,
     as.halt();
 
     b.program = as.finalize();
+    b.loopHead = as.labelPc("block");
     b.categories = takeCategories(ctx);
     return b;
 }

@@ -38,10 +38,10 @@ Cache::Cache(const CacheGeometry &geom)
 }
 
 bool
-Cache::access(uint64_t addr)
+Cache::lookup(uint64_t block)
 {
-    stat.accesses++;
-    uint64_t block = blockOf(addr);
+    lastValid = true;
+    lastBlock = block;
     uint32_t set = setOf(block);
     Line *ways = &lines[static_cast<size_t>(set) * assoc];
     stamp++;
@@ -73,6 +73,7 @@ Cache::prefetch(uint64_t addr)
 {
     if (contains(addr))
         return;
+    lastValid = false;
     uint64_t block = blockOf(addr);
     uint32_t set = setOf(block);
     Line *ways = &lines[static_cast<size_t>(set) * assoc];
@@ -91,68 +92,15 @@ Cache::prefetch(uint64_t addr)
     victim->lruStamp = stamp;
 }
 
-bool
-Cache::contains(uint64_t addr) const
-{
-    uint64_t block = blockOf(addr);
-    uint32_t set = setOf(block);
-    const Line *ways = &lines[static_cast<size_t>(set) * assoc];
-    for (uint32_t w = 0; w < assoc; w++) {
-        if (ways[w].valid && ways[w].tag == block)
-            return true;
-    }
-    return false;
-}
-
 Tlb::Tlb(unsigned entries, unsigned assoc, unsigned page_bytes)
-    : backing(CacheGeometry{entries * page_bytes, assoc, page_bytes}),
-      pageBytes(page_bytes)
+    : backing(CacheGeometry{entries * page_bytes, assoc, page_bytes})
 {
-}
-
-bool
-Tlb::access(uint64_t addr)
-{
-    stat.accesses++;
-    bool hit = backing.access(addr);
-    if (!hit)
-        stat.misses++;
-    (void)pageBytes;
-    return hit;
 }
 
 MemoryHierarchy::MemoryHierarchy(const MachineConfig &cfg)
     : cfg(cfg), l1(cfg.l1d), l2(cfg.l2),
       tlb(cfg.dtlbEntries, cfg.dtlbAssoc, cfg.pageBytes)
 {
-}
-
-unsigned
-MemoryHierarchy::access(uint64_t addr, unsigned size)
-{
-    (void)size;
-    if (cfg.perfectMemory)
-        return 0;
-
-    unsigned extra = 0;
-    if (!tlb.access(addr))
-        extra += cfg.dtlbMissLat;
-
-    if (l1.access(addr)) {
-        // L1 hit: no cycles beyond the base load latency.
-    } else if (l2.access(addr)) {
-        extra += cfg.l2HitLat;
-    } else {
-        extra += cfg.memLat;
-    }
-    if (cfg.nextLinePrefetch) {
-        uint64_t next = addr + cfg.l1d.blockBytes;
-        if (!l1.contains(next)) {
-            l1.prefetch(next);
-            l2.prefetch(next);
-        }
-    }
-    return extra;
 }
 
 bool

@@ -41,15 +41,40 @@ class Cache
     Cache(const CacheGeometry &geom);
 
     /** Probe-and-fill: returns true on hit. */
-    bool access(uint64_t addr);
+    bool
+    access(uint64_t addr)
+    {
+        stat.accesses++;
+        const uint64_t block = blockOf(addr);
+        // The block of the latest access, with no fill since: a hit on
+        // the line holding the newest stamp. Re-stamping it would keep
+        // every line's LRU order as it is, and only that order picks
+        // victims.
+        if (lastValid && block == lastBlock)
+            return true;
+        return lookup(block);
+    }
     /** Fill without counting an access (prefetch). */
     void prefetch(uint64_t addr);
     /** Probe without filling or counting. */
-    bool contains(uint64_t addr) const;
+    bool
+    contains(uint64_t addr) const
+    {
+        const uint64_t block = blockOf(addr);
+        const Line *ways = &lines[static_cast<size_t>(setOf(block)) * assoc];
+        for (uint32_t w = 0; w < assoc; w++) {
+            if (ways[w].valid && ways[w].tag == block)
+                return true;
+        }
+        return false;
+    }
 
     const CacheStats &stats() const { return stat; }
 
   private:
+    /** access() past the repeat check. */
+    bool lookup(uint64_t block);
+
     struct Line
     {
         uint64_t tag = 0;
@@ -79,6 +104,8 @@ class Cache
     bool setsPow2 = false;
     std::vector<Line> lines; ///< numSets x assoc
     uint64_t stamp = 0;
+    bool lastValid = false;  ///< lastBlock is the latest access, no fill since
+    uint64_t lastBlock = 0;
     CacheStats stat;
 };
 
@@ -89,13 +116,20 @@ class Tlb
     Tlb(unsigned entries, unsigned assoc, unsigned page_bytes);
 
     /** Returns true on TLB hit. */
-    bool access(uint64_t addr);
+    bool
+    access(uint64_t addr)
+    {
+        stat.accesses++;
+        const bool hit = backing.access(addr);
+        if (!hit)
+            stat.misses++;
+        return hit;
+    }
 
     const CacheStats &stats() const { return stat; }
 
   private:
     Cache backing;
-    unsigned pageBytes;
     CacheStats stat;
 };
 
@@ -109,7 +143,33 @@ class MemoryHierarchy
     explicit MemoryHierarchy(const MachineConfig &cfg);
 
     /** Latency of a data access of @p size bytes at @p addr. */
-    unsigned access(uint64_t addr, unsigned size);
+    unsigned
+    access(uint64_t addr, unsigned size)
+    {
+        (void)size;
+        if (cfg.perfectMemory)
+            return 0;
+
+        unsigned extra = 0;
+        if (!tlb.access(addr))
+            extra += cfg.dtlbMissLat;
+
+        if (l1.access(addr)) {
+            // L1 hit: no cycles beyond the base load latency.
+        } else if (l2.access(addr)) {
+            extra += cfg.l2HitLat;
+        } else {
+            extra += cfg.memLat;
+        }
+        if (cfg.nextLinePrefetch) {
+            uint64_t next = addr + cfg.l1d.blockBytes;
+            if (!l1.contains(next)) {
+                l1.prefetch(next);
+                l2.prefetch(next);
+            }
+        }
+        return extra;
+    }
 
     const CacheStats &l1Stats() const { return l1.stats(); }
     const CacheStats &l2Stats() const { return l2.stats(); }

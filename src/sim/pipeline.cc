@@ -71,8 +71,8 @@ OooScheduler::fetchOf()
 }
 
 Cycle
-OooScheduler::issueOf(const DynInst &inst, Cycle ready, unsigned &lat,
-                      unsigned &memExtra, StallVector &stall,
+OooScheduler::issueOf(const DynInst &inst, Outcome out, Cycle ready,
+                      unsigned &lat, unsigned &memExtra, StallVector &stall,
                       unsigned &touched)
 {
     // Select the operation's functional unit pool, unit count, base
@@ -122,14 +122,13 @@ OooScheduler::issueOf(const DynInst &inst, Cycle ready, unsigned &lat,
         // generation (2 cycles); ordinary loads take the full path.
         lat = (inst.op == isa::Opcode::Sbox) ? cfg.sboxOnDcacheLat
                                              : cfg.loadLat;
-        memExtra = memory.access(inst.addr, inst.size);
+        memExtra = out.memExtra;
         lat += memExtra;
         break;
       case OpClass::Store:
         fu = &dcachePorts;
         fuCause = StallCause::FuDcache;
         lat = 1;
-        (void)memory.access(inst.addr, inst.size);
         break;
       case OpClass::SboxRead: {
         if (cfg.perfectSbox) {
@@ -137,24 +136,18 @@ OooScheduler::issueOf(const DynInst &inst, Cycle ready, unsigned &lat,
             lat = cfg.sboxCacheLat;
             fu = nullptr;
         } else if (!sboxCaches.empty()) {
-            unsigned which = sboxIndexMask
-                ? inst.tableId & sboxIndexMask
-                : inst.tableId % static_cast<unsigned>(sboxCaches.size());
-            bool hit = sboxCaches[which].access(inst.addr & ~0x3FFull,
-                                                inst.addr & 0x3FF);
-            if (hit) {
-                stats.sboxCacheHits++;
+            if (out.flags & Outcome::sbox_hit) {
                 lat = cfg.sboxCacheLat;
             } else {
                 // Demand-fetch the sector from the D-cache.
-                memExtra = memory.access(inst.addr, inst.size);
+                memExtra = out.memExtra;
                 lat = cfg.sboxCacheLat + cfg.sboxOnDcacheLat + memExtra;
             }
-            fu = &sboxPorts[which];
+            fu = &sboxPorts[sboxCacheOf(inst)];
             fuCause = StallCause::FuSbox;
         } else {
             // SBOX shares D-cache ports (the 4W configuration).
-            memExtra = memory.access(inst.addr, inst.size);
+            memExtra = out.memExtra;
             lat = cfg.sboxOnDcacheLat + memExtra;
             fu = &dcachePorts;
             fuCause = StallCause::FuDcache;
@@ -163,8 +156,6 @@ OooScheduler::issueOf(const DynInst &inst, Cycle ready, unsigned &lat,
       }
       case OpClass::SboxSync:
         lat = 1;
-        for (auto &sc : sboxCaches)
-            sc.sync();
         break;
     }
 
@@ -233,14 +224,7 @@ OooScheduler::issueOf(const DynInst &inst, Cycle ready, unsigned &lat,
 void
 OooScheduler::pruneResources(Cycle horizon)
 {
-    issueSlots.retireBefore(horizon);
-    retireSlots.retireBefore(horizon);
-    aluUnits.retireBefore(horizon);
-    rotUnits.retireBefore(horizon);
-    mulSlots.retireBefore(horizon);
-    dcachePorts.retireBefore(horizon);
-    for (auto &p : sboxPorts)
-        p.retireBefore(horizon);
+    forEachResource([&](CycleResource &r) { r.retireBefore(horizon); });
 }
 
 void
@@ -324,18 +308,11 @@ OooScheduler::auditRetired(const DynInst &inst, Cycle fetch,
                      + std::to_string(fu->capacity()) + ")");
 }
 
-void
-OooScheduler::emit(const DynInst &inst)
+// Inlined into both entry points below, so the full path's emit() is
+// one function, as before the outcome step was split out.
+[[gnu::always_inline]] inline void
+OooScheduler::core(const DynInst &inst, Outcome out)
 {
-    stats.instructions++;
-    stats.classCounts[static_cast<size_t>(inst.cls)]++;
-    if (inst.isLoad)
-        stats.loads++;
-    if (inst.isStore)
-        stats.stores++;
-    if (inst.cls == OpClass::SboxRead)
-        stats.sboxAccesses++;
-
     // ----- fetch -----
     Cycle fetch = fetchOf();
 
@@ -430,7 +407,14 @@ OooScheduler::emit(const DynInst &inst)
                 touched |=
                     1u << static_cast<size_t>(StallCause::WindowFull);
             }
+            // Fetch set the covered maximum (every other term is at
+            // or below it).
+            if (covered == dispatch)
+                fetchBound = true;
             dispatch = freed;
+        } else {
+            // Fetch, not the window, set dispatch.
+            fetchBound = true;
         }
     }
     lastDispatch = std::max(lastDispatch, dispatch);
@@ -468,7 +452,7 @@ OooScheduler::emit(const DynInst &inst)
     // ----- issue + latency -----
     unsigned lat = 0;
     unsigned memExtra = 0;
-    Cycle issue = issueOf(inst, ready, lat, memExtra, stall, touched);
+    Cycle issue = issueOf(inst, out, ready, lat, memExtra, stall, touched);
     Cycle complete = issue + lat;
     maxComplete = std::max(maxComplete, complete);
 
@@ -496,18 +480,15 @@ OooScheduler::emit(const DynInst &inst)
         syncFrontier = complete;
 
     if (inst.branch) {
-        bool correct = true;
-        if (inst.op != isa::Opcode::Br) {
-            stats.condBranches++;
-            correct = predictor.predict(inst.pc, inst.taken);
-            if (!correct)
-                stats.mispredicts++;
-        }
-        if (!cfg.perfectBranch && !correct) {
+        if (out.flags & Outcome::mispredicted) {
             // Redirect: fetch resumes after resolution plus the
             // minimum misprediction penalty.
-            Cycle redirected = std::max<Cycle>(
-                fetchCycle, complete + cfg.mispredictPenalty);
+            const Cycle resume = complete + cfg.mispredictPenalty;
+            if (fetchCycle >= resume)
+                fetchBound = true;
+            else if (!fetchBound)
+                fetchDetached = true;
+            Cycle redirected = std::max<Cycle>(fetchCycle, resume);
             pendingRedirectStall += redirected - fetchCycle;
             fetchCycle = redirected;
             fetchedThisCycle = 0;
@@ -558,6 +539,18 @@ OooScheduler::emit(const DynInst &inst)
         pruneResources(cfg.windowSize != unlimited ? retireRing[ringPos]
                                                    : lastRetire);
     }
+}
+
+void
+OooScheduler::schedule(const DynInst &inst, Outcome out)
+{
+    core(inst, out);
+}
+
+void
+OooScheduler::emit(const DynInst &inst)
+{
+    core(inst, resolve(inst));
 }
 
 SimStats

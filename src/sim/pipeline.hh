@@ -121,6 +121,35 @@ struct TimelineEntry
     StallVector stall{};
 };
 
+/**
+ * What the outcome step fixes about one instruction: everything its
+ * timing takes from addresses or branch outcomes. OooScheduler::
+ * resolve() computes it in program order, independent of the schedule,
+ * and the core (OooScheduler::schedule()) consumes it. Two runs of the
+ * core from the same state over instructions with equal outcomes make
+ * the same schedule, which is what lets IterationMemo key on it.
+ */
+struct Outcome
+{
+    /** A branch went to its target (with the start pc, these bits
+     *  fix the path an iteration takes). */
+    static constexpr uint32_t taken = 1;
+    /** A conditional branch was mispredicted on a machine whose
+     *  predictor is not perfect, so it redirects fetch. */
+    static constexpr uint32_t mispredicted = 2;
+    /** An SBOX read hit its SBox sector cache. */
+    static constexpr uint32_t sbox_hit = 4;
+
+    /** Memory-hierarchy cycles beyond a hit (loads, and SBOX reads
+     *  served by the D-cache). */
+    uint32_t memExtra = 0;
+    uint32_t flags = 0;
+
+    bool operator==(const Outcome &) const = default;
+};
+
+class IterationMemo;
+
 /** Trace-driven out-of-order core model. `final` lets the replay hot
  *  loop devirtualize emit() when feeding a concrete scheduler. */
 class OooScheduler final : public isa::TraceSink
@@ -142,7 +171,20 @@ class OooScheduler final : public isa::TraceSink
     explicit OooScheduler(const MachineConfig &config,
                           ConfigPolicy policy = ConfigPolicy::Validate);
 
+    /** The one per-instruction path: the outcome step, then the
+     *  core. */
     void emit(const isa::DynInst &inst) override;
+
+    /**
+     * The outcome step: run @p inst's accesses through the memory
+     * hierarchy and SBox caches and its branch through the predictor,
+     * and count it. Must see every instruction, in program order; it
+     * never reads the schedule.
+     */
+    Outcome resolve(const isa::DynInst &inst);
+
+    /** The core: schedule @p inst, whose outcome step gave @p out. */
+    void schedule(const isa::DynInst &inst, Outcome out);
 
     /** Final statistics; call after the trace is fully emitted. */
     SimStats finish();
@@ -171,7 +213,17 @@ class OooScheduler final : public isa::TraceSink
     }
 
   private:
+    /** schedule()'s body, shared with emit(). */
+    void core(const isa::DynInst &inst, Outcome out);
     Cycle fetchOf();
+    /** The SBox cache (and port pool) serving SBOX read @p inst. */
+    unsigned
+    sboxCacheOf(const isa::DynInst &inst) const
+    {
+        return sboxIndexMask
+            ? inst.tableId & sboxIndexMask
+            : inst.tableId % static_cast<unsigned>(sboxCaches.size());
+    }
     /**
      * Schedule @p inst at the first cycle >= @p ready with an issue
      * slot and a free functional unit. Returns the issue cycle and
@@ -181,12 +233,26 @@ class OooScheduler final : public isa::TraceSink
      * to the losing constraint in @p stall, with the cause's bit set
      * in @p touched (emit()'s accumulation pass walks only those).
      */
-    Cycle issueOf(const isa::DynInst &inst, Cycle ready, unsigned &lat,
-                  unsigned &memExtra, StallVector &stall,
+    Cycle issueOf(const isa::DynInst &inst, Outcome out, Cycle ready,
+                  unsigned &lat, unsigned &memExtra, StallVector &stall,
                   unsigned &touched);
     /** Single prune entry point: drop bookkeeping below @p horizon in
      *  every per-cycle resource, the SBox-cache ports included. */
     void pruneResources(Cycle horizon);
+    /** Call @p fn on every limited per-cycle resource, in one fixed
+     *  order. */
+    template <class Fn>
+    void
+    forEachResource(Fn &&fn)
+    {
+        for (CycleResource *r : {&issueSlots, &retireSlots, &aluUnits,
+                                 &rotUnits, &mulSlots, &dcachePorts})
+            if (r->limited())
+                fn(*r);
+        for (auto &p : sboxPorts)
+            if (p.limited())
+                fn(p);
+    }
     /** Forward-progress watchdog trip: build and throw the typed
      *  isa::Trap{NoProgress} with the stalled-frontier snapshot. */
     [[noreturn]] void throwNoProgress(const isa::DynInst &inst,
@@ -254,6 +320,17 @@ class OooScheduler final : public isa::TraceSink
     // window-stalled dispatch cycle to exactly one instruction.
     Cycle lastDispatch = 0;
 
+    // The fetch rule of IterationMemo (DESIGN §8): fetchBound is set
+    // when fetch + frontendDepth reached a value it is max'ed with
+    // (dispatch or a covered maximum) or a redirect's resume cycle, so
+    // an earlier fetch could have changed the schedule. fetchDetached
+    // is set when, before that, a misprediction re-based fetch on the
+    // core's own clock. The memo clears both at an iteration's start;
+    // nothing else reads them.
+    bool fetchBound = false;
+    bool fetchDetached = false;
+
+    // Outcome-step state: read and written only by resolve().
     BranchPredictor predictor;
     MemoryHierarchy memory;
     std::vector<SboxCache> sboxCaches;
@@ -261,7 +338,68 @@ class OooScheduler final : public isa::TraceSink
     uint64_t timelineFirst = 0;
     uint64_t timelineCount = 0;
     std::vector<TimelineEntry> timeline;
+
+    friend class IterationMemo;
 };
+
+// The outcome step is inline: the replay loop's outcome-only walk
+// then builds just the fields it reads.
+inline Outcome
+OooScheduler::resolve(const isa::DynInst &inst)
+{
+    stats.instructions++;
+    stats.classCounts[static_cast<size_t>(inst.cls)]++;
+    if (inst.isLoad)
+        stats.loads++;
+    if (inst.isStore)
+        stats.stores++;
+
+    Outcome out;
+    switch (inst.cls) {
+      case isa::OpClass::Load:
+        out.memExtra = memory.access(inst.addr, inst.size);
+        break;
+      case isa::OpClass::Store:
+        (void)memory.access(inst.addr, inst.size);
+        break;
+      case isa::OpClass::SboxRead:
+        stats.sboxAccesses++;
+        if (cfg.perfectSbox)
+            break;
+        if (!sboxCaches.empty()) {
+            if (sboxCaches[sboxCacheOf(inst)].access(inst.addr & ~0x3FFull,
+                                                     inst.addr & 0x3FF)) {
+                stats.sboxCacheHits++;
+                out.flags |= Outcome::sbox_hit;
+                break;
+            }
+        }
+        // A miss demand-fetches the sector from the D-cache; without
+        // SBox caches the read is a D-cache access outright.
+        out.memExtra = memory.access(inst.addr, inst.size);
+        break;
+      case isa::OpClass::SboxSync:
+        for (auto &sc : sboxCaches)
+            sc.sync();
+        break;
+      default:
+        break;
+    }
+
+    if (inst.branch) {
+        if (inst.taken)
+            out.flags |= Outcome::taken;
+        if (inst.op != isa::Opcode::Br) {
+            stats.condBranches++;
+            if (!predictor.predict(inst.pc, inst.taken)) {
+                stats.mispredicts++;
+                if (!cfg.perfectBranch)
+                    out.flags |= Outcome::mispredicted;
+            }
+        }
+    }
+    return out;
+}
 
 /**
  * Convenience wrapper: functionally execute @p program on @p machine

@@ -29,9 +29,8 @@ namespace cryptarch::util
  * Compute the first @p nwords 32-bit words of the fractional part of pi,
  * most significant word first. Word 0 is 0x243F6A88.
  *
- * Cost is O(nwords^2); generating the 1042 words Blowfish needs takes
- * about 90 ms (the benchmark's util.pi_s on a 4-core x86 VM), so
- * callers share one cached copy (crypto::Blowfish::piWords()).
+ * Cost is O(nwords^2), which is large for the 1042 words Blowfish
+ * needs, so callers share one cached copy (crypto::Blowfish::piWords()).
  */
 std::vector<uint32_t> piFractionWords(size_t nwords);
 

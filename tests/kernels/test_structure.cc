@@ -231,6 +231,51 @@ TEST(KernelStructure, SboxTablesAreFrameAligned)
     }
 }
 
+TEST(KernelStructure, LoopHeadRunsOncePerBlock)
+{
+    // The block loop's head splits a trace into prologue and one
+    // iteration per block, which is what replay fast-forward keys on.
+    const size_t bytes = 4096;
+    for (auto id : all()) {
+        const auto &info = crypto::cipherInfo(id);
+        const size_t blocks = bytes / (info.isStream ? 8 : info.blockBytes);
+        for (auto v : {KernelVariant::BaselineNoRot,
+                       KernelVariant::BaselineRot, KernelVariant::Optimized,
+                       KernelVariant::OptimizedGrp,
+                       KernelVariant::OptimizedFused}) {
+            for (auto dir : {kernels::KernelDirection::Encrypt,
+                             kernels::KernelDirection::Decrypt}) {
+                Xorshift64 rng(7);
+                auto key = rng.bytes(info.keyBits / 8);
+                auto iv = rng.bytes(info.isStream ? 0 : info.blockBytes);
+                auto b = kernels::buildKernel(id, v, key, iv, bytes, dir);
+                ASSERT_TRUE(b.loopHead.has_value()) << b.name;
+                const uint32_t head = *b.loopHead;
+                bool targeted = false;
+                for (const auto &d : isa::decode(b.program))
+                    targeted |= d.conditional && d.target == head;
+                EXPECT_TRUE(targeted) << b.name;
+
+                struct HeadCounter : isa::TraceSink
+                {
+                    uint32_t head = 0;
+                    uint64_t hits = 0;
+                    void
+                    emit(const isa::DynInst &inst) override
+                    {
+                        hits += inst.pc == head;
+                    }
+                } counter;
+                counter.head = head;
+                isa::Machine m;
+                b.install(m, kernels::toWordImage(id, rng.bytes(bytes)));
+                m.run(b.program, &counter, 1ull << 32);
+                EXPECT_EQ(counter.hits, blocks) << b.name;
+            }
+        }
+    }
+}
+
 TEST(KernelStructure, ProgramsTerminateWithHalt)
 {
     for (auto id : all()) {

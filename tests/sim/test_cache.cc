@@ -43,6 +43,19 @@ TEST(Cache, PrefetchFillsWithoutCounting)
     EXPECT_EQ(c.stats().misses, 0u);
 }
 
+TEST(Cache, RepeatedBlockMissesAfterPrefetchEvictsIt)
+{
+    // Direct-mapped, 32 sets of 32B: a prefetch into the set of the
+    // latest access evicts that block, so repeating it must miss.
+    Cache c(CacheGeometry{1024, 1, 32});
+    EXPECT_FALSE(c.access(0x40));
+    EXPECT_TRUE(c.access(0x44));
+    c.prefetch(0x40 + 1024);
+    EXPECT_FALSE(c.access(0x48));
+    EXPECT_EQ(c.stats().accesses, 3u);
+    EXPECT_EQ(c.stats().misses, 2u);
+}
+
 TEST(Tlb, PageGranularity)
 {
     Tlb tlb(4, 4, 8192);
