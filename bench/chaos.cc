@@ -127,11 +127,6 @@ main(int argc, char **argv)
         for (const auto &m : models)
             cells.push_back({id, KernelVariant::Optimized, m, bytes});
 
-    // The faulted sweeps must not inherit an outer journal/isolation
-    // environment; each scenario builds its options from scratch.
-    ::unsetenv("CRYPTARCH_SWEEP_ISOLATE");
-    ::unsetenv("CRYPTARCH_SWEEP_JOURNAL");
-
     std::vector<Verdict> verdicts;
 
     auto runScenario = [&](const std::string &name, const char *action,

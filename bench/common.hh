@@ -14,6 +14,7 @@
 #ifndef CRYPTARCH_BENCH_COMMON_HH
 #define CRYPTARCH_BENCH_COMMON_HH
 
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -71,68 +72,55 @@ gridCell(bool ok, const char *fmt, double value)
 }
 
 /**
- * Crash-safety options from the environment plus the benches' shared
- * command line:
+ * Sweep options from the benches' shared command line, the one place
+ * a sweep's settings come from:
  *
- *   --isolate=thread|process   worker isolation (CRYPTARCH_SWEEP_ISOLATE)
- *   --journal=PATH             checkpoint journal (CRYPTARCH_SWEEP_JOURNAL)
- *   --deadline=SECONDS         per-cell watchdog (CRYPTARCH_SWEEP_DEADLINE)
- *   --threads=N                worker count
+ *   --isolate=thread|process   worker isolation (default thread)
+ *   --journal=PATH             checkpoint journal (default none)
+ *   --deadline=SECONDS         per-cell watchdog, process isolation only
+ *   --threads=N                worker count (0 = all cores)
  *
- * Flags win over the environment. Unknown arguments are ignored, so a
- * bench with its own flags (e.g. --quick) can share argv. Exits with a
- * usage message on a malformed known flag rather than silently running
- * the wrong configuration.
+ * Unknown arguments are ignored, so a bench with its own flags (e.g.
+ * --quick) can share argv. Exits 2 with a usage message on a malformed
+ * known flag rather than silently running the wrong configuration.
  */
 inline driver::SweepOptions
 sweepOptions(int argc, char **argv)
 {
-    driver::SweepOptions opts = driver::sweepOptionsFromEnv();
+    auto usage = [&](const char *flag, const char *takes, const char *got) {
+        std::fprintf(stderr, "%s: %s takes %s, got '%s'\n", argv[0], flag,
+                     takes, got);
+        std::exit(2);
+    };
+    driver::SweepOptions opts;
     for (int i = 1; i < argc; i++) {
         const char *arg = argv[i];
         if (std::strncmp(arg, "--isolate=", 10) == 0) {
             const char *mode = arg + 10;
-            if (std::strcmp(mode, "thread") != 0
-                && std::strcmp(mode, "process") != 0) {
-                std::fprintf(stderr,
-                             "%s: --isolate takes 'thread' or 'process', "
-                             "got '%s'\n",
-                             argv[0], mode);
-                std::exit(2);
-            }
-            opts.isolation = std::strcmp(mode, "process") == 0
-                ? driver::SweepIsolation::Process
-                : driver::SweepIsolation::Thread;
+            const bool process = std::strcmp(mode, "process") == 0;
+            if (!process && std::strcmp(mode, "thread") != 0)
+                usage("--isolate", "'thread' or 'process'", mode);
+            opts.isolation = process ? driver::SweepIsolation::Process
+                                     : driver::SweepIsolation::Thread;
         } else if (std::strncmp(arg, "--journal=", 10) == 0) {
             opts.journalPath = arg + 10;
-            if (opts.journalPath.empty()) {
-                std::fprintf(stderr, "%s: --journal needs a path\n",
-                             argv[0]);
-                std::exit(2);
-            }
+            if (opts.journalPath.empty())
+                usage("--journal", "a path", "");
         } else if (std::strncmp(arg, "--deadline=", 11) == 0) {
             char *end = nullptr;
             opts.cellDeadlineSeconds = std::strtod(arg + 11, &end);
             if (end == arg + 11 || *end != '\0'
-                || !(opts.cellDeadlineSeconds > 0)) {
-                std::fprintf(stderr,
-                             "%s: --deadline needs positive seconds, "
-                             "got '%s'\n",
-                             argv[0], arg + 11);
-                std::exit(2);
-            }
+                || !(opts.cellDeadlineSeconds > 0))
+                usage("--deadline", "positive seconds", arg + 11);
         } else if (std::strncmp(arg, "--threads=", 10) == 0) {
             const char *count = arg + 10;
+            // Overflow saturates at ULLONG_MAX, which the bound rejects.
+            const unsigned long long n = std::strtoull(count, nullptr, 10);
             if (*count == '\0'
-                || std::strspn(count, "0123456789") != std::strlen(count)) {
-                std::fprintf(stderr,
-                             "%s: --threads takes a count (0 = all "
-                             "cores), got '%s'\n",
-                             argv[0], count);
-                std::exit(2);
-            }
-            opts.threads =
-                static_cast<unsigned>(std::strtoul(count, nullptr, 10));
+                || std::strspn(count, "0123456789") != std::strlen(count)
+                || n > UINT_MAX)
+                usage("--threads", "a count (0 = all cores)", count);
+            opts.threads = static_cast<unsigned>(n);
         }
     }
     return opts;

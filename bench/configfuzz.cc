@@ -57,7 +57,6 @@
 #include <vector>
 
 #include "bench/common.hh"
-#include "sim/validate.hh"
 #include "util/xorshift.hh"
 
 namespace
@@ -293,14 +292,12 @@ main(int argc, char **argv)
             isolationGiven = true;
     }
 
-    // The fuzz sweeps must not inherit an outer journal or a tightened
-    // progress budget; isolation/deadline stay overridable.
-    ::unsetenv("CRYPTARCH_SWEEP_JOURNAL");
+    // The fuzz sweeps must not inherit armed fault points or a
+    // journal; isolation/deadline stay overridable.
     ::unsetenv("CRYPTARCH_SWEEP_CHAOS");
-    sim::setProgressBudgetOverride(0);
 
     SweepOptions opts = sweepOptions(argc, argv);
-    if (!isolationGiven && !std::getenv("CRYPTARCH_SWEEP_ISOLATE"))
+    if (!isolationGiven)
         opts.isolation = driver::SweepIsolation::Process;
     if (opts.cellDeadlineSeconds <= 0) {
         // Pure backstop: with the watchdog working no cell comes near

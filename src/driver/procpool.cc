@@ -687,8 +687,12 @@ runCellsProcess(const std::vector<SweepCell> &cells,
     const double deadlineSecs = options.cellDeadlineSeconds > 0
         ? options.cellDeadlineSeconds
         : default_cell_deadline_seconds;
+    // Saturate at ~32 years, which no sweep reaches: a huge deadline
+    // (or inf) means "never". Unclamped, the double-to-nanoseconds cast
+    // is undefined past ~9.2e9 s, and now + deadline could overflow.
+    constexpr double never_secs = 1e9;
     const auto deadlineDur = std::chrono::duration_cast<Clock::duration>(
-        std::chrono::duration<double>(deadlineSecs));
+        std::chrono::duration<double>(std::min(deadlineSecs, never_secs)));
 
     const char *chaosEnv = std::getenv("CRYPTARCH_SWEEP_CHAOS");
     const auto chaos = parseChaosSpec(chaosEnv ? chaosEnv : "");

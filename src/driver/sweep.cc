@@ -1,7 +1,6 @@
 #include "driver/sweep.hh"
 
 #include <cstdio>
-#include <cstdlib>
 #include <map>
 #include <mutex>
 #include <stdexcept>
@@ -11,7 +10,6 @@
 #include "driver/procpool.hh"
 #include "isa/trap.hh"
 #include "sim/validate.hh"
-#include "util/env.hh"
 #include "util/parallel.hh"
 #include "verify/oracle.hh"
 
@@ -32,25 +30,6 @@ cellOutcomeName(CellOutcome outcome)
       case CellOutcome::Stalled: return "stalled";
     }
     return "?";
-}
-
-SweepOptions
-sweepOptionsFromEnv()
-{
-    // Centralized parsing (util/env.hh): an unrecognized value keeps
-    // the safe default AND emits one typed warning naming the accepted
-    // values, instead of the historical silent fallback.
-    SweepOptions opts;
-    opts.isolation = static_cast<SweepIsolation>(util::envChoice(
-        "CRYPTARCH_SWEEP_ISOLATE",
-        {{"thread", static_cast<int>(SweepIsolation::Thread)},
-         {"process", static_cast<int>(SweepIsolation::Process)}},
-        static_cast<int>(SweepIsolation::Thread)));
-    if (const char *env = std::getenv("CRYPTARCH_SWEEP_JOURNAL"))
-        opts.journalPath = env;
-    opts.cellDeadlineSeconds =
-        util::envDouble("CRYPTARCH_SWEEP_DEADLINE", 0);
-    return opts;
 }
 
 namespace detail
@@ -257,7 +236,7 @@ runCells(const std::vector<SweepCell> &cells, const SweepOptions &options)
 std::vector<SweepResult>
 runCells(const std::vector<SweepCell> &cells, unsigned threads)
 {
-    SweepOptions options = sweepOptionsFromEnv();
+    SweepOptions options;
     if (threads)
         options.threads = threads;
     return runCells(cells, options);
@@ -279,7 +258,7 @@ runSweep(const SweepSpec &spec, const SweepOptions &options)
 std::vector<SweepResult>
 runSweep(const SweepSpec &spec)
 {
-    return runSweep(spec, sweepOptionsFromEnv());
+    return runSweep(spec, SweepOptions{});
 }
 
 const SweepResult &

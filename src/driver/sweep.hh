@@ -17,8 +17,9 @@
  * cell its real timing. Bench drivers render partial grids with the
  * failed cells marked and exit nonzero.
  *
- * Execution is isolation-selectable (SweepOptions / the
- * CRYPTARCH_SWEEP_* environment): the default Thread mode runs cells
+ * Execution is isolation-selectable (SweepOptions, which the benches
+ * fill from --isolate=/--journal=/--deadline=/--threads=; see
+ * bench/common.hh): the default Thread mode runs cells
  * on that in-process pool, while Process mode forks one short-lived
  * child per group batch that streams back one checksummed journal
  * record per cell (src/driver/procpool.hh). Both modes schedule from
@@ -112,8 +113,8 @@ enum class SweepIsolation : uint8_t
 
 /**
  * Crash-safety knobs for runCells/runSweep. Defaults reproduce the
- * historical thread-pool behavior exactly; sweepOptionsFromEnv() is
- * the bench-facing way to opt in without new plumbing.
+ * historical thread-pool behavior exactly; benches opt in through
+ * their shared command-line flags (bench::sweepOptions).
  */
 struct SweepOptions
 {
@@ -142,15 +143,8 @@ struct SweepOptions
 /** Default watchdog deadline when SweepOptions leaves it unset. */
 constexpr double default_cell_deadline_seconds = 300.0;
 
-/**
- * Sweep options from the environment: CRYPTARCH_SWEEP_ISOLATE
- * ("thread" | "process"; anything else keeps the thread default),
- * CRYPTARCH_SWEEP_JOURNAL (path), CRYPTARCH_SWEEP_DEADLINE (seconds).
- * The plain runCells/runSweep entry points start from these, so every
- * existing bench is crash-isolatable without touching its command
- * line.
- */
-SweepOptions sweepOptionsFromEnv();
+/** Stays only for perfbench's report; always the defaults. */
+inline SweepOptions sweepOptionsFromEnv() { return {}; }
 
 /** A dense grid: every cipher x every variant x every model. */
 struct SweepSpec
@@ -173,9 +167,9 @@ struct SweepSpec
  * failures while building its result) marks that cell instead of
  * terminating the sweep. Never throws for per-cell failures.
  *
- * Isolation, watchdog, and journal policy come from
- * sweepOptionsFromEnv(); @p threads, when nonzero, overrides the
- * worker count. The SweepOptions overload takes full control.
+ * Runs with the default SweepOptions (thread isolation, no journal);
+ * @p threads, when nonzero, sets the worker count. The SweepOptions
+ * overload takes full control.
  */
 std::vector<SweepResult> runCells(const std::vector<SweepCell> &cells,
                                   unsigned threads = 0);

@@ -91,10 +91,6 @@ IterationMemo::fastForwardable(const OooScheduler &sched)
  *    bound, so keying it would keep every unlimited-fetch iteration
  *    apart), blocksThisCycle only when fetchBlocksPerCycle is limited,
  *    and nextCycleFetch.
- *  - pendingRedirectStall is not keyed and restores as 0: the only
- *    read charges FetchRedirect when fetch + depth > covered, but that
- *    covered maximum includes readyOp >= fetch + depth, so the charge
- *    never happens and the value is reset right after.
  *
  * fetchCycle itself is not keyed; its lag T - (fetch + depth) >= 0 is
  * kept beside the key (see skip() for the fetch rule).
@@ -152,7 +148,6 @@ IterationMemo::restore(const std::vector<uint32_t> &key, Cycle T)
     s.fetchedThisCycle = key[i++];
     s.blocksThisCycle = key[i++];
     s.nextCycleFetch = key[i++] != 0;
-    s.pendingRedirectStall = 0;
     for (size_t r = 0; r < isa::num_regs; r++) {
         s.regReady[r] = T + key[i++];
         s.regMemExtra[r] = key[i++];
@@ -277,7 +272,6 @@ IterationMemo::ran(const OutcomeVector &outcomes, bool atHead)
  * larger lag) moves no comparison: fetch + depth stays below all of
  * them, fetch advances by the same micro-state steps, and a redirect
  * that came strictly after it re-bases fetch on the core (detached).
- * pendingRedirectStall differs but is never read (see capture()).
  */
 bool
 IterationMemo::skip(const OutcomeVector &outcomes)

@@ -241,8 +241,7 @@ OooScheduler::throwNoProgress(const DynInst &inst, Cycle ready,
         "scheduler made no forward progress on model '%s': seq=%llu "
         "pc=%u class=%s blocked on %s (ready cycle %llu, probed through "
         "cycle %llu: %llu failed unit bookings, %llu issue-slot wait "
-        "cycles; base budget %llu, CRYPTARCH_SIM_PROGRESS_BUDGET "
-        "overrides)",
+        "cycles; base budget %llu)",
         cfg.name.c_str(), static_cast<unsigned long long>(inst.seq),
         static_cast<unsigned>(inst.pc), isa::opClassName(inst.cls),
         stallCauseName(fuCause), static_cast<unsigned long long>(ready),
@@ -365,26 +364,6 @@ OooScheduler::core(const DynInst &inst, Outcome out)
 
     // ----- dispatch: frontend depth + window occupancy -----
     Cycle dispatch = fetch + cfg.frontendDepth;
-    if (pendingRedirectStall) {
-        // The first instruction fetched after a misprediction redirect
-        // absorbs the restart delay — but only the part not hidden
-        // behind its other constraints. The decoupled frontend runs
-        // arbitrarily far ahead of execution, so the raw fetchCycle
-        // jump (back to the resolving branch's completion) mostly
-        // re-covers ground the window and the dependences had already
-        // claimed; the genuine bubble is the excess over all of them.
-        Cycle covered = std::max({readyOp, readyAlias, readySync,
-                                  lastDispatch});
-        if (cfg.windowSize != unlimited)
-            covered = std::max(covered, retireRing[ringPos]);
-        if (dispatch > covered) {
-            stall[static_cast<size_t>(StallCause::FetchRedirect)] =
-                std::min<Cycle>(pendingRedirectStall, dispatch - covered);
-            touched |=
-                1u << static_cast<size_t>(StallCause::FetchRedirect);
-        }
-        pendingRedirectStall = 0;
-    }
     if (cfg.windowSize != unlimited) {
         Cycle freed = retireRing[ringPos];
         if (freed > dispatch) {
@@ -488,9 +467,7 @@ OooScheduler::core(const DynInst &inst, Outcome out)
                 fetchBound = true;
             else if (!fetchBound)
                 fetchDetached = true;
-            Cycle redirected = std::max<Cycle>(fetchCycle, resume);
-            pendingRedirectStall += redirected - fetchCycle;
-            fetchCycle = redirected;
+            fetchCycle = std::max(fetchCycle, resume);
             fetchedThisCycle = 0;
             blocksThisCycle = 0;
             nextCycleFetch = false;

@@ -113,10 +113,10 @@ struct TimelineEntry
     /**
      * Per-cause stall cycles of this instruction. The causes other
      * than WindowFull/FetchRedirect sum exactly to (issue - dispatch);
-     * WindowFull and FetchRedirect are dispatch delays charged only
-     * beyond every other readiness constraint and only at the in-order
-     * dispatch frontier, so frontend run-ahead is never counted as a
-     * machine stall (see DESIGN.md on stall accounting).
+     * WindowFull is a dispatch delay charged only beyond every other
+     * readiness constraint and only at the in-order dispatch frontier,
+     * so frontend run-ahead is never counted as a machine stall (see
+     * DESIGN.md on stall accounting). FetchRedirect stays 0 (stall.hh).
      */
     StallVector stall{};
 };
@@ -163,8 +163,8 @@ class OooScheduler final : public isa::TraceSink
      *
      * Even trusted schedulers keep the forward-progress watchdog: an
      * issue retry loop that exceeds its budget (auto-scaled from the
-     * window size and latency chain, base overridable via
-     * CRYPTARCH_SIM_PROGRESS_BUDGET) throws a typed
+     * window size and latency chain; tests pin the base through
+     * setProgressBudgetOverride) throws a typed
      * isa::Trap{NoProgress} carrying the stalled-frontier snapshot
      * instead of spinning forever.
      */
@@ -287,9 +287,6 @@ class OooScheduler final : public isa::TraceSink
     unsigned fetchedThisCycle = 0;
     unsigned blocksThisCycle = 0;
     bool nextCycleFetch = false;
-    // Fetch delay from the latest misprediction redirect, charged to
-    // the next instruction that fetches.
-    Cycle pendingRedirectStall = 0;
 
     // Memory ordering.
     Cycle storeAddrFrontier = 0; ///< latest known store address-resolve

@@ -19,7 +19,8 @@
  *   SboxVisibility SBOXSYNC gating (reads wait for the last sync;
  *                  syncs wait for prior store data)
  *   WindowFull     DF+Window (dispatch held for the ROB to drain)
- *   FetchRedirect  DF+Branch (fetch restart after a misprediction)
+ *   FetchRedirect  DF+Branch (fetch restart after a misprediction);
+ *                  never charged, kept for the "redirect" key (always 0)
  *   IssueSlot      DF+Issue  (issue-width contention)
  *   FuAlu..FuSbox  DF+Res    (per-functional-unit contention)
  */
@@ -42,7 +43,7 @@ enum class StallCause : uint8_t
     StoreAlias,     ///< load held until prior store addresses resolved
     SboxVisibility, ///< SBOXSYNC gating (read-after-sync, sync-after-store)
     WindowFull,     ///< dispatch held: instruction windowSize back not retired
-    FetchRedirect,  ///< fetch restarted after a branch misprediction
+    FetchRedirect,  ///< misprediction fetch restart; never charged
     IssueSlot,      ///< issue-width contention
     FuAlu,          ///< integer-ALU contention
     FuRot,          ///< rotator/XBOX-unit contention

@@ -125,12 +125,11 @@ warnAdjustment(const std::string &field, unsigned from, unsigned to)
                  field.c_str(), from, to);
 }
 
-// Hardening policies, read once at static init (the trace.cc policy
-// pattern). Forked sweep workers inherit these by memory copy, so
-// harnesses flip them through the setters, not setenv.
+// Hardening policies. The audit flag is read once at static init;
+// forked sweep workers inherit both by memory copy, so harnesses and
+// tests flip them through the setters, not setenv.
 std::atomic<bool> audit_enabled{util::envFlag("CRYPTARCH_SIM_AUDIT", false)};
-std::atomic<uint64_t> progress_budget{
-    util::envU64("CRYPTARCH_SIM_PROGRESS_BUDGET", 0)};
+std::atomic<uint64_t> progress_budget{0}; // 0 = auto-scaled
 
 } // namespace
 

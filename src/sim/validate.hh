@@ -35,15 +35,13 @@
  *                        window/latency values that degenerate the
  *                        cycle bookkeeping)
  *
- * Policies (all overridable programmatically, read once from the
- * environment at static init — worker processes fork from the parent,
- * so setters are the reliable way to flip policy for a child sweep):
+ * Policies (worker processes fork from the parent, so the setters are
+ * the reliable way to flip policy for a child sweep):
  *
- *   CRYPTARCH_SIM_AUDIT           off (default) | on: per-retired-
- *                                 instruction invariant auditing
- *   CRYPTARCH_SIM_PROGRESS_BUDGET base FU-retry budget before the
- *                                 scheduler's forward-progress watchdog
- *                                 traps (0/unset = auto-scaled)
+ *   audit            per-retired-instruction invariant auditing, off
+ *                    unless CRYPTARCH_SIM_AUDIT is on at static init
+ *   progress budget  base FU-retry budget of the forward-progress
+ *                    watchdog; 0 = auto-scaled, only tests set another
  */
 
 #ifndef CRYPTARCH_SIM_VALIDATION_HH

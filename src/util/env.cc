@@ -1,12 +1,12 @@
 #include "util/env.hh"
 
 #include <atomic>
-#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <mutex>
 #include <set>
+#include <string>
 
 namespace cryptarch::util
 {
@@ -30,7 +30,7 @@ warnedVars()
  * not turn one typo into thousands of stderr lines.
  */
 void
-warnOnce(const char *var, const char *got, const std::string &accepted)
+warnOnce(const char *var, const char *got)
 {
     {
         std::lock_guard<std::mutex> lock(warned_mutex);
@@ -39,38 +39,12 @@ warnOnce(const char *var, const char *got, const std::string &accepted)
     }
     warning_count.fetch_add(1, std::memory_order_relaxed);
     std::fprintf(stderr,
-                 "cryptarch: ignoring unrecognized %s='%s' (accepted: "
-                 "%s); using the default\n",
-                 var, got, accepted.c_str());
+                 "cryptarch: ignoring unrecognized %s='%s' (accepted: 1, "
+                 "on, true, yes, 0, off, false, no); using the default\n",
+                 var, got);
 }
 
 } // namespace
-
-std::string
-describeEnvChoices(std::initializer_list<EnvChoice> choices)
-{
-    std::string out;
-    for (const auto &c : choices) {
-        if (!out.empty())
-            out += ", ";
-        out += c.name;
-    }
-    return out;
-}
-
-int
-envChoice(const char *var, std::initializer_list<EnvChoice> choices,
-          int dflt)
-{
-    const char *env = std::getenv(var);
-    if (!env)
-        return dflt;
-    for (const auto &c : choices)
-        if (std::strcmp(env, c.name) == 0)
-            return c.value;
-    warnOnce(var, env, describeEnvChoices(choices));
-    return dflt;
-}
 
 bool
 envFlag(const char *var, bool dflt)
@@ -86,40 +60,8 @@ envFlag(const char *var, bool dflt)
     for (const char *f : falsy)
         if (std::strcmp(env, f) == 0)
             return false;
-    warnOnce(var, env, "1, on, true, yes, 0, off, false, no");
+    warnOnce(var, env);
     return dflt;
-}
-
-uint64_t
-envU64(const char *var, uint64_t dflt)
-{
-    const char *env = std::getenv(var);
-    if (!env)
-        return dflt;
-    errno = 0;
-    char *end = nullptr;
-    unsigned long long v = std::strtoull(env, &end, 10);
-    if (errno != 0 || end == env || *end != '\0') {
-        warnOnce(var, env, "an unsigned decimal integer");
-        return dflt;
-    }
-    return static_cast<uint64_t>(v);
-}
-
-double
-envDouble(const char *var, double dflt)
-{
-    const char *env = std::getenv(var);
-    if (!env)
-        return dflt;
-    errno = 0;
-    char *end = nullptr;
-    double v = std::strtod(env, &end);
-    if (errno != 0 || end == env || *end != '\0' || v < 0) {
-        warnOnce(var, env, "a non-negative decimal number");
-        return dflt;
-    }
-    return v;
 }
 
 uint64_t

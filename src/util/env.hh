@@ -1,43 +1,22 @@
 /**
  * @file
- * Centralized CRYPTARCH_* environment parsing.
+ * CRYPTARCH_* environment flag parsing.
  *
- * Every knob the simulator reads from the environment goes through
- * these helpers so unrecognized values behave uniformly: the caller's
- * default is used AND one typed warning line naming the variable, the
- * rejected value and the accepted values is emitted to stderr — once
- * per variable per process, so a sweep spawning thousands of cells
- * cannot flood the log. Historically each call site parsed its
- * variable ad hoc and fell back silently (a misspelled
- * CRYPTARCH_SWEEP_ISOLATE quietly meant "thread"), which is exactly
- * the class of config mistake this repo's hardening layer exists to
- * surface.
+ * On/off knobs (CRYPTARCH_SIM_AUDIT) go through envFlag so an
+ * unrecognized value keeps the caller's default AND emits one typed
+ * warning naming the variable, the rejected value and the accepted
+ * spellings — once per variable per process, so a sweep cannot flood
+ * the log. The chaos fault spec (CRYPTARCH_SWEEP_CHAOS) has its own
+ * parser (driver/procpool.hh).
  */
 
 #ifndef CRYPTARCH_UTIL_ENV_HH
 #define CRYPTARCH_UTIL_ENV_HH
 
 #include <cstdint>
-#include <initializer_list>
-#include <string>
 
 namespace cryptarch::util
 {
-
-/** One accepted spelling of an enumerated environment value. */
-struct EnvChoice
-{
-    const char *name;
-    int value;
-};
-
-/**
- * Parse @p var as one of @p choices. Unset returns @p dflt; a value
- * matching a choice name returns that choice's value; anything else
- * warns (once per variable) and returns @p dflt.
- */
-int envChoice(const char *var, std::initializer_list<EnvChoice> choices,
-              int dflt);
 
 /**
  * Parse @p var as a boolean flag: "1"/"on"/"true"/"yes" are true,
@@ -45,26 +24,6 @@ int envChoice(const char *var, std::initializer_list<EnvChoice> choices,
  * warns (once) and is @p dflt.
  */
 bool envFlag(const char *var, bool dflt);
-
-/**
- * Parse @p var as an unsigned decimal integer. Unset returns @p dflt;
- * trailing garbage or overflow warns (once) and returns @p dflt.
- */
-uint64_t envU64(const char *var, uint64_t dflt);
-
-/**
- * Parse @p var as a non-negative decimal number (seconds-style knobs).
- * Unset returns @p dflt; malformed or negative values warn (once) and
- * return @p dflt.
- */
-double envDouble(const char *var, double dflt);
-
-/**
- * The "accepted: ..." clause the warning prints for @p choices —
- * exposed so tests can assert the message contract without scraping
- * stderr.
- */
-std::string describeEnvChoices(std::initializer_list<EnvChoice> choices);
 
 /**
  * Process-wide count of unrecognized-value warnings emitted. Tests

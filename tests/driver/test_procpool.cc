@@ -12,6 +12,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -176,6 +177,21 @@ TEST(ProcPool, ChaosHangTripsTheWatchdog)
     EXPECT_GE(results[3].worker, 0);
     for (size_t i = 0; i < 3; i++)
         EXPECT_TRUE(results[i].ok()) << results[i].message;
+}
+
+TEST(ProcPool, HugeDeadlineMeansNever)
+{
+    // Past ~9.2e9 s a deadline no longer fits the clock's nanoseconds;
+    // it must saturate to "never", not wrap into an expired watchdog.
+    auto cells = smallGrid();
+    for (double secs : {1e10, std::numeric_limits<double>::infinity()}) {
+        auto opts = processOptions();
+        opts.cellDeadlineSeconds = secs;
+        auto results = driver::runCells(cells, opts);
+        ASSERT_EQ(results.size(), cells.size());
+        for (const auto &r : results)
+            EXPECT_TRUE(r.ok()) << secs << " s: " << r.message;
+    }
 }
 
 TEST(ProcPool, SingleWorkerDeathRequeuesDeterministically)
@@ -511,26 +527,6 @@ TEST(ProcPool, ChaosSpecParsing)
     cell.model = MachineConfig::dataflow();
     EXPECT_EQ(driver::chaosActionFor(points, cell),
               driver::ChaosAction::None);
-}
-
-TEST(ProcPool, SweepOptionsFromEnvironment)
-{
-    ::setenv("CRYPTARCH_SWEEP_ISOLATE", "process", 1);
-    ::setenv("CRYPTARCH_SWEEP_JOURNAL", "/tmp/j.bin", 1);
-    ::setenv("CRYPTARCH_SWEEP_DEADLINE", "12.5", 1);
-    auto opts = driver::sweepOptionsFromEnv();
-    EXPECT_EQ(opts.isolation, driver::SweepIsolation::Process);
-    EXPECT_EQ(opts.journalPath, "/tmp/j.bin");
-    EXPECT_DOUBLE_EQ(opts.cellDeadlineSeconds, 12.5);
-
-    // Unrecognized isolation names keep the safe default.
-    ::setenv("CRYPTARCH_SWEEP_ISOLATE", "container", 1);
-    EXPECT_EQ(driver::sweepOptionsFromEnv().isolation,
-              driver::SweepIsolation::Thread);
-
-    ::unsetenv("CRYPTARCH_SWEEP_ISOLATE");
-    ::unsetenv("CRYPTARCH_SWEEP_JOURNAL");
-    ::unsetenv("CRYPTARCH_SWEEP_DEADLINE");
 }
 
 } // namespace
