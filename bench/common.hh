@@ -14,6 +14,7 @@
 #ifndef CRYPTARCH_BENCH_COMMON_HH
 #define CRYPTARCH_BENCH_COMMON_HH
 
+#include <cerrno>
 #include <climits>
 #include <cstdio>
 #include <cstdlib>
@@ -72,6 +73,20 @@ gridCell(bool ok, const char *fmt, double value)
 }
 
 /**
+ * Parse @p text as a decimal count no larger than @p max into @p n.
+ * False on an empty string, anything but digits (a sign, a suffix) or
+ * a value past @p max, overflow included.
+ */
+inline bool
+parseCount(const char *text, unsigned long long max, unsigned long long &n)
+{
+    errno = 0;
+    n = std::strtoull(text, nullptr, 10);
+    return *text && std::strspn(text, "0123456789") == std::strlen(text)
+        && errno != ERANGE && n <= max;
+}
+
+/**
  * Sweep options from the benches' shared command line, the one place
  * a sweep's settings come from:
  *
@@ -113,13 +128,9 @@ sweepOptions(int argc, char **argv)
                 || !(opts.cellDeadlineSeconds > 0))
                 usage("--deadline", "positive seconds", arg + 11);
         } else if (std::strncmp(arg, "--threads=", 10) == 0) {
-            const char *count = arg + 10;
-            // Overflow saturates at ULLONG_MAX, which the bound rejects.
-            const unsigned long long n = std::strtoull(count, nullptr, 10);
-            if (*count == '\0'
-                || std::strspn(count, "0123456789") != std::strlen(count)
-                || n > UINT_MAX)
-                usage("--threads", "a count (0 = all cores)", count);
+            unsigned long long n = 0;
+            if (!parseCount(arg + 10, UINT_MAX, n))
+                usage("--threads", "a count (0 = all cores)", arg + 10);
             opts.threads = static_cast<unsigned>(n);
         }
     }

@@ -30,8 +30,10 @@
  *   --quick      CI smoke mode: fewer cells, 50k sessions.
  *   --sessions N population size per cell (overrides mode default).
  *   --threads N  worker threads for kernel sweep and simulations.
+ * A malformed value, --sessions 0 or any other argument exits 2.
  */
 
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -57,17 +59,32 @@ main(int argc, char **argv)
 {
     using namespace cryptarch::bench;
 
+    auto usage = [&](const char *arg) {
+        std::fprintf(stderr,
+                     "%s: bad argument '%s'\nusage: %s [--quick] "
+                     "[--sessions N>=1] [--threads N]\n",
+                     argv[0], arg, argv[0]);
+        std::exit(2);
+    };
     bool quick = false;
-    uint64_t sessions_override = 0;
+    unsigned long long sessions_override = 0;
     unsigned threads = 0;
     for (int i = 1; i < argc; i++) {
-        if (!std::strcmp(argv[i], "--quick"))
+        const char *arg = argv[i];
+        unsigned long long n = 0;
+        if (!std::strcmp(arg, "--quick")) {
             quick = true;
-        else if (!std::strcmp(argv[i], "--sessions") && i + 1 < argc)
-            sessions_override = std::strtoull(argv[++i], nullptr, 10);
-        else if (!std::strcmp(argv[i], "--threads") && i + 1 < argc)
-            threads = static_cast<unsigned>(
-                std::strtoul(argv[++i], nullptr, 10));
+        } else if (!std::strcmp(arg, "--sessions") && i + 1 < argc) {
+            if (!parseCount(argv[++i], ULLONG_MAX, n) || n == 0)
+                usage(argv[i]);
+            sessions_override = n;
+        } else if (!std::strcmp(arg, "--threads") && i + 1 < argc) {
+            if (!parseCount(argv[++i], UINT_MAX, n))
+                usage(argv[i]);
+            threads = static_cast<unsigned>(n);
+        } else {
+            usage(arg);
+        }
     }
 
     // The paper's default bulk cipher (3DES), the fast stream cipher

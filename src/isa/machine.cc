@@ -318,7 +318,10 @@ Machine::applyFaults(uint64_t seq)
     }
 }
 
-RunStats
+// Placement matters: linked at 16 mod 64, with this file unchanged, it
+// took traced perfbench paper_grids isa.record_s from 0.027 to 0.066 s
+// on a 4-core x86-64 VM; aligned it measures 0.029 s there.
+[[gnu::aligned(64)]] RunStats
 Machine::run(const Program &program, TraceSink *sink, uint64_t max_insts)
 {
     RunStats stats;

@@ -59,19 +59,6 @@ KernelCtx::rotr32v(Reg a, Reg b, Reg d, Reg s1, Reg s2)
 }
 
 void
-KernelCtx::rotlXor(Reg a, unsigned n, Reg d, Reg s1, Reg s2)
-{
-    if (optimized()) {
-        cat(OpCategory::Rotate);
-        as.rolx32(a, static_cast<int64_t>(n & 31), d);
-        return;
-    }
-    rotl32i(a, n, s1, s2);
-    cat(OpCategory::Logic);
-    as.xor_(d, s1, d);
-}
-
-void
 KernelCtx::sboxLoad(unsigned table_id, Reg table_base, Reg x,
                     unsigned byte_sel, Reg d, Reg scratch, bool aliased)
 {

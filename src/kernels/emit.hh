@@ -82,9 +82,6 @@ class KernelCtx
     void rotl32v(Reg a, Reg b, Reg d, Reg s1, Reg s2);
     /** d = rotr32(a, b). */
     void rotr32v(Reg a, Reg b, Reg d, Reg s1, Reg s2);
-    /** d = rotl32(a, n) ^ d (the ROLX pattern); two scratches needed
-     *  by the rotate-less baseline. */
-    void rotlXor(Reg a, unsigned n, Reg d, Reg s1, Reg s2);
 
     /**
      * d = MEM32[table + 4 * byte(x, byte_sel)] — one S-box access.

@@ -1,6 +1,7 @@
 #include "sim/cache.hh"
 
-#include <array>
+#include <bit>
+#include <utility>
 
 #include "sim/validate.hh"
 
@@ -10,49 +11,20 @@ namespace cryptarch::sim
 Cache::Cache(const CacheGeometry &geom)
     : blockBytes(geom.blockBytes), assoc(geom.assoc)
 {
-    // Constructing from a degenerate geometry used to be UB (divide by
-    // zero below, zero-sized line array indexed on access). Config
-    // validation rejects these before a scheduler is built; direct
-    // constructions get the same typed error here.
-    if (geom.blockBytes == 0 || geom.assoc == 0 || geom.sizeBytes == 0)
-        throw ConfigRejected(
-            {ConfigErrorKind::ZeroGeometry, "cache",
-             "blockBytes, assoc and sizeBytes must all be nonzero"});
-    const uint64_t setBytes =
-        static_cast<uint64_t>(geom.blockBytes) * geom.assoc;
-    if (geom.sizeBytes < setBytes
-        || geom.sizeBytes % setBytes != 0)
-        throw ConfigRejected(
-            {ConfigErrorKind::BadGeometry, "cache",
-             "sizeBytes (" + std::to_string(geom.sizeBytes)
-                 + ") must be a nonzero multiple of blockBytes*assoc ("
-                 + std::to_string(setBytes) + ")"});
+    // Config validation's rule, so a direct construction from a
+    // degenerate geometry gets its typed error, not a divide by zero.
+    if (auto err = checkGeometry("cache", geom))
+        throw ConfigRejected(std::move(*err));
     numSets = geom.sizeBytes / (geom.blockBytes * geom.assoc);
     lines.resize(static_cast<size_t>(numSets) * assoc);
-    if (blockBytes && (blockBytes & (blockBytes - 1)) == 0) {
-        blockShift = 0;
-        while ((1u << blockShift) != blockBytes)
-            blockShift++;
-    }
-    setsPow2 = numSets && (numSets & (numSets - 1)) == 0;
+    if ((blockBytes & (blockBytes - 1)) == 0)
+        blockShift = std::countr_zero(blockBytes);
+    setsPow2 = (numSets & (numSets - 1)) == 0;
 }
 
-bool
-Cache::lookup(uint64_t block)
+void
+Cache::fill(Line *ways, uint64_t block)
 {
-    lastValid = true;
-    lastBlock = block;
-    uint32_t set = setOf(block);
-    Line *ways = &lines[static_cast<size_t>(set) * assoc];
-    stamp++;
-    for (uint32_t w = 0; w < assoc; w++) {
-        if (ways[w].valid && ways[w].tag == block) {
-            ways[w].lruStamp = stamp;
-            return true;
-        }
-    }
-    stat.misses++;
-    // Fill the LRU way.
     Line *victim = &ways[0];
     for (uint32_t w = 1; w < assoc; w++) {
         if (!ways[w].valid) {
@@ -65,6 +37,23 @@ Cache::lookup(uint64_t block)
     victim->valid = true;
     victim->tag = block;
     victim->lruStamp = stamp;
+}
+
+bool
+Cache::lookup(uint64_t block)
+{
+    lastValid = true;
+    lastBlock = block;
+    Line *ways = &lines[static_cast<size_t>(setOf(block)) * assoc];
+    stamp++;
+    for (uint32_t w = 0; w < assoc; w++) {
+        if (ways[w].valid && ways[w].tag == block) {
+            ways[w].lruStamp = stamp;
+            return true;
+        }
+    }
+    stat.misses++;
+    fill(ways, block);
     return false;
 }
 
@@ -74,32 +63,15 @@ Cache::prefetch(uint64_t addr)
     if (contains(addr))
         return;
     lastValid = false;
-    uint64_t block = blockOf(addr);
-    uint32_t set = setOf(block);
-    Line *ways = &lines[static_cast<size_t>(set) * assoc];
+    const uint64_t block = blockOf(addr);
     stamp++;
-    Line *victim = &ways[0];
-    for (uint32_t w = 1; w < assoc; w++) {
-        if (!ways[w].valid) {
-            victim = &ways[w];
-            break;
-        }
-        if (ways[w].lruStamp < victim->lruStamp && victim->valid)
-            victim = &ways[w];
-    }
-    victim->valid = true;
-    victim->tag = block;
-    victim->lruStamp = stamp;
-}
-
-Tlb::Tlb(unsigned entries, unsigned assoc, unsigned page_bytes)
-    : backing(CacheGeometry{entries * page_bytes, assoc, page_bytes})
-{
+    fill(&lines[static_cast<size_t>(setOf(block)) * assoc], block);
 }
 
 MemoryHierarchy::MemoryHierarchy(const MachineConfig &cfg)
     : cfg(cfg), l1(cfg.l1d), l2(cfg.l2),
-      tlb(cfg.dtlbEntries, cfg.dtlbAssoc, cfg.pageBytes)
+      tlb(CacheGeometry{cfg.dtlbEntries * cfg.pageBytes, cfg.dtlbAssoc,
+                        cfg.pageBytes})
 {
 }
 

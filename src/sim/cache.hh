@@ -1,6 +1,6 @@
 /**
  * @file
- * Cache, TLB and SBox-cache models for the timing simulator.
+ * Cache and SBox-cache models for the timing simulator.
  *
  * These are latency-oracle models: each access returns the cycles the
  * access costs and updates replacement state. The out-of-order
@@ -72,15 +72,18 @@ class Cache
     const CacheStats &stats() const { return stat; }
 
   private:
-    /** access() past the repeat check. */
-    bool lookup(uint64_t block);
-
     struct Line
     {
         uint64_t tag = 0;
         bool valid = false;
         uint64_t lruStamp = 0;
     };
+
+    /** access() past the repeat check. */
+    bool lookup(uint64_t block);
+    /** Put @p block in the LRU (or first invalid) way of @p ways,
+     *  stamped with the current stamp. */
+    void fill(Line *ways, uint64_t block);
 
     // Block/set math runs on every simulated memory access, so the
     // usual power-of-two geometries use precomputed shift/mask forms
@@ -109,33 +112,10 @@ class Cache
     CacheStats stat;
 };
 
-/** Set-associative TLB (a Cache over page numbers). */
-class Tlb
-{
-  public:
-    Tlb(unsigned entries, unsigned assoc, unsigned page_bytes);
-
-    /** Returns true on TLB hit. */
-    bool
-    access(uint64_t addr)
-    {
-        stat.accesses++;
-        const bool hit = backing.access(addr);
-        if (!hit)
-            stat.misses++;
-        return hit;
-    }
-
-    const CacheStats &stats() const { return stat; }
-
-  private:
-    Cache backing;
-    CacheStats stat;
-};
-
 /**
  * Two-level data memory: L1 with next-line prefetch backed by a
- * unified L2, plus a DTLB. Returns total access latency in cycles.
+ * unified L2, plus a DTLB (a Cache with one page per block). Returns
+ * total access latency in cycles.
  */
 class MemoryHierarchy
 {
@@ -179,7 +159,7 @@ class MemoryHierarchy
     const MachineConfig &cfg;
     Cache l1;
     Cache l2;
-    Tlb tlb;
+    Cache tlb;
 };
 
 /**

@@ -201,7 +201,6 @@ IterationMemo::begin(int32_t id, Cycle T)
     startState = id;
     startFloor = T;
     startFetch = fetch;
-    startStalls = s.stats.stallCycles;
     startByClass = s.stats.stallByClass;
     s.fetchBound = false;
     s.fetchDetached = false;
@@ -242,16 +241,12 @@ IterationMemo::ran(const OutcomeVector &outcomes, bool atHead)
         e.floorAdvance = T - startFloor;
         e.fetchAdvance = s.fetchCycle - startFetch;
         e.lagEnd = T - (s.fetchCycle + depth);
-        for (size_t c = 0; c < num_stall_causes; c++)
-            if (uint64_t d = s.stats.stallCycles[c] - startStalls[c])
-                e.stalls.emplace_back(static_cast<uint16_t>(c), d);
         for (size_t cls = 0; cls < isa::num_op_classes; cls++)
             for (size_t c = 0; c < num_stall_causes; c++)
                 if (uint64_t d = s.stats.stallByClass[cls][c]
                         - startByClass[cls][c])
                     e.stalls.emplace_back(
-                        static_cast<uint16_t>(num_stall_causes * (cls + 1)
-                                              + c),
+                        static_cast<uint16_t>(cls * num_stall_causes + c),
                         d);
         edges.push_back(std::move(e));
         states[from].edges.push_back(
@@ -283,13 +278,9 @@ IterationMemo::skip(const OutcomeVector &outcomes)
         if (!(lag == e.lag || (e.lagFree && lag > e.lag))
             || e.outcomes != outcomes)
             continue;
-        for (const auto &[at, cycles] : e.stalls) {
-            if (at < num_stall_causes)
-                s.stats.stallCycles[at] += cycles;
-            else
-                s.stats.stallByClass[at / num_stall_causes - 1]
-                                    [at % num_stall_causes] += cycles;
-        }
+        for (const auto &[at, cycles] : e.stalls)
+            s.stats.stallByClass[at / num_stall_causes]
+                                [at % num_stall_causes] += cycles;
         index += e.outcomes.size();
         skipped += e.outcomes.size();
         floor += e.floorAdvance;

@@ -167,8 +167,8 @@ class IterationMemo
         Cycle fetchAdvance = 0; ///< end fetch - start fetch
         Cycle lagEnd = 0;       ///< fetch lag at its end
         /** Stall cycles it added, as (flat index, cycles); flat index
-         *  c < num_stall_causes is stallCycles[c], the rest walk
-         *  stallByClass row by row. */
+         *  cls * num_stall_causes + c is stallByClass[cls][c]
+         *  (finish() sums the columns into stallCycles). */
         std::vector<std::pair<uint16_t, uint64_t>> stalls;
     };
 
@@ -201,7 +201,6 @@ class IterationMemo
     int32_t startState = -1;
     Cycle startFloor = 0;
     Cycle startFetch = 0;
-    StallVector startStalls{};
     std::array<StallVector, isa::num_op_classes> startByClass{};
 
     uint64_t skipped = 0;

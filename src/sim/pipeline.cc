@@ -12,8 +12,8 @@ namespace cryptarch::sim
 using isa::DynInst;
 using isa::OpClass;
 
-OooScheduler::OooScheduler(const MachineConfig &config, ConfigPolicy policy)
-    : cfg(hardenedConfig(config, policy)), issueSlots(cfg.issueWidth),
+OooScheduler::OooScheduler(const MachineConfig &config)
+    : cfg(hardenedConfig(config)), issueSlots(cfg.issueWidth),
       retireSlots(cfg.issueWidth),
       aluUnits(cfg.numIntAlu), rotUnits(cfg.numRotUnits),
       mulSlots(cfg.mulHalfSlots), dcachePorts(cfg.numDCachePorts),
@@ -440,7 +440,6 @@ OooScheduler::core(const DynInst &inst, Outcome out)
     for (unsigned m = touched; m;) {
         unsigned c = static_cast<unsigned>(std::countr_zero(m));
         m &= m - 1;
-        stats.stallCycles[c] += stall[c];
         stats.stallByClass[static_cast<size_t>(inst.cls)][c] += stall[c];
     }
 
@@ -533,12 +532,26 @@ OooScheduler::emit(const DynInst &inst)
 SimStats
 OooScheduler::finish()
 {
+    // Every total is assigned from the one structure that counted the
+    // event, so a second call gives the same stats.
+    auto count = [&](OpClass c) {
+        return stats.classCounts[static_cast<size_t>(c)];
+    };
     stats.cycles = std::max(lastRetire, maxComplete) + 1;
+    stats.instructions = 0;
+    for (uint64_t n : stats.classCounts)
+        stats.instructions += n;
+    // Decode sets isLoad on exactly the Ld* and SBOX opcodes, classed
+    // Load (plain loads, aliased SBOX) or SboxRead; isStore on exactly
+    // the Store class.
+    stats.loads = count(OpClass::Load) + count(OpClass::SboxRead);
+    stats.stores = count(OpClass::Store);
+    stats.sboxAccesses = count(OpClass::SboxRead);
+    stats.condBranches = predictor.lookups();
+    stats.mispredicts = predictor.mispredicts();
     stats.l1 = memory.l1Stats();
     stats.l2 = memory.l2Stats();
     stats.tlb = memory.tlbStats();
-    // Merge per-SBox-cache accesses/misses; without this only the hit
-    // count would survive and hit *rates* would be incomputable.
     stats.sboxCaches.clear();
     stats.sboxCacheAccesses = 0;
     stats.sboxCacheMisses = 0;
@@ -547,16 +560,20 @@ OooScheduler::finish()
         stats.sboxCacheAccesses += sc.stats().accesses;
         stats.sboxCacheMisses += sc.stats().misses;
     }
+    stats.sboxCacheHits = stats.sboxCacheAccesses - stats.sboxCacheMisses;
+    stats.stallCycles = {};
+    for (const StallVector &row : stats.stallByClass)
+        for (size_t c = 0; c < num_stall_causes; c++)
+            stats.stallCycles[c] += row[c];
     return stats;
 }
 
 SimStats
 simulate(isa::Machine &machine, const isa::Program &program,
-         const MachineConfig &config, uint64_t max_insts,
-         ConfigPolicy policy)
+         const MachineConfig &config)
 {
-    OooScheduler sched(config, policy);
-    machine.run(program, &sched, max_insts);
+    OooScheduler sched(config);
+    machine.run(program, &sched);
     return sched.finish();
 }
 

@@ -156,20 +156,19 @@ class OooScheduler final : public isa::TraceSink
 {
   public:
     /**
-     * Construct for @p config. Under the default policy the config is
-     * canonicalized (validate.hh) and rejected with a typed
-     * ConfigRejected when invalid; ConfigPolicy::Trusted skips the
-     * admission layer (tests probing raw degenerate behavior).
+     * Construct for @p config, canonicalized (validate.hh) and
+     * rejected with a typed ConfigRejected when invalid.
      *
-     * Even trusted schedulers keep the forward-progress watchdog: an
-     * issue retry loop that exceeds its budget (auto-scaled from the
-     * window size and latency chain; tests pin the base through
+     * An admitted config can still hold a unit pool some operation
+     * never fits (validation bounds each pool's size only), so
+     * the scheduler keeps a forward-progress watchdog: an issue retry
+     * loop that exceeds its budget (auto-scaled from the window size
+     * and latency chain; tests pin the base through
      * setProgressBudgetOverride) throws a typed
      * isa::Trap{NoProgress} carrying the stalled-frontier snapshot
      * instead of spinning forever.
      */
-    explicit OooScheduler(const MachineConfig &config,
-                          ConfigPolicy policy = ConfigPolicy::Validate);
+    explicit OooScheduler(const MachineConfig &config);
 
     /** The one per-instruction path: the outcome step, then the
      *  core. */
@@ -178,8 +177,8 @@ class OooScheduler final : public isa::TraceSink
     /**
      * The outcome step: run @p inst's accesses through the memory
      * hierarchy and SBox caches and its branch through the predictor,
-     * and count it. Must see every instruction, in program order; it
-     * never reads the schedule.
+     * and count its class. Must see every instruction, in program
+     * order; it never reads the schedule.
      */
     Outcome resolve(const isa::DynInst &inst);
 
@@ -344,12 +343,7 @@ class OooScheduler final : public isa::TraceSink
 inline Outcome
 OooScheduler::resolve(const isa::DynInst &inst)
 {
-    stats.instructions++;
     stats.classCounts[static_cast<size_t>(inst.cls)]++;
-    if (inst.isLoad)
-        stats.loads++;
-    if (inst.isStore)
-        stats.stores++;
 
     Outcome out;
     switch (inst.cls) {
@@ -360,13 +354,11 @@ OooScheduler::resolve(const isa::DynInst &inst)
         (void)memory.access(inst.addr, inst.size);
         break;
       case isa::OpClass::SboxRead:
-        stats.sboxAccesses++;
         if (cfg.perfectSbox)
             break;
         if (!sboxCaches.empty()) {
             if (sboxCaches[sboxCacheOf(inst)].access(inst.addr & ~0x3FFull,
                                                      inst.addr & 0x3FF)) {
-                stats.sboxCacheHits++;
                 out.flags |= Outcome::sbox_hit;
                 break;
             }
@@ -386,27 +378,22 @@ OooScheduler::resolve(const isa::DynInst &inst)
     if (inst.branch) {
         if (inst.taken)
             out.flags |= Outcome::taken;
-        if (inst.op != isa::Opcode::Br) {
-            stats.condBranches++;
-            if (!predictor.predict(inst.pc, inst.taken)) {
-                stats.mispredicts++;
-                if (!cfg.perfectBranch)
-                    out.flags |= Outcome::mispredicted;
-            }
-        }
+        // The predictor sees every conditional branch, even on a
+        // perfect-branch machine: it counts them and their mispredicts.
+        if (inst.op != isa::Opcode::Br
+            && !predictor.predict(inst.pc, inst.taken)
+            && !cfg.perfectBranch)
+            out.flags |= Outcome::mispredicted;
     }
     return out;
 }
 
 /**
  * Convenience wrapper: functionally execute @p program on @p machine
- * while timing it on @p config. @p policy is the scheduler's config
- * admission policy (see OooScheduler).
+ * while timing it on @p config.
  */
 SimStats simulate(isa::Machine &machine, const isa::Program &program,
-                  const MachineConfig &config,
-                  uint64_t max_insts = 1ull << 32,
-                  ConfigPolicy policy = ConfigPolicy::Validate);
+                  const MachineConfig &config);
 
 } // namespace cryptarch::sim
 

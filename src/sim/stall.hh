@@ -92,17 +92,6 @@ dispatchToIssueCycles(const StallVector &v)
     return sum;
 }
 
-/** Sum of the per-functional-unit contention causes in @p v. */
-inline uint64_t
-fuContentionCycles(const StallVector &v)
-{
-    return v[static_cast<size_t>(StallCause::FuAlu)]
-        + v[static_cast<size_t>(StallCause::FuRot)]
-        + v[static_cast<size_t>(StallCause::FuMul)]
-        + v[static_cast<size_t>(StallCause::FuDcache)]
-        + v[static_cast<size_t>(StallCause::FuSbox)];
-}
-
 } // namespace cryptarch::sim
 
 #endif // CRYPTARCH_SIM_STALL_HH

@@ -46,38 +46,15 @@ floorPow2(unsigned v)
     return p;
 }
 
+/** A cycle count past max_latency; 0 is admissible. */
 std::optional<ConfigError>
-checkGeometry(const char *name, const CacheGeometry &g)
+checkCycles(const char *field, unsigned cycles)
 {
-    const std::string f(name);
-    if (g.blockBytes == 0)
-        return ConfigError{ConfigErrorKind::ZeroGeometry,
-                           f + ".blockBytes",
-                           "block size must be nonzero"};
-    if (g.assoc == 0)
-        return ConfigError{ConfigErrorKind::ZeroGeometry, f + ".assoc",
-                           "associativity must be nonzero"};
-    if (g.sizeBytes == 0)
-        return ConfigError{ConfigErrorKind::ZeroGeometry, f + ".sizeBytes",
-                           "capacity must be nonzero"};
-    const uint64_t setBytes =
-        static_cast<uint64_t>(g.blockBytes) * g.assoc;
-    if (g.sizeBytes < setBytes)
-        return ConfigError{ConfigErrorKind::BadGeometry, f + ".sizeBytes",
-                           "capacity " + std::to_string(g.sizeBytes)
-                               + " smaller than one set ("
-                               + std::to_string(setBytes) + " bytes)"};
-    if (g.sizeBytes % setBytes != 0)
-        return ConfigError{ConfigErrorKind::BadGeometry, f + ".sizeBytes",
-                           "capacity " + std::to_string(g.sizeBytes)
-                               + " not a multiple of blockBytes*assoc ("
-                               + std::to_string(setBytes) + ")"};
-    if (g.sizeBytes / g.blockBytes > max_cache_lines)
-        return ConfigError{ConfigErrorKind::Oversized, f + ".sizeBytes",
-                           std::to_string(g.sizeBytes / g.blockBytes)
-                               + " lines exceeds the "
-                               + std::to_string(max_cache_lines)
-                               + "-line cap"};
+    if (cycles > max_latency)
+        return ConfigError{ConfigErrorKind::Oversized, field,
+                           std::to_string(cycles) + " cycles exceeds the "
+                               + std::to_string(max_latency)
+                               + "-cycle cap"};
     return std::nullopt;
 }
 
@@ -88,12 +65,7 @@ checkLatency(const char *field, unsigned lat)
         return ConfigError{ConfigErrorKind::InconsistentLatency, field,
                            "a 0-cycle operation latency cannot describe "
                            "a real unit"};
-    if (lat > max_latency)
-        return ConfigError{ConfigErrorKind::Oversized, field,
-                           std::to_string(lat) + " cycles exceeds the "
-                               + std::to_string(max_latency)
-                               + "-cycle cap"};
-    return std::nullopt;
+    return checkCycles(field, lat);
 }
 
 std::optional<ConfigError>
@@ -133,6 +105,41 @@ std::atomic<uint64_t> progress_budget{0}; // 0 = auto-scaled
 
 } // namespace
 
+std::optional<ConfigError>
+checkGeometry(const char *name, const CacheGeometry &g)
+{
+    const std::string f(name);
+    if (g.blockBytes == 0)
+        return ConfigError{ConfigErrorKind::ZeroGeometry,
+                           f + ".blockBytes",
+                           "block size must be nonzero"};
+    if (g.assoc == 0)
+        return ConfigError{ConfigErrorKind::ZeroGeometry, f + ".assoc",
+                           "associativity must be nonzero"};
+    if (g.sizeBytes == 0)
+        return ConfigError{ConfigErrorKind::ZeroGeometry, f + ".sizeBytes",
+                           "capacity must be nonzero"};
+    const uint64_t setBytes =
+        static_cast<uint64_t>(g.blockBytes) * g.assoc;
+    if (g.sizeBytes < setBytes)
+        return ConfigError{ConfigErrorKind::BadGeometry, f + ".sizeBytes",
+                           "capacity " + std::to_string(g.sizeBytes)
+                               + " smaller than one set ("
+                               + std::to_string(setBytes) + " bytes)"};
+    if (g.sizeBytes % setBytes != 0)
+        return ConfigError{ConfigErrorKind::BadGeometry, f + ".sizeBytes",
+                           "capacity " + std::to_string(g.sizeBytes)
+                               + " not a multiple of blockBytes*assoc ("
+                               + std::to_string(setBytes) + ")"};
+    if (g.sizeBytes / g.blockBytes > max_cache_lines)
+        return ConfigError{ConfigErrorKind::Oversized, f + ".sizeBytes",
+                           std::to_string(g.sizeBytes / g.blockBytes)
+                               + " lines exceeds the "
+                               + std::to_string(max_cache_lines)
+                               + "-line cap"};
+    return std::nullopt;
+}
+
 const char *
 configErrorKindName(ConfigErrorKind kind)
 {
@@ -162,12 +169,8 @@ validateConfig(const MachineConfig &cfg)
         return e;
     if (auto e = checkWidth("fetchWidth", cfg.fetchWidth))
         return e;
-    if (cfg.mispredictPenalty > max_latency)
-        return ConfigError{ConfigErrorKind::Oversized, "mispredictPenalty",
-                           std::to_string(cfg.mispredictPenalty)
-                               + " cycles exceeds the "
-                               + std::to_string(max_latency)
-                               + "-cycle cap"};
+    if (auto e = checkCycles("mispredictPenalty", cfg.mispredictPenalty))
+        return e;
     if (cfg.predictorEntries == 0)
         return ConfigError{ConfigErrorKind::ZeroGeometry,
                            "predictorEntries",
@@ -193,12 +196,8 @@ validateConfig(const MachineConfig &cfg)
                                + "-entry cap"};
     if (auto e = checkWidth("issueWidth", cfg.issueWidth))
         return e;
-    if (cfg.frontendDepth > max_latency)
-        return ConfigError{ConfigErrorKind::Oversized, "frontendDepth",
-                           std::to_string(cfg.frontendDepth)
-                               + " cycles exceeds the "
-                               + std::to_string(max_latency)
-                               + "-cycle cap"};
+    if (auto e = checkCycles("frontendDepth", cfg.frontendDepth))
+        return e;
 
     // --- Functional units ---
     if (auto e = checkWidth("numIntAlu", cfg.numIntAlu))
@@ -248,18 +247,10 @@ validateConfig(const MachineConfig &cfg)
         return e;
     if (auto e = checkGeometry("l2", cfg.l2))
         return e;
-    if (cfg.l2HitLat > max_latency)
-        return ConfigError{ConfigErrorKind::Oversized, "l2HitLat",
-                           std::to_string(cfg.l2HitLat)
-                               + " cycles exceeds the "
-                               + std::to_string(max_latency)
-                               + "-cycle cap"};
-    if (cfg.memLat > max_latency)
-        return ConfigError{ConfigErrorKind::Oversized, "memLat",
-                           std::to_string(cfg.memLat)
-                               + " cycles exceeds the "
-                               + std::to_string(max_latency)
-                               + "-cycle cap"};
+    if (auto e = checkCycles("l2HitLat", cfg.l2HitLat))
+        return e;
+    if (auto e = checkCycles("memLat", cfg.memLat))
+        return e;
     if (cfg.l2HitLat > cfg.memLat)
         return ConfigError{ConfigErrorKind::InconsistentLatency,
                            "l2HitLat",
@@ -311,12 +302,8 @@ validateConfig(const MachineConfig &cfg)
         return ConfigError{ConfigErrorKind::Oversized, "dtlbEntries",
                            "entries * pageBytes exceeds the 2 GiB "
                            "backing-geometry cap"};
-    if (cfg.dtlbMissLat > max_latency)
-        return ConfigError{ConfigErrorKind::Oversized, "dtlbMissLat",
-                           std::to_string(cfg.dtlbMissLat)
-                               + " cycles exceeds the "
-                               + std::to_string(max_latency)
-                               + "-cycle cap"};
+    if (auto e = checkCycles("dtlbMissLat", cfg.dtlbMissLat))
+        return e;
     return std::nullopt;
 }
 
@@ -354,10 +341,8 @@ AuditError::AuditError(const std::string &invariant, uint64_t seq,
 }
 
 MachineConfig
-hardenedConfig(const MachineConfig &cfg, ConfigPolicy policy)
+hardenedConfig(const MachineConfig &cfg)
 {
-    if (policy == ConfigPolicy::Trusted)
-        return cfg;
     MachineConfig canon = canonicalizeConfig(cfg);
     if (auto err = validateConfig(canon))
         throw ConfigRejected(std::move(*err));

@@ -12,8 +12,8 @@
  * the scheduler constructor routes through hardenedConfig() so a bad
  * config becomes a typed ConfigRejected at construction instead of
  * a divide-by-zero, an unbounded allocation, or a livelocked issue
- * loop deep inside a sweep cell. Validation is always on; only a
- * scheduler constructed with ConfigPolicy::Trusted skips it.
+ * loop deep inside a sweep cell. Validation is always on, and Cache
+ * construction applies the same geometry rule (checkGeometry()).
  *
  * The taxonomy:
  *
@@ -91,6 +91,15 @@ struct ConfigError
  */
 std::optional<ConfigError> validateConfig(const MachineConfig &cfg);
 
+/**
+ * The geometry rule of one cache named @p name: every count nonzero,
+ * the capacity a whole number of sets, and at most the line cap.
+ * validateConfig() checks l1d and l2 with it, and the Cache
+ * constructor every geometry it is handed.
+ */
+std::optional<ConfigError> checkGeometry(const char *name,
+                                         const CacheGeometry &g);
+
 /** One repair canonicalizeConfig made. */
 struct ConfigAdjustment
 {
@@ -151,19 +160,11 @@ class AuditError : public std::logic_error
     uint32_t pc_;
 };
 
-/** How a scheduler treats the config it is handed. */
-enum class ConfigPolicy : uint8_t
-{
-    Validate, ///< canonicalize, then reject invalid (the default)
-    Trusted,  ///< take the config verbatim (tests probing raw behavior)
-};
-
 /**
  * The construction-time admission pipeline: canonicalize @p cfg and
- * throw ConfigRejected if validation still fails. Trusted policy
- * returns @p cfg verbatim.
+ * throw ConfigRejected if validation still fails.
  */
-MachineConfig hardenedConfig(const MachineConfig &cfg, ConfigPolicy policy);
+MachineConfig hardenedConfig(const MachineConfig &cfg);
 
 /** Per-retired-instruction invariant auditing (default off). */
 bool simAuditEnabled();

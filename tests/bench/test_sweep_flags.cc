@@ -4,10 +4,12 @@
  * way to set a sweep's isolation, journal, deadline and worker count:
  * each flag parses, arguments it does not own pass through, and a
  * malformed value exits 2 instead of running the wrong configuration.
+ * Its count check (bench::parseCount) is server_scale's too.
  */
 
 #include <gtest/gtest.h>
 
+#include <climits>
 #include <cmath>
 #include <string>
 #include <vector>
@@ -64,6 +66,28 @@ TEST(SweepFlags, MalformedValuesExit2)
           "--deadline=nan", "--threads=", "--threads=4x", "--threads=-1",
           "--threads=4294967296", "--threads=99999999999999999999999"})
         EXPECT_EXIT(parse({bad}), ::testing::ExitedWithCode(2), "") << bad;
+}
+
+TEST(SweepFlags, ParseCountTakesDigitsUpToTheBound)
+{
+    unsigned long long n = 7;
+    EXPECT_TRUE(bench::parseCount("0", 10, n));
+    EXPECT_EQ(n, 0u);
+    EXPECT_TRUE(bench::parseCount("10", 10, n));
+    EXPECT_EQ(n, 10u);
+    EXPECT_TRUE(bench::parseCount("4294967295", UINT_MAX, n));
+    EXPECT_EQ(n, 4294967295u);
+    EXPECT_TRUE(bench::parseCount("18446744073709551615", ULLONG_MAX, n));
+    EXPECT_EQ(n, ULLONG_MAX);
+    for (const char *bad : {"", "abc", "4x", "-1", "+1", " 1", "1 ", "0x10"})
+        EXPECT_FALSE(bench::parseCount(bad, ULLONG_MAX, n)) << bad;
+    EXPECT_FALSE(bench::parseCount("11", 10, n));
+    EXPECT_FALSE(bench::parseCount("4294967296", UINT_MAX, n));
+    EXPECT_FALSE(bench::parseCount("4294967297", UINT_MAX, n));
+    // Past ULLONG_MAX strtoull saturates; the overflow still fails.
+    EXPECT_FALSE(bench::parseCount("18446744073709551616", ULLONG_MAX, n));
+    EXPECT_FALSE(
+        bench::parseCount("99999999999999999999999", ULLONG_MAX, n));
 }
 
 } // namespace

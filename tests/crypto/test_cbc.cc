@@ -1,15 +1,18 @@
-/** @file CBC mode tests across all block ciphers. */
+/** @file CBC mode tests across all block ciphers, plus a NIST vector. */
 
 #include <gtest/gtest.h>
 
 #include "crypto/cbc.hh"
 #include "crypto/cipher.hh"
+#include "util/hex.hh"
 #include "util/xorshift.hh"
 
 namespace
 {
 
 using namespace cryptarch::crypto;
+using cryptarch::util::fromHex;
+using cryptarch::util::toHex;
 using cryptarch::util::Xorshift64;
 
 std::vector<CipherId>
@@ -119,6 +122,18 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<CipherId> &info) {
         return cipherInfo(info.param).name;
     });
+
+// NIST SP 800-38A F.2.1: AES-128-CBC encryption, first block.
+TEST(CbcKat, Sp800_38aAes128)
+{
+    auto cipher = makeBlockCipher(CipherId::Rijndael);
+    cipher->setKey(fromHex("2b7e151628aed2a6abf7158809cf4f3c"));
+    auto iv = fromHex("000102030405060708090a0b0c0d0e0f");
+    auto pt = fromHex("6bc1bee22e409f96e93d7e117393172a");
+    CbcEncryptor enc(*cipher, iv);
+    EXPECT_EQ(toHex(enc.encrypt(pt)),
+              "7649abac8119b246cee98e9b12e9197d");
+}
 
 TEST(Cbc, RejectsBadIvSize)
 {

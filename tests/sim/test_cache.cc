@@ -58,7 +58,8 @@ TEST(Cache, RepeatedBlockMissesAfterPrefetchEvictsIt)
 
 TEST(Tlb, PageGranularity)
 {
-    Tlb tlb(4, 4, 8192);
+    // MemoryHierarchy's DTLB geometry: 4 entries of one 8 KB page each.
+    Cache tlb(CacheGeometry{4 * 8192, 4, 8192});
     EXPECT_FALSE(tlb.access(0));
     EXPECT_TRUE(tlb.access(8191));  // same page
     EXPECT_FALSE(tlb.access(8192)); // next page

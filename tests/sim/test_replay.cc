@@ -11,6 +11,8 @@
 
 #include <cctype>
 #include <string>
+#include <tuple>
+#include <vector>
 
 #include "driver/trace.hh"
 #include "driver/workload.hh"
@@ -97,16 +99,24 @@ TEST_P(ReplayDeterminism, ReplayMatchesLiveSimulation)
     expectStatsEqual(live, replayed);
 }
 
+/** "<cipher>_<variant>[_<model>]" as a gtest name. */
 std::string
-caseName(const ::testing::TestParamInfo<ReplayCase> &info)
+kernelName(crypto::CipherId id, KernelVariant variant,
+           const std::string &model = "")
 {
-    std::string name = crypto::cipherInfo(info.param.cipher).name + "_"
-        + kernels::variantName(info.param.variant) + "_"
-        + info.param.model.name;
+    std::string name = crypto::cipherInfo(id).name + "_"
+        + kernels::variantName(variant) + (model.empty() ? "" : "_" + model);
     for (char &c : name)
         if (!std::isalnum(static_cast<unsigned char>(c)))
             c = '_';
     return name;
+}
+
+std::string
+caseName(const ::testing::TestParamInfo<ReplayCase> &info)
+{
+    return kernelName(info.param.cipher, info.param.variant,
+                      info.param.model.name);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -172,5 +182,111 @@ TEST(Replay, PackedSinkReplayMatchesHotPath)
     auto viaHot = trace.replay(cfg);
     expectStatsEqual(viaSink, viaHot);
 }
+
+/**
+ * Event counts taken straight from the live DynInst stream, by its
+ * flags rather than its OpClass: SimStats derives its totals from the
+ * class counts, the predictor and the caches, and these counts check
+ * that derivation. The sink also records the stream, so both replay
+ * paths see exactly what was counted.
+ */
+struct CountingSink : isa::TraceSink
+{
+    explicit CountingSink(const kernels::KernelBuild &build)
+        : trace(build.program, build.loopHead)
+    {
+    }
+
+    void
+    emit(const isa::DynInst &inst) override
+    {
+        instructions++;
+        loads += inst.isLoad;
+        stores += inst.isStore;
+        condBranches += inst.branch && inst.op != isa::Opcode::Br;
+        sboxReads += (inst.op == isa::Opcode::Sbox
+                      || inst.op == isa::Opcode::Sboxx)
+            && !inst.aliased;
+        trace.emit(inst);
+    }
+
+    driver::RecordedTrace trace;
+    uint64_t instructions = 0;
+    uint64_t loads = 0;
+    uint64_t stores = 0;
+    uint64_t condBranches = 0;
+    uint64_t sboxReads = 0;
+};
+
+void
+expectStreamCounts(const CountingSink &live, const SimStats &s)
+{
+    EXPECT_EQ(s.instructions, live.instructions);
+    EXPECT_EQ(s.loads, live.loads);
+    EXPECT_EQ(s.stores, live.stores);
+    EXPECT_EQ(s.condBranches, live.condBranches);
+    EXPECT_EQ(s.sboxAccesses, live.sboxReads);
+    EXPECT_EQ(s.sboxCacheHits + s.sboxCacheMisses, s.sboxCacheAccesses);
+    uint64_t byClass = 0;
+    for (const auto &row : s.stallByClass)
+        for (uint64_t v : row)
+            byClass += v;
+    EXPECT_EQ(s.totalStallCycles(), byClass);
+}
+
+using StreamCase = std::tuple<crypto::CipherId, KernelVariant>;
+
+class StreamCounts : public ::testing::TestWithParam<StreamCase>
+{
+};
+
+TEST_P(StreamCounts, ReplayTotalsMatchTheLiveStream)
+{
+    const auto &[id, variant] = GetParam();
+    driver::Workload w = driver::makeWorkload(id);
+    auto build = kernels::buildKernel(id, variant, w.key, w.iv,
+                                      driver::session_bytes);
+    isa::Machine m;
+    build.install(m, kernels::toWordImage(id, w.plaintext));
+    CountingSink live(build);
+    m.run(build.program, &live);
+    ASSERT_EQ(live.trace.instructions(), live.instructions);
+
+    // 4W+: SBox caches and a real predictor, so every derived total
+    // is live.
+    const MachineConfig cfg = MachineConfig::fourWidePlus();
+    {
+        SCOPED_TRACE("fast-forward path");
+        uint64_t skipped = 0;
+        expectStreamCounts(live, live.trace.replay(cfg, &skipped));
+        EXPECT_GT(skipped, 0u);
+    }
+    SCOPED_TRACE("full path");
+    sim::OooScheduler sched(cfg);
+    live.trace.replay(static_cast<isa::TraceSink &>(sched));
+    const SimStats full = sched.finish();
+    expectStreamCounts(live, full);
+    // finish() assigns its totals, so calling it again changes nothing.
+    expectStatsEqual(full, sched.finish());
+}
+
+std::vector<StreamCase>
+streamCases()
+{
+    std::vector<StreamCase> cases;
+    for (const auto &info : crypto::cipherCatalog())
+        for (auto v : {KernelVariant::BaselineNoRot,
+                       KernelVariant::BaselineRot, KernelVariant::Optimized,
+                       KernelVariant::OptimizedGrp,
+                       KernelVariant::OptimizedFused})
+            cases.emplace_back(info.id, v);
+    return cases;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Kernels, StreamCounts, ::testing::ValuesIn(streamCases()),
+    [](const ::testing::TestParamInfo<StreamCase> &info) {
+        return kernelName(std::get<0>(info.param), std::get<1>(info.param));
+    });
 
 } // namespace

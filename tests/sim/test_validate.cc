@@ -218,16 +218,12 @@ TEST(Validate, CacheRejectsZeroGeometryTyped)
     }
 }
 
-TEST(Validate, SchedulerConstructionRejectsAndTrustedSkips)
+TEST(Validate, SchedulerConstructionRejects)
 {
     MachineConfig bad = MachineConfig::fourWide();
     bad.l2HitLat = bad.memLat + 1;
     bad.name = "bad-l2-latency";
     EXPECT_THROW(sim::OooScheduler sched(bad), sim::ConfigRejected);
-
-    // Trusted policy admits the same config verbatim.
-    EXPECT_NO_THROW(
-        sim::OooScheduler sched(bad, sim::ConfigPolicy::Trusted));
 }
 
 TEST(Validate, SchedulerCanonicalizesOnAdmission)

@@ -100,9 +100,9 @@ TEST(Watchdog, UnlimitedIssueUnsatisfiablePoolTraps)
 {
     // The unlimited-issue scheduler finds a unit's first free cycle in
     // one scan; a pool the units can never fit keeps the probe loop, so
-    // the trap must still fire on a trusted (unvalidated) config.
+    // the trap must still fire. Validation admits the config.
     isa::Machine m;
-    sim::OooScheduler sched(dfResOneHalfSlot(), sim::ConfigPolicy::Trusted);
+    sim::OooScheduler sched(dfResOneHalfSlot());
     try {
         m.run(mulqProgram(), &sched, 1000);
         FAIL() << "expected the watchdog to fire";
