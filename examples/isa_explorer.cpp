@@ -143,7 +143,7 @@ main(int argc, char **argv)
                                : 0.0);
     std::printf("L1D      : %llu accesses, %.2f%% miss\n",
                 static_cast<unsigned long long>(s.l1.accesses),
-                100.0 * s.l1.missRate());
+                s.l1.accesses ? 100.0 * s.l1.misses / s.l1.accesses : 0.0);
     std::printf("SBOX     : %llu accesses",
                 static_cast<unsigned long long>(s.sboxAccesses));
     if (s.sboxAccesses) {

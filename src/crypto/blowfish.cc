@@ -1,10 +1,9 @@
 #include "crypto/blowfish.hh"
 
 #include <stdexcept>
-#include <vector>
 
+#include "blowfish_pi.hh" // generated by gen_blowfish_pi
 #include "util/bitops.hh"
-#include "util/pi.hh"
 
 namespace cryptarch::crypto
 {
@@ -12,12 +11,13 @@ namespace cryptarch::crypto
 using util::load32be;
 using util::store32be;
 
-const std::vector<uint32_t> &
+static_assert(generated::blowfish_pi[0] == 0x243F6A88,
+              "pi's first fraction word");
+
+const std::array<uint32_t, Blowfish::pi_words> &
 Blowfish::piWords()
 {
-    static const std::vector<uint32_t> words =
-        util::piFractionWords(18 + 4 * 256);
-    return words;
+    return generated::blowfish_pi;
 }
 
 const CipherInfo &

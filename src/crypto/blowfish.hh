@@ -8,15 +8,15 @@
  * only amortizes below 10% for sessions longer than 64 KB.
  *
  * The initialization constants are the hexadecimal digits of pi,
- * regenerated at first use by util::piFractionWords (see DESIGN.md).
+ * generated at build time by util::piFractionWords (see DESIGN.md).
  */
 
 #ifndef CRYPTARCH_CRYPTO_BLOWFISH_HH
 #define CRYPTARCH_CRYPTO_BLOWFISH_HH
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
-#include <vector>
 
 #include "crypto/cipher.hh"
 
@@ -46,12 +46,15 @@ class Blowfish : public BlockCipher
     /** Decrypt a 64-bit block given as (left, right) word pair. */
     void decryptWords(uint32_t &l, uint32_t &r) const;
 
+    /** Pi words before keying: the 18-word P-array, then 4 S-boxes. */
+    static constexpr size_t pi_words = 18 + 4 * 256;
+
     /**
-     * The 18 + 4*256 words of pi that initialize P and S before the
-     * key is mixed in, computed once per process and shared with the
-     * Blowfish setup kernel.
+     * The words of pi that initialize P and S before the key is mixed
+     * in, shared with the Blowfish setup kernel. The table is generated
+     * at build time (gen_blowfish_pi.cc).
      */
-    static const std::vector<uint32_t> &piWords();
+    static const std::array<uint32_t, pi_words> &piWords();
 
   private:
     uint32_t f(uint32_t x) const;

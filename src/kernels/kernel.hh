@@ -203,7 +203,6 @@ class OpMixCounter : public isa::TraceSink
     {
         return counts[static_cast<size_t>(c)];
     }
-    uint64_t totalInsts() const { return total; }
 
     double
     fraction(OpCategory c) const

@@ -33,14 +33,6 @@ class BranchPredictor
     uint64_t lookups() const { return numLookups; }
     uint64_t mispredicts() const { return numMispredicts; }
 
-    double
-    accuracy() const
-    {
-        return numLookups
-            ? 1.0 - static_cast<double>(numMispredicts) / numLookups
-            : 1.0;
-    }
-
   private:
     std::vector<uint8_t> table; ///< 2-bit counters, initialized weakly taken
     uint32_t indexMask = 0;     ///< size-1 when the table is a power of two

@@ -26,12 +26,6 @@ struct CacheStats
 {
     uint64_t accesses = 0;
     uint64_t misses = 0;
-
-    double
-    missRate() const
-    {
-        return accesses ? static_cast<double>(misses) / accesses : 0.0;
-    }
 };
 
 /** Set-associative cache with LRU replacement. */
@@ -122,11 +116,14 @@ class MemoryHierarchy
   public:
     explicit MemoryHierarchy(const MachineConfig &cfg);
 
-    /** Latency of a data access of @p size bytes at @p addr. */
+    /**
+     * Latency of a data access at @p addr. The model charges one block
+     * per access: accesses are naturally aligned, so one spans two
+     * blocks only when a block is narrower than the access.
+     */
     unsigned
-    access(uint64_t addr, unsigned size)
+    access(uint64_t addr)
     {
-        (void)size;
         if (cfg.perfectMemory)
             return 0;
 

@@ -348,10 +348,10 @@ OooScheduler::resolve(const isa::DynInst &inst)
     Outcome out;
     switch (inst.cls) {
       case isa::OpClass::Load:
-        out.memExtra = memory.access(inst.addr, inst.size);
+        out.memExtra = memory.access(inst.addr);
         break;
       case isa::OpClass::Store:
-        (void)memory.access(inst.addr, inst.size);
+        (void)memory.access(inst.addr);
         break;
       case isa::OpClass::SboxRead:
         if (cfg.perfectSbox)
@@ -365,7 +365,7 @@ OooScheduler::resolve(const isa::DynInst &inst)
         }
         // A miss demand-fetches the sector from the D-cache; without
         // SBox caches the read is a D-cache access outright.
-        out.memExtra = memory.access(inst.addr, inst.size);
+        out.memExtra = memory.access(inst.addr);
         break;
       case isa::OpClass::SboxSync:
         for (auto &sc : sboxCaches)

@@ -1,5 +1,6 @@
 #include "util/bigint.hh"
 
+#include <bit>
 #include <cassert>
 #include <stdexcept>
 
@@ -222,26 +223,84 @@ BigInt::divmod(const BigInt &a, const BigInt &b)
         out.rem = a;
         return out;
     }
-    // Binary long division: walk the dividend bits MSB-first, shifting
-    // them into the remainder and subtracting the divisor when possible.
-    unsigned bits = a.bitLength();
-    out.quot.limbs.assign((bits + 31) / 32, 0);
-    BigInt rem;
-    for (unsigned i = bits; i-- > 0;) {
-        rem = shl(rem, 1);
-        if (a.bit(i)) {
-            if (rem.limbs.empty())
-                rem.limbs.push_back(1);
-            else
-                rem.limbs[0] |= 1;
+    const size_t n = b.limbs.size(), m = a.limbs.size() - n;
+    out.quot.limbs.assign(m + 1, 0);
+    if (n == 1) {
+        // One-limb divisor: a single 64/32 pass, most significant first.
+        const uint64_t d = b.limbs[0];
+        uint64_t rem = 0;
+        for (size_t i = a.limbs.size(); i-- > 0;) {
+            uint64_t cur = (rem << 32) | a.limbs[i];
+            out.quot.limbs[i] = static_cast<uint32_t>(cur / d);
+            rem = cur % d;
         }
-        if (compare(rem, b) >= 0) {
-            rem = sub(rem, b);
-            out.quot.limbs[i / 32] |= 1u << (i % 32);
+        out.quot.trim();
+        out.rem = BigInt(rem);
+        return out;
+    }
+
+    // Knuth's Algorithm D (TAOCP vol. 2, 4.3.1), one quotient limb per
+    // step. Shift both operands left until the divisor's top bit is set;
+    // then the estimate from the remainder's top two limbs, corrected
+    // with the divisor's second limb, is exact or one too large.
+    const unsigned s = std::countl_zero(b.limbs.back());
+    auto normalized = [s](uint32_t hi, uint32_t lo) {
+        return static_cast<uint32_t>(
+            ((static_cast<uint64_t>(hi) << 32 | lo) << s) >> 32);
+    };
+    std::vector<uint32_t> v(n), u(m + n + 1);
+    for (size_t i = n - 1; i > 0; i--)
+        v[i] = normalized(b.limbs[i], b.limbs[i - 1]);
+    v[0] = b.limbs[0] << s;
+    u[m + n] = normalized(0, a.limbs[m + n - 1]);
+    for (size_t i = m + n - 1; i > 0; i--)
+        u[i] = normalized(a.limbs[i], a.limbs[i - 1]);
+    u[0] = a.limbs[0] << s;
+
+    constexpr uint64_t base = uint64_t(1) << 32;
+    for (size_t j = m + 1; j-- > 0;) {
+        uint64_t top = static_cast<uint64_t>(u[j + n]) << 32 | u[j + n - 1];
+        uint64_t qhat = top / v[n - 1], rhat = top % v[n - 1];
+        while (qhat >= base
+               || qhat * v[n - 2] > (rhat << 32 | u[j + n - 2])) {
+            qhat--;
+            rhat += v[n - 1];
+            if (rhat >= base)
+                break;
         }
+        // u[j .. j+n] -= qhat * v.
+        uint64_t carry = 0, borrow = 0;
+        for (size_t i = 0; i < n; i++) {
+            uint64_t p = qhat * v[i] + carry;
+            carry = p >> 32;
+            uint64_t sub = (p & 0xFFFFFFFF) + borrow;
+            borrow = u[i + j] < sub;
+            u[i + j] = static_cast<uint32_t>(u[i + j] - sub);
+        }
+        uint64_t sub = carry + borrow;
+        borrow = u[j + n] < sub;
+        u[j + n] = static_cast<uint32_t>(u[j + n] - sub);
+        if (borrow) {
+            // qhat was one too large: add v back once.
+            qhat--;
+            carry = 0;
+            for (size_t i = 0; i < n; i++) {
+                uint64_t t = static_cast<uint64_t>(u[i + j]) + v[i] + carry;
+                u[i + j] = static_cast<uint32_t>(t);
+                carry = t >> 32;
+            }
+            u[j + n] = static_cast<uint32_t>(u[j + n] + carry);
+        }
+        out.quot.limbs[j] = static_cast<uint32_t>(qhat);
     }
     out.quot.trim();
-    out.rem = rem;
+    // The remainder is u[0 .. n-1], shifted back down by s.
+    out.rem.limbs.resize(n);
+    for (size_t i = 0; i < n; i++) {
+        out.rem.limbs[i] = static_cast<uint32_t>(
+            (static_cast<uint64_t>(u[i + 1]) << 32 | u[i]) >> s);
+    }
+    out.rem.trim();
     return out;
 }
 
@@ -328,14 +387,8 @@ Montgomery::Montgomery(const BigInt &m) : modulus(m), nlimbs(m.limbs.size())
     for (int i = 0; i < 5; i++)
         inv *= 2 - m0 * inv;
     nprime = static_cast<uint32_t>(0u - inv);
-    // R^2 mod m by 2*32*nlimbs modular doublings of 1.
-    BigInt t(1);
-    for (size_t i = 0; i < 2 * 32 * nlimbs; i++) {
-        t = BigInt::add(t, t);
-        if (BigInt::compare(t, modulus) >= 0)
-            t = BigInt::sub(t, modulus);
-    }
-    r2 = t;
+    // R^2 mod m by one division (which counts no multiplies).
+    r2 = BigInt::mod(BigInt::shl(BigInt(1), 64 * nlimbs), modulus);
 }
 
 BigInt

@@ -89,7 +89,11 @@ class BigInt
     /** Right shift by @p n bits. */
     static BigInt shr(const BigInt &a, unsigned n);
 
-    /** Quotient and remainder of a / b (binary long division). */
+    /**
+     * Quotient and remainder of a / b, a word at a time (Knuth's
+     * Algorithm D). Counts no multiplies: @ref mulOps bills only mul()
+     * and Montgomery products.
+     */
     using DivMod = BigIntDivMod;
     static DivMod divmod(const BigInt &a, const BigInt &b);
     static BigInt mod(const BigInt &a, const BigInt &m);

@@ -4,8 +4,9 @@
  *
  * Blowfish initializes its P-array and four S-boxes with the first 8336
  * hexadecimal digits of the fractional part of pi. Rather than embedding
- * 4 KB of opaque constants, cryptarch regenerates them at cipher-setup
- * time with a fixed-point evaluation of Machin's formula
+ * 4 KB of opaque constants, cryptarch generates them at build time
+ * (src/crypto/gen_blowfish_pi.cc) with a fixed-point evaluation of
+ * Machin's formula
  *
  *     pi = 16*atan(1/5) - 4*atan(1/239)
  *
@@ -30,7 +31,9 @@ namespace cryptarch::util
  * most significant word first. Word 0 is 0x243F6A88.
  *
  * Cost is O(nwords^2), which is large for the 1042 words Blowfish
- * needs, so callers share one cached copy (crypto::Blowfish::piWords()).
+ * needs, so the build computes them once into the table that
+ * crypto::Blowfish::piWords() returns, and a unit test checks that
+ * table against this function.
  */
 std::vector<uint32_t> piFractionWords(size_t nwords);
 

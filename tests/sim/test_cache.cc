@@ -71,25 +71,25 @@ TEST(MemoryHierarchy, LatenciesTiered)
     cfg.nextLinePrefetch = false;
     MemoryHierarchy mem(cfg);
     // Cold: TLB miss + L1 miss + L2 miss.
-    unsigned cold = mem.access(0x4000, 4);
+    unsigned cold = mem.access(0x4000);
     EXPECT_EQ(cold, cfg.dtlbMissLat + cfg.memLat);
     // Warm: all hits, no extra latency.
-    EXPECT_EQ(mem.access(0x4000, 4), 0u);
+    EXPECT_EQ(mem.access(0x4000), 0u);
 }
 
 TEST(MemoryHierarchy, NextLinePrefetchHidesSequentialMisses)
 {
     MachineConfig cfg = MachineConfig::fourWide();
     MemoryHierarchy mem(cfg);
-    mem.access(0x4000, 4); // cold; prefetches 0x4020
-    EXPECT_EQ(mem.access(0x4020, 4), 0u) << "next line was prefetched";
+    mem.access(0x4000); // cold; prefetches 0x4020
+    EXPECT_EQ(mem.access(0x4020), 0u) << "next line was prefetched";
 }
 
 TEST(MemoryHierarchy, PerfectMemoryIsFree)
 {
     MachineConfig cfg = MachineConfig::dataflow();
     MemoryHierarchy mem(cfg);
-    EXPECT_EQ(mem.access(0x123456, 8), 0u);
+    EXPECT_EQ(mem.access(0x123456), 0u);
 }
 
 TEST(SboxCache, SectorFillAndHit)

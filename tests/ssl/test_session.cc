@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include "crypto/cipher.hh"
+#include "ssl/rsa.hh"
 #include "ssl/session.hh"
+#include "util/xorshift.hh"
 
 namespace
 {
@@ -38,6 +40,25 @@ TEST(SessionModel, HandshakeBillsOnlyServerWork)
     EXPECT_DOUBLE_EQ(model.rates().clientHandshakeCycles,
                      static_cast<double>(ops.clientMulOps)
                          * p.cyclesPerWordMul);
+}
+
+// Golden handshake bill at the default 1024-bit key and seed: the
+// modulus generateRsaKey draws and each side's word-multiply count.
+// Key generation divides but never multiplies into the bill, so a
+// change to the division algorithm must leave all three unchanged.
+TEST(SessionModel, HandshakeOpsGolden)
+{
+    util::Xorshift64 rng(0x55E55107);
+    auto key = ssl::generateRsaKey(1024, rng);
+    EXPECT_EQ(key.n.toHex(),
+              "af53aba863768fadd3a51ab453bce2d03c0d860e49db1d72f24a5cd8"
+              "239f4f5b0fbb8d40c9e6eb8a101338aea0ddd4642092e98c99bde02f"
+              "0a236ecb74ba801e94bad7c23f3cadcfbc2de6c629209be6408707ef"
+              "40f0426d03abab11ae5272359513981ad7fd3d8a564ddd7c1b27cd8d"
+              "42ddc59040c3f05fc8903a8dc6beab03");
+    auto ops = ssl::measureHandshakeOps(1024);
+    EXPECT_EQ(ops.serverMulOps, 785920u);
+    EXPECT_EQ(ops.clientMulOps, 45056u);
 }
 
 // Accounting regression: the reported cycles/byte is the marginal

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <string>
+#include <vector>
+
 #include "util/bigint.hh"
 #include "util/xorshift.hh"
 
@@ -91,6 +95,100 @@ TEST(BigInt, DivModReconstruction)
         EXPECT_LT(dm.rem, b);
         EXPECT_EQ(BigInt::add(BigInt::mul(dm.quot, b), dm.rem), a);
     }
+}
+
+/** Build a value from little-endian 32-bit limbs. */
+BigInt
+fromLimbs(const std::vector<uint32_t> &limbs)
+{
+    std::string hex = "0";
+    for (size_t i = limbs.size(); i-- > 0;) {
+        char buf[9];
+        std::snprintf(buf, sizeof buf, "%08x", limbs[i]);
+        hex += buf;
+    }
+    return BigInt::fromHex(hex);
+}
+
+/**
+ * Binary long division, one dividend bit at a time: the reference the
+ * word-wise BigInt::divmod must agree with on every input.
+ */
+BigInt::DivMod
+bitSerialDivMod(const BigInt &a, const BigInt &b)
+{
+    BigInt::DivMod out;
+    for (unsigned i = a.bitLength(); i-- > 0;) {
+        out.rem = BigInt::shl(out.rem, 1);
+        if (a.bit(i))
+            out.rem = BigInt::add(out.rem, BigInt(1));
+        out.quot = BigInt::shl(out.quot, 1);
+        if (out.rem >= b) {
+            out.rem = BigInt::sub(out.rem, b);
+            out.quot = BigInt::add(out.quot, BigInt(1));
+        }
+    }
+    return out;
+}
+
+void
+expectDivModMatches(const BigInt &a, const BigInt &b)
+{
+    auto got = BigInt::divmod(a, b);
+    auto want = bitSerialDivMod(a, b);
+    EXPECT_EQ(got.quot, want.quot) << a.toHex() << " / " << b.toHex();
+    EXPECT_EQ(got.rem, want.rem) << a.toHex() << " % " << b.toHex();
+}
+
+TEST(BigInt, DivModMatchesBitSerialReference)
+{
+    // Limbs biased toward the values that reach Algorithm D's corner
+    // cases: all-ones and all-zero limbs make qhat overestimate.
+    Xorshift64 rng(2025);
+    auto limb = [&]() -> uint32_t {
+        static constexpr uint32_t edges[] = {0, 1, 0x7fffffff, 0x80000000,
+                                             0xffffffff};
+        uint64_t r = rng.next();
+        return (r & 3) == 0 ? edges[(r >> 8) % 5]
+                            : static_cast<uint32_t>(r >> 32);
+    };
+    auto value = [&](size_t n, uint32_t top) {
+        std::vector<uint32_t> limbs(n);
+        for (auto &l : limbs)
+            l = limb();
+        limbs.back() = top;
+        return fromLimbs(limbs);
+    };
+    auto nonzero = [&]() {
+        uint32_t l = limb();
+        return l ? l : 1u;
+    };
+
+    for (int i = 0; i < 400; i++) {
+        size_t na = 1 + rng.next() % 12, nb = 1 + rng.next() % na;
+        BigInt a = value(na, nonzero());
+        // One-limb divisors take the single 64/32 pass.
+        expectDivModMatches(a, BigInt(nonzero()));
+        // Random lengths, equal lengths, and the two normalization
+        // extremes: top limb 0x80000000 (shift 0) and 1 (shift 31).
+        expectDivModMatches(a, value(nb, nonzero()));
+        expectDivModMatches(a, value(na, nonzero()));
+        expectDivModMatches(a, value(nb, 0x80000000));
+        expectDivModMatches(a, value(nb, 1));
+        // Exact multiples leave a zero remainder.
+        BigInt b = value(nb, nonzero());
+        expectDivModMatches(BigInt::mul(a, b), b);
+    }
+    // Dividend shorter than, or equal to, the divisor.
+    expectDivModMatches(BigInt(5), fromLimbs({0, 1}));
+    expectDivModMatches(fromLimbs({7, 9}), fromLimbs({7, 9}));
+    expectDivModMatches(BigInt(0), BigInt(3));
+    // Hacker's Delight's divmnu test vector that needs the add-back
+    // step: qhat is one too large after the two-limb correction.
+    expectDivModMatches(fromLimbs({0, 0, 0x80000000, 0x7fffffff}),
+                        fromLimbs({1, 0, 0x80000000}));
+    expectDivModMatches(fromLimbs({3, 0, 0x80000000}),
+                        fromLimbs({1, 0, 0x20000000}));
 }
 
 TEST(BigInt, ModExpSmallNumbers)

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "crypto/blowfish.hh"
 #include "util/pi.hh"
 
 namespace
@@ -44,6 +45,17 @@ TEST(Pi, DeterministicAndSized)
     auto b = piFractionWords(1042);
     ASSERT_EQ(a.size(), 1042u);
     EXPECT_EQ(a, b);
+}
+
+// Blowfish's table is generated at build time by running the same
+// generator; it must agree with a live computation word for word.
+TEST(Pi, BuildTimeTableMatchesLiveComputation)
+{
+    const auto &table = cryptarch::crypto::Blowfish::piWords();
+    auto live = piFractionWords(table.size());
+    ASSERT_EQ(live.size(), 1042u);
+    for (size_t i = 0; i < table.size(); i++)
+        ASSERT_EQ(table[i], live[i]) << "word " << i;
 }
 
 } // namespace
