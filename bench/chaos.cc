@@ -4,8 +4,8 @@
  * faults it claims to?
  *
  * Each scenario runs a small (cipher x model) grid under process
- * isolation with an env-triggered fault point armed
- * (CRYPTARCH_SWEEP_CHAOS, src/driver/procpool.hh): a worker that
+ * isolation with fault points armed (SweepOptions::chaos,
+ * src/driver/sweep.hh): a worker that
  * segfaults, aborts, or exits mid-sweep must cost exactly the faulted
  * cell (outcome `crashed`), a hung worker must be reaped by the
  * watchdog (outcome `timed_out`), and every other cell of the grid
@@ -50,16 +50,15 @@ namespace
 
 using namespace cryptarch;
 using driver::CellOutcome;
+using driver::ChaosAction;
 using driver::SweepCell;
 using driver::SweepOptions;
 using driver::SweepResult;
 
-/** One armed fault and the outcome it must produce. */
+/** One armed fault and the outcome its cell must end with. */
 struct Target
 {
-    std::string spec; ///< "action@Cipher/Variant/Model"
-    crypto::CipherId cipher;
-    sim::MachineConfig model;
+    driver::ChaosPoint point;
     CellOutcome expected;
 };
 
@@ -74,15 +73,6 @@ struct Verdict
     size_t totalCells = 0;
     bool passed = false;
 };
-
-std::string
-chaosSpecFor(const char *action, crypto::CipherId cipher,
-             const sim::MachineConfig &model)
-{
-    return std::string(action) + "@" + crypto::cipherInfo(cipher).name + "/"
-        + kernels::variantName(kernels::KernelVariant::Optimized) + "/"
-        + model.name;
-}
 
 /** Whole-file contents, for byte-identity comparison. */
 std::string
@@ -135,16 +125,9 @@ main(int argc, char **argv)
         SweepOptions opts;
         opts.isolation = driver::SweepIsolation::Process;
         opts.cellDeadlineSeconds = deadline;
-        std::string spec;
         for (const auto &t : targets)
-            spec += (spec.empty() ? "" : ";") + t.spec;
-        if (spec.empty())
-            ::unsetenv("CRYPTARCH_SWEEP_CHAOS");
-        else
-            ::setenv("CRYPTARCH_SWEEP_CHAOS", spec.c_str(), 1);
-
+            opts.chaos.push_back(t.point);
         auto results = driver::runCells(cells, opts);
-        ::unsetenv("CRYPTARCH_SWEEP_CHAOS");
 
         Verdict v;
         v.scenario = name;
@@ -157,13 +140,9 @@ main(int argc, char **argv)
         for (const auto &r : results)
             if (r.ok())
                 v.okCells++;
-        for (const auto &t : targets) {
-            const auto &r =
-                driver::findResult(results, t.cipher,
-                                   KernelVariant::Optimized, t.model.name);
-            if (r.outcome == t.expected)
+        for (const auto &t : targets)
+            if (results[t.point.cell].outcome == t.expected)
                 v.matched++;
-        }
         // Pass = every armed fault classified as expected AND every
         // unfaulted cell survived with real stats.
         v.passed = v.matched == v.targets
@@ -172,10 +151,10 @@ main(int argc, char **argv)
         return results;
     };
 
-    auto target = [&](const char *action, crypto::CipherId cipher,
-                      const sim::MachineConfig &model,
+    // The fault point on the cell of ciphers[ci] x models[mi].
+    auto target = [&](ChaosAction action, size_t ci, size_t mi,
                       CellOutcome expected) -> Target {
-        return {chaosSpecFor(action, cipher, model), cipher, model,
+        return {{static_cast<uint32_t>(ci * models.size() + mi), action},
                 expected};
     };
 
@@ -184,28 +163,26 @@ main(int argc, char **argv)
                 quick ? "quick" : "full", cells.size());
 
     runScenario("baseline", "none", {}, 0);
+    const size_t lastCipher = ciphers.size() - 1;
+    const size_t lastModel = models.size() - 1;
     runScenario("crash", "crash",
-                {target("crash", ciphers[0], models[0],
-                        CellOutcome::Crashed)},
-                0);
+                {target(ChaosAction::Crash, 0, 0, CellOutcome::Crashed)}, 0);
     if (!quick) {
         runScenario("abort", "abort",
-                    {target("abort", ciphers[1], models.back(),
+                    {target(ChaosAction::Abort, 1, lastModel,
                             CellOutcome::Crashed)},
                     0);
         runScenario("exit", "exit",
-                    {target("exit", ciphers[2], models[0],
-                            CellOutcome::Crashed)},
+                    {target(ChaosAction::Exit, 2, 0, CellOutcome::Crashed)},
                     0);
         runScenario("multi-crash", "crash",
-                    {target("crash", ciphers[0], models[0],
-                            CellOutcome::Crashed),
-                     target("crash", ciphers[3], models.back(),
+                    {target(ChaosAction::Crash, 0, 0, CellOutcome::Crashed),
+                     target(ChaosAction::Crash, 3, lastModel,
                             CellOutcome::Crashed)},
                     0);
     }
     runScenario("hang", "hang",
-                {target("hang", ciphers.back(), models[0],
+                {target(ChaosAction::Hang, lastCipher, 0,
                         CellOutcome::TimedOut)},
                 quick ? 1.0 : 2.0);
 
@@ -222,14 +199,12 @@ main(int argc, char **argv)
         SweepOptions opts;
         opts.isolation = driver::SweepIsolation::Process;
         opts.journalPath = journalPath;
-        const auto t =
-            target("crash", ciphers[0], models[0], CellOutcome::Crashed);
-        ::setenv("CRYPTARCH_SWEEP_CHAOS", t.spec.c_str(), 1);
+        const auto t = target(ChaosAction::Crash, 0, 0, CellOutcome::Crashed);
+        opts.chaos = {t.point};
         auto run1 = driver::runCells(cells, opts);
         driver::writeBenchJson(json1, "chaos", run1);
         auto run2 = driver::runCells(cells, opts);
         driver::writeBenchJson(json2, "chaos", run2);
-        ::unsetenv("CRYPTARCH_SWEEP_CHAOS");
 
         Verdict v;
         v.scenario = "journal-resume";
@@ -241,12 +216,8 @@ main(int argc, char **argv)
             if (r.ok())
                 v.okCells++;
         const bool identical = slurp(json1) == slurp(json2);
-        const auto &crashed = driver::findResult(
-            run2, t.cipher, KernelVariant::Optimized, t.model.name);
-        v.matched = identical
-                && crashed.outcome == CellOutcome::Crashed
-            ? 1
-            : 0;
+        v.matched =
+            identical && run2[t.point.cell].outcome == t.expected ? 1 : 0;
         v.passed = v.matched == 1 && v.okCells == v.totalCells - 1;
         verdicts.push_back(v);
         std::remove(journalPath);

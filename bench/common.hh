@@ -30,6 +30,7 @@
 #include "driver/workload.hh"
 #include "kernels/kernel.hh"
 #include "sim/pipeline.hh"
+#include "sim/validate.hh"
 
 namespace cryptarch::bench
 {
@@ -87,6 +88,19 @@ parseCount(const char *text, unsigned long long max, unsigned long long &n)
 }
 
 /**
+ * Print the benches' shared usage error, "ARGV0: FLAG takes TAKES, got
+ * 'GOT'", and exit 2.
+ */
+[[noreturn]] inline void
+usageExit(const char *argv0, const char *flag, const char *takes,
+          const char *got)
+{
+    std::fprintf(stderr, "%s: %s takes %s, got '%s'\n", argv0, flag, takes,
+                 got);
+    std::exit(2);
+}
+
+/**
  * Sweep options from the benches' shared command line, the one place
  * a sweep's settings come from:
  *
@@ -94,6 +108,13 @@ parseCount(const char *text, unsigned long long max, unsigned long long &n)
  *   --journal=PATH             checkpoint journal (default none)
  *   --deadline=SECONDS         per-cell watchdog, process isolation only
  *   --threads=N                worker count (0 = all cores)
+ *   --audit                    per-instruction invariant auditor, which
+ *                              also turns off steady-state fast-forward
+ *
+ * --audit is not a SweepOptions field: it calls the process-wide
+ * sim::setSimAudit(true), which forked workers inherit and which also
+ * covers a bench's direct sim::simulate calls. Without it the auditor
+ * is left as it was.
  *
  * Unknown arguments are ignored, so a bench with its own flags (e.g.
  * --quick) can share argv. Exits 2 with a usage message on a malformed
@@ -103,9 +124,7 @@ inline driver::SweepOptions
 sweepOptions(int argc, char **argv)
 {
     auto usage = [&](const char *flag, const char *takes, const char *got) {
-        std::fprintf(stderr, "%s: %s takes %s, got '%s'\n", argv[0], flag,
-                     takes, got);
-        std::exit(2);
+        usageExit(argv[0], flag, takes, got);
     };
     driver::SweepOptions opts;
     for (int i = 1; i < argc; i++) {
@@ -132,6 +151,8 @@ sweepOptions(int argc, char **argv)
             if (!parseCount(arg + 10, UINT_MAX, n))
                 usage("--threads", "a count (0 = all cores)", arg + 10);
             opts.threads = static_cast<unsigned>(n);
+        } else if (std::strcmp(arg, "--audit") == 0) {
+            sim::setSimAudit(true);
         }
     }
     return opts;

@@ -29,7 +29,8 @@
  *
  * Usage: configfuzz [--quick] [--seed=N] [common sweep flags]
  *   --quick   CI smoke mode: ~68 configs instead of the full 524.
- *   --seed=N  override the generator seed (default 0xC0F12).
+ *   --seed=N  override the generator seed (default 0xC0F12; decimal,
+ *             0x-hex or 0-octal; a malformed value exits 2).
  *
  * JSON shape (hand-rolled; this bench has verdicts, not SimStats):
  *
@@ -47,6 +48,8 @@
  */
 
 #include <array>
+#include <cctype>
+#include <cerrno>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -284,17 +287,23 @@ main(int argc, char **argv)
     uint64_t seed = 0xC0F12;
     bool isolationGiven = false;
     for (int i = 1; i < argc; i++) {
-        if (!std::strcmp(argv[i], "--quick"))
+        const char *arg = argv[i];
+        if (!std::strcmp(arg, "--quick")) {
             quick = true;
-        else if (!std::strncmp(argv[i], "--seed=", 7))
-            seed = std::strtoull(argv[i] + 7, nullptr, 0);
-        else if (!std::strncmp(argv[i], "--isolate=", 10))
+        } else if (!std::strncmp(arg, "--seed=", 7)) {
+            // Any base strtoull takes (0xC0F12 is hex), but the whole
+            // value, digit-led, without overflow.
+            const char *text = arg + 7;
+            char *end = nullptr;
+            errno = 0;
+            seed = std::strtoull(text, &end, 0);
+            if (!std::isdigit(static_cast<unsigned char>(*text)) || *end
+                || errno == ERANGE)
+                usageExit(argv[0], "--seed", "an unsigned integer", text);
+        } else if (!std::strncmp(arg, "--isolate=", 10)) {
             isolationGiven = true;
+        }
     }
-
-    // The fuzz sweeps must not inherit armed fault points or a
-    // journal; isolation/deadline stay overridable.
-    ::unsetenv("CRYPTARCH_SWEEP_CHAOS");
 
     SweepOptions opts = sweepOptions(argc, argv);
     if (!isolationGiven)
@@ -305,6 +314,8 @@ main(int argc, char **argv)
         // stratum expects, so a hang can never pass.
         opts.cellDeadlineSeconds = 120;
     }
+    // Each fuzz run starts fresh, so never a journal; isolation and
+    // the deadline stay overridable.
     opts.journalPath.clear();
 
     const size_t sessionBytes = 512;

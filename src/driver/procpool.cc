@@ -518,73 +518,14 @@ SweepJournal::append(uint32_t index, std::span<const uint8_t> payload)
                                + std::strerror(errno));
 }
 
-// ---------------------------------------------------------------------
-// Chaos fault points.
-
-std::vector<ChaosPoint>
-parseChaosSpec(std::string_view spec)
-{
-    std::vector<ChaosPoint> points;
-    for (size_t pos = 0; pos < spec.size();) {
-        size_t end = spec.find(';', pos);
-        if (end == std::string_view::npos)
-            end = spec.size();
-        const std::string_view tok = spec.substr(pos, end - pos);
-        pos = end + 1;
-        const size_t at = tok.find('@');
-        if (at == std::string_view::npos)
-            continue;
-        const std::string_view action = tok.substr(0, at);
-        const std::string_view target = tok.substr(at + 1);
-        const size_t s1 = target.find('/');
-        if (s1 == std::string_view::npos)
-            continue;
-        const size_t s2 = target.find('/', s1 + 1);
-        if (s2 == std::string_view::npos)
-            continue;
-        ChaosPoint p;
-        if (action == "crash")
-            p.action = ChaosAction::Crash;
-        else if (action == "abort")
-            p.action = ChaosAction::Abort;
-        else if (action == "exit")
-            p.action = ChaosAction::Exit;
-        else if (action == "hang")
-            p.action = ChaosAction::Hang;
-        else
-            continue; // malformed points are dropped, not fatal
-        p.cipher = std::string(target.substr(0, s1));
-        p.variant = std::string(target.substr(s1 + 1, s2 - s1 - 1));
-        p.model = std::string(target.substr(s2 + 1));
-        points.push_back(std::move(p));
-    }
-    return points;
-}
-
-ChaosAction
-chaosActionFor(const std::vector<ChaosPoint> &points, const SweepCell &cell)
-{
-    if (points.empty())
-        return ChaosAction::None;
-    const std::string &cipher = crypto::cipherInfo(cell.cipher).name;
-    const std::string variant = kernels::variantName(cell.variant);
-    for (const auto &p : points)
-        if (p.cipher == cipher && p.variant == variant
-            && p.model == cell.model.name)
-            return p.action;
-    return ChaosAction::None;
-}
-
 namespace
 {
 
-/** Fire a chaos fault point. Returns only for None. */
-void
+/** Fire a chaos fault point; never returns. */
+[[noreturn]] void
 applyChaos(ChaosAction action)
 {
     switch (action) {
-      case ChaosAction::None:
-        return;
       case ChaosAction::Crash:
         ::raise(SIGSEGV);
         ::_exit(99); // sanitizers may turn the signal into an exit
@@ -593,9 +534,10 @@ applyChaos(ChaosAction action)
       case ChaosAction::Exit:
         ::_exit(3);
       case ChaosAction::Hang:
-        for (;;)
-            ::pause(); // watchdog food; SIGKILL is the only way out
+        break;
     }
+    for (;;)
+        ::pause(); // watchdog food; SIGKILL is the only way out
 }
 
 /**
@@ -611,7 +553,9 @@ childMain(int fd, const std::vector<SweepCell> &cells,
     // once, every cell of the batch replays it.
     detail::TraceGroup group;
     for (uint32_t idx : batch) {
-        applyChaos(chaosActionFor(chaos, cells[idx]));
+        for (const ChaosPoint &p : chaos)
+            if (p.cell == idx)
+                applyChaos(p.action);
         SweepResult r = detail::makeResultShell(cells[idx]);
         detail::executeCell(cells[idx], group, r);
         const auto rec = encodeRecord(idx, serializeResultPayload(r));
@@ -694,9 +638,6 @@ runCellsProcess(const std::vector<SweepCell> &cells,
     const auto deadlineDur = std::chrono::duration_cast<Clock::duration>(
         std::chrono::duration<double>(std::min(deadlineSecs, never_secs)));
 
-    const char *chaosEnv = std::getenv("CRYPTARCH_SWEEP_CHAOS");
-    const auto chaos = parseChaosSpec(chaosEnv ? chaosEnv : "");
-
     std::vector<Child> slots(
         util::workerCount(queue.size(), options.threads));
     std::vector<pid_t> finished; // children that sent their last record
@@ -718,7 +659,7 @@ runCellsProcess(const std::vector<SweepCell> &cells,
             for (const Child &other : slots)
                 if (other.pid >= 0)
                     ::close(other.fd);
-            childMain(fds[1], cells, queue.front(), chaos);
+            childMain(fds[1], cells, queue.front(), options.chaos);
         }
         ::close(fds[1]);
         slot.pid = pid;

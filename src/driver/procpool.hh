@@ -61,13 +61,12 @@
  *
  * ## Chaos fault points
  *
- * Worker cells contain an env-triggered fault hook for the chaos
- * harness (bench/chaos.cc): CRYPTARCH_SWEEP_CHAOS holds
- * ';'-separated "action@Cipher/Variant/Model" points (actions crash,
- * abort, exit, hang) evaluated in the child immediately before the
- * matching cell executes. The hook is how crash/hang classification
- * and kill-and-resume are exercised without special builds; it never
- * fires unless the variable is set.
+ * SweepOptions::chaos holds the chaos harness's (bench/chaos.cc) fault
+ * points: a child fires a point's action (crash, abort, exit, hang)
+ * immediately before it runs the point's cell. The points are how
+ * crash/hang classification and kill-and-resume are exercised without
+ * special builds; with the field empty, as every bench leaves it,
+ * nothing fires.
  */
 
 #ifndef CRYPTARCH_DRIVER_PROCPOOL_HH
@@ -77,7 +76,6 @@
 #include <span>
 #include <stdexcept>
 #include <string>
-#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -204,35 +202,6 @@ class SweepJournal
     int fd_ = -1;
     std::vector<std::pair<uint32_t, std::vector<uint8_t>>> loaded_;
 };
-
-/** Chaos fault actions (see the file comment). */
-enum class ChaosAction : uint8_t
-{
-    None,  ///< no fault point for this cell
-    Crash, ///< raise SIGSEGV before the cell runs
-    Abort, ///< std::abort() before the cell runs
-    Exit,  ///< _exit(3) before the cell runs
-    Hang,  ///< block forever (watchdog food)
-};
-
-/** One parsed "action@Cipher/Variant/Model" fault point. */
-struct ChaosPoint
-{
-    ChaosAction action = ChaosAction::None;
-    std::string cipher;
-    std::string variant;
-    std::string model;
-};
-
-/**
- * Parse a CRYPTARCH_SWEEP_CHAOS spec. Malformed points are dropped
- * (the hook is test tooling; a typo must not take down a sweep).
- */
-std::vector<ChaosPoint> parseChaosSpec(std::string_view spec);
-
-/** The action matching @p cell, None when nothing matches. */
-ChaosAction chaosActionFor(const std::vector<ChaosPoint> &points,
-                           const SweepCell &cell);
 
 /**
  * Execute the cells listed in @p todo (indices into @p cells) under

@@ -19,7 +19,8 @@
  *
  * Execution is isolation-selectable (SweepOptions, which the benches
  * fill from --isolate=/--journal=/--deadline=/--threads=; see
- * bench/common.hh): the default Thread mode runs cells
+ * bench/common.hh, whose --audit turns on the process-wide
+ * sim::setSimAudit instead): the default Thread mode runs cells
  * on that in-process pool, while Process mode forks one short-lived
  * child per group batch that streams back one checksummed journal
  * record per cell (src/driver/procpool.hh). Both modes schedule from
@@ -36,6 +37,7 @@
 #ifndef CRYPTARCH_DRIVER_SWEEP_HH
 #define CRYPTARCH_DRIVER_SWEEP_HH
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -111,6 +113,22 @@ enum class SweepIsolation : uint8_t
     Process, ///< one forked child per group batch, watchdog-supervised
 };
 
+/** A fault a chaos point fires (see SweepOptions::chaos). */
+enum class ChaosAction : uint8_t
+{
+    Crash, ///< raise SIGSEGV
+    Abort, ///< std::abort()
+    Exit,  ///< _exit(3)
+    Hang,  ///< block forever (watchdog food)
+};
+
+/** Fire @p action just before cell @p cell, an index into the cells. */
+struct ChaosPoint
+{
+    uint32_t cell = 0;
+    ChaosAction action = ChaosAction::Crash;
+};
+
 /**
  * Crash-safety knobs for runCells/runSweep. Defaults reproduce the
  * historical thread-pool behavior exactly; benches opt in through
@@ -138,6 +156,13 @@ struct SweepOptions
      * to a fresh run, rewriting the journal.
      */
     std::string journalPath;
+    /**
+     * Chaos fault points, process isolation only: the child that runs
+     * cell `cell` of runCells' cells (runSweep's dense order) fires
+     * `action` before running it. Only the chaos harness and tests set
+     * them; a journaled cell is never re-dispatched, so it never fires.
+     */
+    std::vector<ChaosPoint> chaos;
 };
 
 /** Default watchdog deadline when SweepOptions leaves it unset. */

@@ -259,7 +259,7 @@ class OooScheduler final : public isa::TraceSink
                                       StallCause fuCause,
                                       uint64_t slotWait,
                                       uint64_t fuWait) const;
-    /** CRYPTARCH_SIM_AUDIT invariant checks on one retired
+    /** Audit-mode (setSimAudit) invariant checks on one retired
      *  instruction; throws AuditError on the first violation. */
     void auditRetired(const isa::DynInst &inst, Cycle fetch,
                       Cycle dispatch, Cycle ready, Cycle issue,

@@ -5,8 +5,6 @@
 #include <mutex>
 #include <set>
 
-#include "util/env.hh"
-
 namespace cryptarch::sim
 {
 
@@ -79,8 +77,8 @@ checkWidth(const char *field, unsigned width)
     return std::nullopt;
 }
 
-/** One-time-per-field canonicalization warnings (same policy as
- *  util::env's unrecognized-value warnings). */
+/** One-time-per-field canonicalization warnings, so a sweep that
+ *  reuses one config cannot flood the log. */
 void
 warnAdjustment(const std::string &field, unsigned from, unsigned to)
 {
@@ -97,10 +95,9 @@ warnAdjustment(const std::string &field, unsigned from, unsigned to)
                  field.c_str(), from, to);
 }
 
-// Hardening policies. The audit flag is read once at static init;
-// forked sweep workers inherit both by memory copy, so harnesses and
-// tests flip them through the setters, not setenv.
-std::atomic<bool> audit_enabled{util::envFlag("CRYPTARCH_SIM_AUDIT", false)};
+// Hardening policies, set only through the setters (benches pass
+// --audit); forked sweep workers inherit both by memory copy.
+std::atomic<bool> audit_enabled{false};
 std::atomic<uint64_t> progress_budget{0}; // 0 = auto-scaled
 
 } // namespace

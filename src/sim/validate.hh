@@ -39,7 +39,7 @@
  * the reliable way to flip policy for a child sweep):
  *
  *   audit            per-retired-instruction invariant auditing, off
- *                    unless CRYPTARCH_SIM_AUDIT is on at static init
+ *                    unless a bench's --audit flag (or a test) sets it
  *   progress budget  base FU-retry budget of the forward-progress
  *                    watchdog; 0 = auto-scaled, only tests set another
  */
@@ -139,7 +139,7 @@ class ConfigRejected : public std::invalid_argument
 };
 
 /**
- * A runtime invariant-audit violation (CRYPTARCH_SIM_AUDIT=1): the
+ * A runtime invariant-audit violation (setSimAudit(true)): the
  * scheduler's cycle accounting contradicted itself on a retired
  * instruction. std::logic_error — this is a simulator bug, not a
  * workload or config failure.

@@ -1,9 +1,10 @@
 /**
  * @file
  * The grid benches' shared flag parser (bench::sweepOptions), the one
- * way to set a sweep's isolation, journal, deadline and worker count:
- * each flag parses, arguments it does not own pass through, and a
- * malformed value exits 2 instead of running the wrong configuration.
+ * way to set a sweep's isolation, journal, deadline and worker count
+ * and to turn on the auditor: each flag parses, arguments it does not
+ * own pass through, and a malformed value exits 2 instead of running
+ * the wrong configuration.
  * Its count check (bench::parseCount) is server_scale's too.
  */
 
@@ -15,6 +16,7 @@
 #include <vector>
 
 #include "bench/common.hh"
+#include "sim/validate.hh"
 
 namespace
 {
@@ -56,6 +58,20 @@ TEST(SweepFlags, UnknownArgumentsPassThrough)
     EXPECT_EQ(opts.threads, 0u);
     EXPECT_EQ(opts.cellDeadlineSeconds, 0);
     EXPECT_TRUE(opts.journalPath.empty());
+}
+
+TEST(SweepFlags, AuditTurnsOnTheAuditorAndNothingElseTouchesIt)
+{
+    const bool prev = sim::simAuditEnabled();
+    for (bool before : {false, true}) {
+        sim::setSimAudit(before);
+        parse({"--quick", "--threads=2"});
+        EXPECT_EQ(sim::simAuditEnabled(), before);
+    }
+    sim::setSimAudit(false);
+    EXPECT_EQ(parse({"--audit"}).threads, 0u);
+    EXPECT_TRUE(sim::simAuditEnabled());
+    sim::setSimAudit(prev);
 }
 
 TEST(SweepFlags, MalformedValuesExit2)

@@ -27,6 +27,7 @@ namespace
 
 using namespace cryptarch;
 using driver::CellOutcome;
+using driver::ChaosAction;
 using driver::JournalError;
 using driver::JournalErrorKind;
 using driver::SweepCell;
@@ -35,17 +36,6 @@ using driver::SweepOptions;
 using driver::SweepResult;
 using kernels::KernelVariant;
 using sim::MachineConfig;
-
-/** Arms CRYPTARCH_SWEEP_CHAOS for one scope. */
-class ChaosGuard
-{
-  public:
-    explicit ChaosGuard(const std::string &spec)
-    {
-        ::setenv("CRYPTARCH_SWEEP_CHAOS", spec.c_str(), 1);
-    }
-    ~ChaosGuard() { ::unsetenv("CRYPTARCH_SWEEP_CHAOS"); }
-};
 
 /** A cheap 4-cell grid: two RC4 kernels x two models. */
 std::vector<SweepCell>
@@ -146,8 +136,9 @@ TEST(ProcPool, ProcessModeMatchesThreadModeByteForByte)
 TEST(ProcPool, ChaosCrashMarksOnlyTheFaultedCell)
 {
     auto cells = smallGrid();
-    ChaosGuard chaos("crash@RC4/optimized/4W");
-    auto results = driver::runCells(cells, processOptions());
+    auto opts = processOptions();
+    opts.chaos = {{0, ChaosAction::Crash}}; // RC4 on 4W
+    auto results = driver::runCells(cells, opts);
 
     ASSERT_EQ(results.size(), cells.size());
     EXPECT_EQ(results[0].outcome, CellOutcome::Crashed);
@@ -165,8 +156,8 @@ TEST(ProcPool, ChaosCrashMarksOnlyTheFaultedCell)
 TEST(ProcPool, ChaosHangTripsTheWatchdog)
 {
     auto cells = smallGrid();
-    ChaosGuard chaos("hang@Blowfish/optimized/DF");
     auto opts = processOptions();
+    opts.chaos = {{3, ChaosAction::Hang}}; // Blowfish on DF
     opts.cellDeadlineSeconds = 1.0;
     auto results = driver::runCells(cells, opts);
 
@@ -200,8 +191,8 @@ TEST(ProcPool, SingleWorkerDeathRequeuesDeterministically)
     // child must pick up the remainder and the result vector must stay
     // in cell order.
     auto cells = smallGrid();
-    ChaosGuard chaos("crash@RC4/optimized/DF");
     auto opts = processOptions();
+    opts.chaos = {{1, ChaosAction::Crash}}; // RC4 on DF
     opts.threads = 1;
     auto results = driver::runCells(cells, opts);
 
@@ -227,13 +218,9 @@ TEST(ProcPool, EveryCellCrashingStillTerminates)
     auto opts = processOptions();
     opts.threads = 1;
     opts.journalPath = path;
-    std::vector<SweepResult> first;
-    {
-        ChaosGuard chaos("crash@RC4/optimized/4W;crash@RC4/optimized/DF;"
-                         "crash@Blowfish/optimized/4W;"
-                         "crash@Blowfish/optimized/DF");
-        first = driver::runCells(cells, opts);
-    }
+    for (uint32_t i = 0; i < cells.size(); i++)
+        opts.chaos.push_back({i, ChaosAction::Crash});
+    const auto first = driver::runCells(cells, opts);
     ASSERT_EQ(first.size(), cells.size());
     for (const auto &r : first) {
         EXPECT_EQ(r.outcome, CellOutcome::Crashed) << r.message;
@@ -504,29 +491,6 @@ TEST(ProcPool, ResultPayloadRoundTrips)
     longer.push_back(0);
     EXPECT_THROW(driver::deserializeResultPayload(longer, scratch),
                  JournalError);
-}
-
-TEST(ProcPool, ChaosSpecParsing)
-{
-    auto points = driver::parseChaosSpec(
-        "crash@RC4/optimized/4W;hang@Blowfish/optimized/DF;"
-        "bogus@X/Y/Z;missing-slashes;exit@IDEA/grouped/8W+");
-    ASSERT_EQ(points.size(), 3u);
-    EXPECT_EQ(points[0].action, driver::ChaosAction::Crash);
-    EXPECT_EQ(points[0].cipher, "RC4");
-    EXPECT_EQ(points[0].variant, "optimized");
-    EXPECT_EQ(points[0].model, "4W");
-    EXPECT_EQ(points[1].action, driver::ChaosAction::Hang);
-    EXPECT_EQ(points[2].action, driver::ChaosAction::Exit);
-    EXPECT_EQ(points[2].model, "8W+");
-
-    SweepCell cell{crypto::CipherId::RC4, KernelVariant::Optimized,
-                   MachineConfig::fourWide(), 512};
-    EXPECT_EQ(driver::chaosActionFor(points, cell),
-              driver::ChaosAction::Crash);
-    cell.model = MachineConfig::dataflow();
-    EXPECT_EQ(driver::chaosActionFor(points, cell),
-              driver::ChaosAction::None);
 }
 
 } // namespace

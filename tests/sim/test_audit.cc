@@ -1,6 +1,6 @@
 /**
  * @file
- * Runtime invariant auditor (CRYPTARCH_SIM_AUDIT): auditing real
+ * Runtime invariant auditor (sim::setSimAudit): auditing real
  * kernel traces on every preset passes cleanly and changes no
  * statistic, so audit-on paper grids stay byte-identical.
  */
