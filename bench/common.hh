@@ -19,6 +19,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <initializer_list>
 #include <string>
 #include <vector>
 
@@ -109,22 +110,35 @@ usageExit(const char *argv0, const char *flag, const char *takes,
  *   --deadline=SECONDS         per-cell watchdog, process isolation only
  *   --threads=N                worker count (0 = all cores)
  *   --audit                    per-instruction invariant auditor, which
- *                              also turns off steady-state fast-forward
+ *                              also checks every fast-forward hit
+ *                              against the full core
  *
  * --audit is not a SweepOptions field: it calls the process-wide
  * sim::setSimAudit(true), which forked workers inherit and which also
  * covers a bench's direct sim::simulate calls. Without it the auditor
  * is left as it was.
  *
- * Unknown arguments are ignored, so a bench with its own flags (e.g.
- * --quick) can share argv. Exits 2 with a usage message on a malformed
- * known flag rather than silently running the wrong configuration.
+ * A bench with flags of its own names them in @p own, each matched
+ * exactly or, when it ends in '=', as a prefix; it parses them itself.
+ * Exits 2 with a usage message on any other argument and on a
+ * malformed sweep flag, rather than silently running the wrong
+ * configuration (a misspelt --audit would otherwise check nothing).
  */
 inline driver::SweepOptions
-sweepOptions(int argc, char **argv)
+sweepOptions(int argc, char **argv,
+             std::initializer_list<const char *> own = {})
 {
     auto usage = [&](const char *flag, const char *takes, const char *got) {
         usageExit(argv[0], flag, takes, got);
+    };
+    auto owned = [&](const char *arg) {
+        for (const char *flag : own) {
+            const size_t n = std::strlen(flag);
+            if (n && flag[n - 1] == '=' ? std::strncmp(arg, flag, n) == 0
+                                        : std::strcmp(arg, flag) == 0)
+                return true;
+        }
+        return false;
     };
     driver::SweepOptions opts;
     for (int i = 1; i < argc; i++) {
@@ -153,6 +167,16 @@ sweepOptions(int argc, char **argv)
             opts.threads = static_cast<unsigned>(n);
         } else if (std::strcmp(arg, "--audit") == 0) {
             sim::setSimAudit(true);
+        } else if (!owned(arg)) {
+            std::fprintf(stderr,
+                         "%s: unknown argument '%s'\nusage: %s "
+                         "[--isolate=thread|process] [--journal=PATH] "
+                         "[--deadline=SECONDS] [--threads=N] [--audit]",
+                         argv[0], arg, argv[0]);
+            for (const char *flag : own)
+                std::fprintf(stderr, " [%s]", flag);
+            std::fprintf(stderr, "\n");
+            std::exit(2);
         }
     }
     return opts;

@@ -24,7 +24,12 @@
  * Every cell must land on its stratum's expected outcome: zero hangs
  * (a generous per-cell deadline is armed purely as a backstop — a
  * `timed_out` cell is a watchdog failure), zero crashes, zero untyped
- * errors. The bench exits nonzero on any deviation, so it doubles as
+ * errors. The valid and boundary strata also replay each config that
+ * fast-forwarded (sim::IterationMemo) on the full per-instruction
+ * path (SweepOptions::fullPathCheck): different SimStats fail the
+ * cell, a mismatch. The boundary stratum's all-unlimited shapes book
+ * no resources, so they take the grouped keying. The bench exits
+ * nonzero on any deviation, so it doubles as
  * an end-to-end test in CI (sanitizer jobs run `configfuzz --quick`).
  *
  * Usage: configfuzz [--quick] [--seed=N] [common sweep flags]
@@ -286,6 +291,7 @@ main(int argc, char **argv)
     bool quick = false;
     uint64_t seed = 0xC0F12;
     bool isolationGiven = false;
+    // Runs before sweepOptions, which rejects every other argument.
     for (int i = 1; i < argc; i++) {
         const char *arg = argv[i];
         if (!std::strcmp(arg, "--quick")) {
@@ -305,7 +311,7 @@ main(int argc, char **argv)
         }
     }
 
-    SweepOptions opts = sweepOptions(argc, argv);
+    SweepOptions opts = sweepOptions(argc, argv, {"--quick", "--seed="});
     if (!isolationGiven)
         opts.isolation = driver::SweepIsolation::Process;
     if (opts.cellDeadlineSeconds <= 0) {
@@ -378,6 +384,8 @@ main(int argc, char **argv)
             cells.push_back({k.cipher, k.variant, cfg, sessionBytes});
         }
 
+        opts.fullPathCheck = !std::strcmp(stratum.name, "valid")
+            || !std::strcmp(stratum.name, "boundary");
         auto results = driver::runCells(cells, opts);
 
         StratumVerdict v;

@@ -51,12 +51,14 @@ void classifyFailure(SweepResult &r, std::exception_ptr ep);
 SweepResult makeResultShell(const SweepCell &cell);
 
 /**
- * Record (once per @p group) and replay @p cell into @p r. Never
+ * Record (once per @p group) and replay @p cell into @p r; with
+ * @p fullPathCheck, also as SweepOptions::fullPathCheck says. Never
  * throws: any exception — a record or replay failure, or one raised
  * while building the result — classifies the cell instead of
  * propagating.
  */
-void executeCell(const SweepCell &cell, TraceGroup &group, SweepResult &r);
+void executeCell(const SweepCell &cell, TraceGroup &group, SweepResult &r,
+                 bool fullPathCheck);
 
 } // namespace cryptarch::driver::detail
 

@@ -546,18 +546,17 @@ applyChaos(ChaosAction action)
  */
 [[noreturn]] void
 childMain(int fd, const std::vector<SweepCell> &cells,
-          const std::vector<uint32_t> &batch,
-          const std::vector<ChaosPoint> &chaos)
+          const std::vector<uint32_t> &batch, const SweepOptions &options)
 {
     // Batches are group-aligned: one TraceGroup records the kernel
     // once, every cell of the batch replays it.
     detail::TraceGroup group;
     for (uint32_t idx : batch) {
-        for (const ChaosPoint &p : chaos)
+        for (const ChaosPoint &p : options.chaos)
             if (p.cell == idx)
                 applyChaos(p.action);
         SweepResult r = detail::makeResultShell(cells[idx]);
-        detail::executeCell(cells[idx], group, r);
+        detail::executeCell(cells[idx], group, r, options.fullPathCheck);
         const auto rec = encodeRecord(idx, serializeResultPayload(r));
         if (!writeFull(fd, rec.data(), rec.size()))
             break; // parent went away
@@ -659,7 +658,7 @@ runCellsProcess(const std::vector<SweepCell> &cells,
             for (const Child &other : slots)
                 if (other.pid >= 0)
                     ::close(other.fd);
-            childMain(fds[1], cells, queue.front(), options.chaos);
+            childMain(fds[1], cells, queue.front(), options);
         }
         ::close(fds[1]);
         slot.pid = pid;

@@ -7,6 +7,7 @@
 #include <tuple>
 
 #include "driver/cell_exec.hh"
+#include "driver/json.hh"
 #include "driver/procpool.hh"
 #include "isa/trap.hh"
 #include "sim/validate.hh"
@@ -96,7 +97,8 @@ makeResultShell(const SweepCell &cell)
 }
 
 void
-executeCell(const SweepCell &cell, TraceGroup &group, SweepResult &r)
+executeCell(const SweepCell &cell, TraceGroup &group, SweepResult &r,
+            bool fullPathCheck)
 {
     // The whole body is wrapped: an exception escaping any step —
     // std::bad_alloc while building the result included — classifies
@@ -114,7 +116,19 @@ executeCell(const SweepCell &cell, TraceGroup &group, SweepResult &r)
             classifyFailure(r, group.recordError);
             return;
         }
-        r.stats = group.trace.replay(cell.model);
+        uint64_t skipped = 0;
+        r.stats = group.trace.replay(cell.model, &skipped);
+        // With nothing skipped, replay(cfg) fed every instruction to
+        // the core in order, which is the full path already.
+        if (fullPathCheck && skipped) {
+            sim::OooScheduler sched(cell.model);
+            group.trace.replay(static_cast<isa::TraceSink &>(sched));
+            const std::string full = toJson(sched.finish());
+            if (full != toJson(r.stats))
+                throw std::logic_error(
+                    "fast-forward gave " + toJson(r.stats)
+                    + " but the full path " + full);
+        }
     } catch (...) {
         classifyFailure(r, std::current_exception());
     }
@@ -189,7 +203,8 @@ runCellsThread(const std::vector<SweepCell> &cells,
     util::parallelFor(queue.size(), options.threads, [&](size_t k) {
         const uint32_t i = queue[k];
         SweepResult r = detail::makeResultShell(cells[i]);
-        detail::executeCell(cells[i], groups[groupOf[i]], r);
+        detail::executeCell(cells[i], groups[groupOf[i]], r,
+                            options.fullPathCheck);
         if (journal) {
             auto payload = serializeResultPayload(r);
             std::lock_guard<std::mutex> lock(journalMutex);

@@ -163,6 +163,12 @@ struct SweepOptions
      * them; a journaled cell is never re-dispatched, so it never fires.
      */
     std::vector<ChaosPoint> chaos;
+    /**
+     * Replay each cell whose replay fast-forwarded (sim::IterationMemo)
+     * once more on the full per-instruction path, and fail it as an
+     * error when the two SimStats differ. configfuzz sets it.
+     */
+    bool fullPathCheck = false;
 };
 
 /** Default watchdog deadline when SweepOptions leaves it unset. */

@@ -128,11 +128,15 @@ class RecordedTrace final : public isa::TraceSink
 
     /**
      * Replay into a fresh OooScheduler for @p cfg; returns its stats,
-     * the same as the full path's. On a window-limited model (outside
-     * the auditor) a trace with a loop head fast-forwards block-loop
-     * iterations the scheduler already ran from the same state with
-     * the same outcomes (sim::IterationMemo); @p fastForwarded, when
-     * non-null, receives how many instructions it skipped that way.
+     * the same as the full path's. On a window-limited or booking-free
+     * model (sim::IterationMemo::fastForwardable) a trace with a loop
+     * head fast-forwards block-loop iterations the scheduler already
+     * ran from the same state with the same outcomes
+     * (sim::IterationMemo); @p fastForwarded, when non-null, receives
+     * how many instructions it skipped that way. Under the auditor
+     * (sim::setSimAudit) the core also runs every skipped iteration and
+     * must agree with the memo, or AuditError is thrown; the count then
+     * says how many instructions it checked that way.
      */
     sim::SimStats replay(const sim::MachineConfig &cfg,
                          uint64_t *fastForwarded = nullptr) const;

@@ -1,6 +1,7 @@
 #include "sim/cache.hh"
 
 #include <bit>
+#include <string>
 #include <utility>
 
 #include "sim/validate.hh"
@@ -20,6 +21,21 @@ Cache::Cache(const CacheGeometry &geom)
     if ((blockBytes & (blockBytes - 1)) == 0)
         blockShift = std::countr_zero(blockBytes);
     setsPow2 = (numSets & (numSets - 1)) == 0;
+    auditing = simAuditEnabled();
+}
+
+void
+Cache::auditRepeat(uint64_t block) const
+{
+    const Line *ways = &lines[static_cast<size_t>(setOf(block)) * assoc];
+    for (uint32_t w = 0; w < assoc; w++)
+        if (ways[w].valid && ways[w].tag == block)
+            return;
+    // A cache has no instruction to name: seq is its access count.
+    throw AuditError("cache-repeat", stat.accesses, 0,
+                     "block " + std::to_string(block)
+                         + " was answered as a repeat of the latest "
+                           "access, but no line holds it");
 }
 
 void

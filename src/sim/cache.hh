@@ -43,9 +43,12 @@ class Cache
         // The block of the latest access, with no fill since: a hit on
         // the line holding the newest stamp. Re-stamping it would keep
         // every line's LRU order as it is, and only that order picks
-        // victims.
-        if (lastValid && block == lastBlock)
+        // victims. The auditor checks the line is there.
+        if (lastValid && block == lastBlock) {
+            if (auditing) [[unlikely]]
+                auditRepeat(block);
             return true;
+        }
         return lookup(block);
     }
     /** Fill without counting an access (prefetch). */
@@ -75,6 +78,9 @@ class Cache
 
     /** access() past the repeat check. */
     bool lookup(uint64_t block);
+    /** Audit-mode (setSimAudit) check of a repeat hit on @p block:
+     *  throws AuditError when no line holds it. */
+    void auditRepeat(uint64_t block) const;
     /** Put @p block in the LRU (or first invalid) way of @p ways,
      *  stamped with the current stamp. */
     void fill(Line *ways, uint64_t block);
@@ -103,6 +109,7 @@ class Cache
     uint64_t stamp = 0;
     bool lastValid = false;  ///< lastBlock is the latest access, no fill since
     uint64_t lastBlock = 0;
+    bool auditing = false;   ///< simAuditEnabled() at construction
     CacheStats stat;
 };
 

@@ -444,12 +444,14 @@ OooScheduler::core(const DynInst &inst, Outcome out)
     }
 
     // ----- side effects on global ordering state -----
+    Cycle aux = 0; // logged for the memo (CoreStep::aux)
     if (inst.isStore) {
         // The address generation micro-op only needs the base
         // register, so the address resolves before the data arrives
         // (split store handling, as in sim-outorder).
         Cycle addr_ready = std::max(dispatch,
                                     regReady[inst.addrSrc]) + 1;
+        aux = addr_ready;
         storeAddrFrontier = std::max(storeAddrFrontier,
                                      std::min(addr_ready, issue));
         storeDataFrontier = std::max(storeDataFrontier, complete);
@@ -462,6 +464,7 @@ OooScheduler::core(const DynInst &inst, Outcome out)
             // Redirect: fetch resumes after resolution plus the
             // minimum misprediction penalty.
             const Cycle resume = complete + cfg.mispredictPenalty;
+            aux = resume + cfg.frontendDepth;
             if (fetchCycle >= resume)
                 fetchBound = true;
             else if (!fetchBound)
@@ -493,6 +496,10 @@ OooScheduler::core(const DynInst &inst, Outcome out)
     if (auditing)
         auditRetired(inst, fetch, dispatch, ready, issue, complete,
                      retire, stall);
+    if (stepLog) [[unlikely]]
+        stepLog->push_back({dispatch, ready, complete, aux, bindMemExtra,
+                            static_cast<uint16_t>(touched),
+                            static_cast<uint8_t>(inst.cls)});
 
     // One unsigned compare covers both window bounds (seq below
     // timelineFirst wraps past any count).
@@ -517,13 +524,16 @@ OooScheduler::core(const DynInst &inst, Outcome out)
     }
 }
 
-void
+// Both entry points inline the core. They are aligned, like
+// Machine::run, so a change elsewhere cannot move the replay loop's
+// placement and with it the measured replay rate.
+[[gnu::aligned(64)]] void
 OooScheduler::schedule(const DynInst &inst, Outcome out)
 {
     core(inst, out);
 }
 
-void
+[[gnu::aligned(64)]] void
 OooScheduler::emit(const DynInst &inst)
 {
     core(inst, resolve(inst));

@@ -148,6 +148,25 @@ struct Outcome
     bool operator==(const Outcome &) const = default;
 };
 
+/**
+ * One instruction as the core scheduled it. IterationMemo logs these
+ * while it records an iteration from a state keyed in several groups,
+ * to tell which group each cycle came from (DESIGN §8).
+ */
+struct CoreStep
+{
+    Cycle dispatch = 0;
+    Cycle ready = 0;
+    Cycle complete = 0;
+    /** A store's address-ready cycle, or the fetch clock a
+     *  mispredict redirects to (resume + frontend depth); else 0. */
+    Cycle aux = 0;
+    /** The producer's memory extra cycles an operand wait binds to. */
+    uint32_t bindMemExtra = 0;
+    uint16_t touched = 0; ///< one bit per stall cause charged
+    uint8_t cls = 0;      ///< the OpClass
+};
+
 class IterationMemo;
 
 /** Trace-driven out-of-order core model. `final` lets the replay hot
@@ -325,6 +344,9 @@ class OooScheduler final : public isa::TraceSink
     // nothing else reads them.
     bool fetchBound = false;
     bool fetchDetached = false;
+    // Where the core logs each instruction it schedules while the memo
+    // records an iteration from a multi-group state; null otherwise.
+    std::vector<CoreStep> *stepLog = nullptr;
 
     // Outcome-step state: read and written only by resolve().
     BranchPredictor predictor;

@@ -2,9 +2,9 @@
  * @file
  * The grid benches' shared flag parser (bench::sweepOptions), the one
  * way to set a sweep's isolation, journal, deadline and worker count
- * and to turn on the auditor: each flag parses, arguments it does not
- * own pass through, and a malformed value exits 2 instead of running
- * the wrong configuration.
+ * and to turn on the auditor: each flag parses, the flags a bench
+ * names as its own pass through, and any other argument or a
+ * malformed value exits 2 instead of running the wrong configuration.
  * Its count check (bench::parseCount) is server_scale's too.
  */
 
@@ -23,16 +23,19 @@ namespace
 
 using namespace cryptarch;
 
-/** Parse @p args as a bench command line (argv[0] is supplied). */
+/** Parse @p args as the command line (argv[0] is supplied) of a bench
+ *  that owns the flags @p own. */
 driver::SweepOptions
-parse(std::vector<std::string> args)
+parse(std::vector<std::string> args,
+      std::initializer_list<const char *> own = {})
 {
     args.insert(args.begin(), "bench");
     std::vector<char *> argv;
     for (auto &a : args)
         argv.push_back(a.data());
     argv.push_back(nullptr);
-    return bench::sweepOptions(static_cast<int>(args.size()), argv.data());
+    return bench::sweepOptions(static_cast<int>(args.size()), argv.data(),
+                               own);
 }
 
 TEST(SweepFlags, EachFlagParses)
@@ -49,15 +52,32 @@ TEST(SweepFlags, EachFlagParses)
     EXPECT_EQ(parse({"--threads=4294967295"}).threads, 4294967295u);
 }
 
-TEST(SweepFlags, UnknownArgumentsPassThrough)
+TEST(SweepFlags, BenchOwnedFlagsPassThrough)
 {
-    // Nothing here is a sweep flag, so every option keeps its default.
-    const auto opts = parse({"--quick", "--seed=7", "positional",
-                             "--isolate", "--journal", "--deadline"});
+    // configfuzz's own flags: nothing here is a sweep flag, so every
+    // option keeps its default.
+    const auto opts =
+        parse({"--quick", "--seed=7", "--seed=0x10"}, {"--quick", "--seed="});
     EXPECT_EQ(opts.isolation, driver::SweepIsolation::Thread);
     EXPECT_EQ(opts.threads, 0u);
     EXPECT_EQ(opts.cellDeadlineSeconds, 0);
     EXPECT_TRUE(opts.journalPath.empty());
+    EXPECT_EQ(parse({"--seed=7", "--threads=3"}, {"--seed="}).threads, 3u);
+}
+
+TEST(SweepFlags, UnknownArgumentsExit2)
+{
+    // A misspelt --audit must not run an unaudited sweep that exits 0.
+    for (const char *bad :
+         {"--audti", "--audit=1", "positional", "--isolate", "--journal",
+          "--deadline", "--threads", "--quick", "--seed=7", "-audit"})
+        EXPECT_EXIT(parse({bad}), ::testing::ExitedWithCode(2), "unknown")
+            << bad;
+    // An owned flag matches exactly unless it ends in '='.
+    EXPECT_EXIT(parse({"--quickly"}, {"--quick"}),
+                ::testing::ExitedWithCode(2), "unknown");
+    EXPECT_EXIT(parse({"--seed"}, {"--seed="}),
+                ::testing::ExitedWithCode(2), "unknown");
 }
 
 TEST(SweepFlags, AuditTurnsOnTheAuditorAndNothingElseTouchesIt)
@@ -65,7 +85,7 @@ TEST(SweepFlags, AuditTurnsOnTheAuditorAndNothingElseTouchesIt)
     const bool prev = sim::simAuditEnabled();
     for (bool before : {false, true}) {
         sim::setSimAudit(before);
-        parse({"--quick", "--threads=2"});
+        parse({"--quick", "--threads=2"}, {"--quick"});
         EXPECT_EQ(sim::simAuditEnabled(), before);
     }
     sim::setSimAudit(false);

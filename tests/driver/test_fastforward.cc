@@ -6,8 +6,9 @@
  * scheduler through replay(isa::TraceSink &). Covers the paper grids
  * at 4 KB and the Optimized kernels, both directions, at 16 KB and
  * 63 KB, and pins how much of a replay the memo skips: at least half
- * on the window-limited models, nothing on the unlimited-window ones
- * or under the auditor.
+ * on the window-limited and the booking-free DF models, DF+Mem's
+ * measured share, and nothing on DF+Issue and DF+Res. Under the
+ * auditor the memo skips as much, and a corrupted memo entry throws.
  */
 
 #include <gtest/gtest.h>
@@ -21,7 +22,9 @@
 #include "driver/grids.hh"
 #include "driver/json.hh"
 #include "driver/trace.hh"
+#include "sim/memo.hh"
 #include "sim/validate.hh"
+#include "util/xorshift.hh"
 
 namespace
 {
@@ -139,7 +142,12 @@ TEST_P(LongSessions, FastForwardMatchesFullPath)
     }
     if (bytes != 16 * 1024)
         return;
-    // The unlimited-window models always take the full path.
+    // The booking-free unlimited-window models key their state in
+    // groups: DF, DF+Alias and DF+Branch skip 98.6-99.5% at 16 KB, and
+    // DF+Mem, whose L1 misses vary the outcomes, 61% (3DES decrypt) to
+    // 99%. The two that book resources take the full path.
+    const std::map<std::string, double> grouped = {
+        {"DF", 0.5}, {"DF+Alias", 0.5}, {"DF+Branch", 0.5}, {"DF+Mem", 0.6}};
     for (const auto &cfg :
          {MachineConfig::dataflow(), MachineConfig::dfPlusAlias(),
           MachineConfig::dfPlusBranch(), MachineConfig::dfPlusIssue(),
@@ -147,7 +155,11 @@ TEST_P(LongSessions, FastForwardMatchesFullPath)
         uint64_t skipped = 1;
         EXPECT_EQ(fastJson(trace, cfg, skipped), fullJson(trace, cfg))
             << cfg.name;
-        EXPECT_EQ(skipped, 0u) << cfg.name;
+        if (grouped.count(cfg.name))
+            EXPECT_GE(skipped, grouped.at(cfg.name) * trace.instructions())
+                << cfg.name;
+        else
+            EXPECT_EQ(skipped, 0u) << cfg.name;
     }
 }
 
@@ -189,21 +201,184 @@ TEST(FastForward, FetchBoundIterationsApplyOnlyAtTheirLag)
     EXPECT_GT(skipped, 0u);
 }
 
-TEST(FastForward, AuditorTakesTheFullPath)
+/** Turns the auditor on for one scope. */
+class AuditOn
 {
+  public:
+    AuditOn() : prev(sim::simAuditEnabled()) { sim::setSimAudit(true); }
+    ~AuditOn() { sim::setSimAudit(prev); }
+
+  private:
+    bool prev;
+};
+
+TEST(FastForward, AuditorChecksEveryHitAndSkipsAsMuch)
+{
+    // The auditor keeps the memo on: every hit also runs on the core
+    // and is compared, so the stats stay the full path's and the memo
+    // goes through the same hits as without the auditor.
     auto trace = driver::recordKernelTrace(
         CipherId::IDEA, KernelVariant::Optimized, 4 * 1024);
-    const auto cfg = MachineConfig::fourWide();
+    for (const auto &cfg :
+         {MachineConfig::fourWide(), MachineConfig::dataflow(),
+          MachineConfig::dfPlusMem()}) {
+        uint64_t skipped = 0;
+        const std::string fast = fastJson(trace, cfg, skipped);
+        EXPECT_GT(skipped, 0u) << cfg.name;
+        AuditOn audit;
+        uint64_t audited = 0;
+        EXPECT_EQ(fastJson(trace, cfg, audited), fast) << cfg.name;
+        EXPECT_EQ(audited, skipped) << cfg.name;
+        EXPECT_EQ(fullJson(trace, cfg), fast) << cfg.name;
+    }
+}
+
+} // namespace
+
+namespace cryptarch::sim
+{
+
+/** Corrupts what an IterationMemo learned, as a broken memo would. */
+struct IterationMemoProbe
+{
+    enum class Fault { None, StallDelta, GroupAdvance };
+
+    /** Corrupt edges [@p from, end) with @p fault; returns the end. */
+    static size_t
+    corrupt(IterationMemo &memo, size_t from, Fault fault)
+    {
+        for (size_t i = from; i < memo.edges.size(); i++) {
+            auto &e = memo.edges[i];
+            if (fault == Fault::StallDelta) {
+                if (e.stalls.empty())
+                    e.stalls.emplace_back(0, 0);
+                e.stalls.front().second++;
+            } else if (fault == Fault::GroupAdvance) {
+                e.floors.back().by++;
+            }
+        }
+        return memo.edges.size();
+    }
+};
+
+} // namespace cryptarch::sim
+
+namespace
+{
+
+using Fault = sim::IterationMemoProbe::Fault;
+
+/**
+ * RecordedTrace::replay(cfg)'s loop over @p trace, whose iterations
+ * start at pc @p head, with @p fault applied to every memo entry as
+ * soon as it is learned; returns the stats as JSON.
+ */
+std::string
+replayWithFault(const driver::RecordedTrace &trace, uint32_t head,
+                const MachineConfig &cfg, Fault fault)
+{
+    struct Collect : isa::TraceSink
+    {
+        std::vector<isa::DynInst> insts;
+        void emit(const isa::DynInst &inst) override { insts.push_back(inst); }
+    } all;
+    trace.replay(all);
+    const auto &insts = all.insts;
+
+    sim::OooScheduler sched(cfg);
+    sim::IterationMemo memo(sched, head);
+    size_t corrupted = 0;
+    for (size_t at = 0; at < insts.size();) {
+        size_t end = at;
+        while (end < insts.size() && insts[end++].nextPc != head) {
+        }
+        sim::OutcomeVector outcomes;
+        if (memo.armed()) {
+            for (size_t i = at; i < end; i++)
+                outcomes.push(sched.resolve(insts[i]));
+            if (!memo.skip(outcomes)) {
+                sim::OutcomeVector::Reader read(outcomes);
+                for (size_t i = at; i < end; i++)
+                    sched.schedule(insts[i], read.next());
+                memo.ran(outcomes, end < insts.size());
+            }
+        } else {
+            for (size_t i = at; i < end; i++) {
+                const sim::Outcome out = sched.resolve(insts[i]);
+                outcomes.push(out);
+                sched.schedule(insts[i], out);
+            }
+            memo.ran(outcomes, end < insts.size());
+        }
+        corrupted = sim::IterationMemoProbe::corrupt(memo, corrupted, fault);
+        at = end;
+    }
+    memo.settle();
+    return driver::toJson(sched.finish());
+}
+
+TEST(FastForward, AuditorThrowsOnACorruptedMemoEntry)
+{
+    // One model keyed in one group at the window floor, one in groups.
+    const size_t bytes = 4 * 1024;
+    auto trace = driver::recordKernelTrace(CipherId::IDEA,
+                                           KernelVariant::Optimized, bytes);
+    const auto w = driver::makeWorkload(CipherId::IDEA, bytes);
+    const uint32_t head =
+        kernels::buildKernel(CipherId::IDEA, KernelVariant::Optimized, w.key,
+                             w.iv, bytes)
+            .loopHead.value();
+    AuditOn audit;
+    for (const auto &cfg :
+         {MachineConfig::fourWide(), MachineConfig::dataflow()}) {
+        // The loop above is replay(cfg)'s: untouched, it passes.
+        EXPECT_EQ(replayWithFault(trace, head, cfg, Fault::None),
+                  fullJson(trace, cfg))
+            << cfg.name;
+        for (Fault fault : {Fault::StallDelta, Fault::GroupAdvance})
+            EXPECT_THROW(replayWithFault(trace, head, cfg, fault),
+                         sim::AuditError)
+                << cfg.name;
+    }
+}
+
+TEST(FastForward, SeededShapesAgreeUnderTheAuditor)
+{
+    // A seeded sweep of the shapes where fast-forward's shortcuts are
+    // easiest to get wrong: fetch narrower or wider than issue (the
+    // fetch rule), small windows, frontend depth, and L1s of 1 to 128
+    // sets, where a next-line prefetch into a one-line L1 evicts the
+    // latest block (the cache's repeat check). Under the auditor every memo hit and every repeat
+    // hit is checked on the spot, and the stats must equal the full
+    // path's.
+    std::vector<driver::RecordedTrace> traces;
+    for (auto id : allCiphers())
+        for (auto v : {KernelVariant::BaselineNoRot, KernelVariant::Optimized})
+            traces.push_back(driver::recordKernelTrace(id, v, 2 * 1024));
+    util::Xorshift64 rng(0xFF22);
+    AuditOn audit;
     uint64_t skipped = 0;
-    const std::string fast = fastJson(trace, cfg, skipped);
+    for (int i = 0; i < 32; i++) {
+        MachineConfig cfg = MachineConfig::fourWide();
+        static const unsigned fetch[] = {sim::unlimited, 1, 2, 3, 4, 6, 8};
+        static const unsigned issue[] = {1, 2, 4, 8};
+        cfg.name = "shape-" + std::to_string(i);
+        cfg.fetchWidth = fetch[rng.nextBelow(std::size(fetch))];
+        cfg.issueWidth = issue[rng.nextBelow(std::size(issue))];
+        cfg.windowSize = 8u << rng.nextBelow(5);
+        cfg.frontendDepth = static_cast<unsigned>(rng.nextBelow(6));
+        cfg.fetchBlocksPerCycle = static_cast<unsigned>(rng.nextBelow(3));
+        const uint32_t sets = 1u << rng.nextBelow(8);
+        const uint32_t ways = 1u << rng.nextBelow(2);
+        cfg.l1d = {sets * ways * 32, ways, 32};
+        const auto &trace = traces[rng.nextBelow(traces.size())];
+        uint64_t n = 0;
+        EXPECT_NO_THROW(EXPECT_EQ(fastJson(trace, cfg, n),
+                                  fullJson(trace, cfg))
+                        << cfg.name);
+        skipped += n;
+    }
     EXPECT_GT(skipped, 0u);
-    const bool prev = sim::simAuditEnabled();
-    sim::setSimAudit(true);
-    uint64_t audited = 1;
-    const std::string full = fastJson(trace, cfg, audited);
-    sim::setSimAudit(prev);
-    EXPECT_EQ(audited, 0u);
-    EXPECT_EQ(fast, full);
 }
 
 TEST(FastForward, TraceWithoutLoopHeadTakesTheFullPath)
