@@ -94,6 +94,7 @@ main(int argc, char **argv)
     using namespace cryptarch::bench;
     using kernels::KernelVariant;
 
+    rejectUnknownArgs(argc, argv, {"--quick"});
     bool quick = false;
     for (int i = 1; i < argc; i++)
         if (!std::strcmp(argv[i], "--quick"))

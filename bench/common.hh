@@ -101,6 +101,53 @@ usageExit(const char *argv0, const char *flag, const char *takes,
     std::exit(2);
 }
 
+/** The flags bench::sweepOptions parses, as rejectUnknownArgs matches
+ *  them. */
+inline constexpr const char *sweep_flags[] = {
+    "--isolate=", "--journal=", "--deadline=", "--threads=", "--audit"};
+
+/**
+ * Exit 2 with a usage message on the first argument that is neither
+ * one of the bench's own flags @p own nor, when @p sweep, one of
+ * sweep_flags. A flag matches exactly or, when it ends in '=', as a
+ * prefix; the bench parses its own flags itself. Every bench calls it
+ * (the grid benches through sweepOptions) before it runs, so a
+ * misspelt flag exits 2 instead of running the wrong configuration
+ * (`faultinject --quik` would otherwise run the full mode).
+ */
+inline void
+rejectUnknownArgs(int argc, char **argv,
+                  std::initializer_list<const char *> own = {},
+                  bool sweep = false)
+{
+    auto matches = [](const char *arg, const char *flag) {
+        const size_t n = std::strlen(flag);
+        return n && flag[n - 1] == '=' ? std::strncmp(arg, flag, n) == 0
+                                       : std::strcmp(arg, flag) == 0;
+    };
+    for (int i = 1; i < argc; i++) {
+        const char *arg = argv[i];
+        bool known = false;
+        for (const char *flag : own)
+            known = known || matches(arg, flag);
+        if (sweep)
+            for (const char *flag : sweep_flags)
+                known = known || matches(arg, flag);
+        if (known)
+            continue;
+        std::fprintf(stderr, "%s: unknown argument '%s'\nusage: %s",
+                     argv[0], arg, argv[0]);
+        if (sweep)
+            std::fprintf(stderr,
+                         " [--isolate=thread|process] [--journal=PATH] "
+                         "[--deadline=SECONDS] [--threads=N] [--audit]");
+        for (const char *flag : own)
+            std::fprintf(stderr, " [%s]", flag);
+        std::fprintf(stderr, "\n");
+        std::exit(2);
+    }
+}
+
 /**
  * Sweep options from the benches' shared command line, the one place
  * a sweep's settings come from:
@@ -118,27 +165,19 @@ usageExit(const char *argv0, const char *flag, const char *takes,
  * covers a bench's direct sim::simulate calls. Without it the auditor
  * is left as it was.
  *
- * A bench with flags of its own names them in @p own, each matched
- * exactly or, when it ends in '=', as a prefix; it parses them itself.
- * Exits 2 with a usage message on any other argument and on a
- * malformed sweep flag, rather than silently running the wrong
- * configuration (a misspelt --audit would otherwise check nothing).
+ * A bench with flags of its own names them in @p own (see
+ * rejectUnknownArgs); it parses them itself. Exits 2 with a usage
+ * message on any other argument and on a malformed sweep flag, rather
+ * than silently running the wrong configuration (a misspelt --audit
+ * would otherwise check nothing).
  */
 inline driver::SweepOptions
 sweepOptions(int argc, char **argv,
              std::initializer_list<const char *> own = {})
 {
+    rejectUnknownArgs(argc, argv, own, true);
     auto usage = [&](const char *flag, const char *takes, const char *got) {
         usageExit(argv[0], flag, takes, got);
-    };
-    auto owned = [&](const char *arg) {
-        for (const char *flag : own) {
-            const size_t n = std::strlen(flag);
-            if (n && flag[n - 1] == '=' ? std::strncmp(arg, flag, n) == 0
-                                        : std::strcmp(arg, flag) == 0)
-                return true;
-        }
-        return false;
     };
     driver::SweepOptions opts;
     for (int i = 1; i < argc; i++) {
@@ -167,16 +206,6 @@ sweepOptions(int argc, char **argv,
             opts.threads = static_cast<unsigned>(n);
         } else if (std::strcmp(arg, "--audit") == 0) {
             sim::setSimAudit(true);
-        } else if (!owned(arg)) {
-            std::fprintf(stderr,
-                         "%s: unknown argument '%s'\nusage: %s "
-                         "[--isolate=thread|process] [--journal=PATH] "
-                         "[--deadline=SECONDS] [--threads=N] [--audit]",
-                         argv[0], arg, argv[0]);
-            for (const char *flag : own)
-                std::fprintf(stderr, " [%s]", flag);
-            std::fprintf(stderr, "\n");
-            std::exit(2);
         }
     }
     return opts;

@@ -27,9 +27,12 @@
  * errors. The valid and boundary strata also replay each config that
  * fast-forwarded (sim::IterationMemo) on the full per-instruction
  * path (SweepOptions::fullPathCheck): different SimStats fail the
- * cell, a mismatch. The boundary stratum's all-unlimited shapes book
- * no resources, so they take the grouped keying. The bench exits
- * nonzero on any deviation, so it doubles as
+ * cell, a mismatch. They also run under the auditor
+ * (sim::setSimAudit), which checks every memo hit and every cache
+ * repeat hit on the spot, so an outcome-step bug that moves the stats
+ * of both paths alike fails its cell too. The boundary stratum's
+ * all-unlimited shapes book no resources, so they take the grouped
+ * keying. The bench exits nonzero on any deviation, so it doubles as
  * an end-to-end test in CI (sanitizer jobs run `configfuzz --quick`).
  *
  * Usage: configfuzz [--quick] [--seed=N] [common sweep flags]
@@ -386,7 +389,11 @@ main(int argc, char **argv)
 
         opts.fullPathCheck = !std::strcmp(stratum.name, "valid")
             || !std::strcmp(stratum.name, "boundary");
+        const bool audited = sim::simAuditEnabled();
+        if (opts.fullPathCheck)
+            sim::setSimAudit(true);
         auto results = driver::runCells(cells, opts);
+        sim::setSimAudit(audited);
 
         StratumVerdict v;
         v.name = stratum.name;

@@ -13,12 +13,14 @@
 
 #include <cstdio>
 
+#include "bench/common.hh"
 #include "ssl/session.hh"
 
 int
 main(int argc, char **argv)
 {
     using namespace cryptarch;
+    bench::rejectUnknownArgs(argc, argv, {"--rc4"});
 
     crypto::CipherId bulk = crypto::CipherId::TripleDES;
     if (argc > 1 && std::string(argv[1]) == "--rc4")

@@ -105,6 +105,7 @@ valuePredictionReport()
 int
 main(int argc, char **argv)
 {
+    cryptarch::bench::rejectUnknownArgs(argc, argv, {"--value-prediction"});
     if (argc > 1 && std::strcmp(argv[1], "--value-prediction") == 0)
         valuePredictionReport();
     else

@@ -57,6 +57,7 @@ seconds(Clock::time_point a, Clock::time_point b)
 int
 main(int argc, char **argv)
 {
+    cryptarch::bench::rejectUnknownArgs(argc, argv, {"--quick"});
     bool quick = false;
     for (int i = 1; i < argc; i++)
         if (!std::strcmp(argv[i], "--quick"))

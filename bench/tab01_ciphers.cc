@@ -9,9 +9,10 @@
 #include "bench/common.hh"
 
 int
-main()
+main(int argc, char **argv)
 {
     using namespace cryptarch;
+    bench::rejectUnknownArgs(argc, argv);
 
     std::printf("Table 1. Private Key Symmetric Ciphers Analyzed.\n\n");
     std::printf("%-10s %5s %5s %6s  %-14s %s\n", "Cipher", "Key",

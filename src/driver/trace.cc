@@ -52,6 +52,74 @@ RecordedTrace::walk(Cursor at, Fn &&fn) const
     return at;
 }
 
+const RecordedTrace::Run &
+RecordedTrace::runAt(uint32_t pc, const sim::OooScheduler &sched,
+                     RunTable &table) const
+{
+    int32_t &index = table.at[pc];
+    if (index >= 0)
+        return table.runs[index];
+    Run run;
+    run.firstStep = static_cast<uint32_t>(table.steps.size());
+    for (uint32_t p = pc; p < program_.size(); p++) {
+        const isa::DynInst &t = program_[p].tmpl;
+        if (sched.outcomeInert(t))
+            run.inert[static_cast<size_t>(t.cls)]++;
+        else
+            table.steps.push_back({run.length, run.memOps});
+        run.length++;
+        if (t.isLoad || t.isStore)
+            run.memOps++;
+        if (t.branch || t.op == isa::Opcode::Halt || t.nextPc == loopHead_)
+            break;
+    }
+    run.steps = static_cast<uint32_t>(table.steps.size()) - run.firstStep;
+    index = static_cast<int32_t>(table.runs.size());
+    table.runs.push_back(run);
+    return table.runs.back();
+}
+
+RecordedTrace::Cursor
+RecordedTrace::resolveRuns(Cursor at, sim::OooScheduler &sched,
+                           sim::OutcomeVector &outcomes,
+                           RunTable &table) const
+{
+    while (at.seq < count_) {
+        const Run &run = runAt(at.pc, sched, table);
+        if (count_ - at.seq < run.length) {
+            return walk<true>(at, [&](const isa::DynInst &inst) {
+                outcomes.push(sched.resolve(inst));
+            });
+        }
+        sched.countInert(run.inert);
+        uint32_t pos = 0;
+        uint32_t next = program_[at.pc + run.length - 1].tmpl.nextPc;
+        for (uint32_t i = 0; i < run.steps; i++) {
+            const Step step = table.steps[run.firstStep + i];
+            const isa::DecodedInst &d = program_[at.pc + step.pos];
+            isa::DynInst inst = d.tmpl;
+            inst.seq = at.seq + step.pos;
+            if (inst.isLoad || inst.isStore)
+                inst.addr = addrs_[at.addr + step.mem];
+            // Only a run's last instruction can be a conditional branch.
+            if (d.conditional && taken_[at.taken++]) {
+                inst.taken = true;
+                inst.nextPc = next = d.target;
+            }
+            outcomes.pad(step.pos - pos);
+            outcomes.push(sched.resolve(inst));
+            pos = step.pos + 1;
+        }
+        outcomes.pad(run.length - pos);
+        at.seq += run.length;
+        at.addr += run.memOps;
+        at.pc = next;
+        if (at.pc == loopHead_)
+            break;
+    }
+    return at;
+}
+
 void
 RecordedTrace::replay(isa::TraceSink &sink) const
 {
@@ -75,18 +143,19 @@ RecordedTrace::replay(const sim::MachineConfig &cfg,
 
     // One segment per pass: the prologue, then one block-loop
     // iteration each, the last running to the end of the trace. The
-    // outcome step sees every instruction in program order; the core
-    // sees the ones the memo cannot skip.
+    // outcome step sees every instruction in program order (on an
+    // armed segment through the outcome walk, which resolves only the
+    // instructions whose outcome step is not inert); the core sees the
+    // ones the memo cannot skip.
     sim::IterationMemo memo(sched, loopHead_);
     sim::OutcomeVector outcomes;
+    RunTable runs(program_.size());
     Cursor at;
     while (at.seq < count_) {
         const Cursor start = at;
         outcomes.clear();
         if (memo.armed()) {
-            at = walk<true>(at, [&](const isa::DynInst &inst) {
-                outcomes.push(sched.resolve(inst));
-            });
+            at = resolveRuns(at, sched, outcomes, runs);
             if (memo.skip(outcomes))
                 continue;
             sim::OutcomeVector::Reader read(outcomes);

@@ -22,6 +22,7 @@
 #ifndef CRYPTARCH_DRIVER_TRACE_HH
 #define CRYPTARCH_DRIVER_TRACE_HH
 
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <stdexcept>
@@ -31,6 +32,11 @@
 #include "isa/machine.hh"
 #include "kernels/kernel.hh"
 #include "sim/pipeline.hh"
+
+namespace cryptarch::sim
+{
+class OutcomeVector;
+} // namespace cryptarch::sim
 
 namespace cryptarch::driver
 {
@@ -177,6 +183,60 @@ class RecordedTrace final : public isa::TraceSink
      *  the end, or up to the next loop head when @p toHead. */
     template <bool toHead, class Fn>
     Cursor walk(Cursor at, Fn &&fn) const;
+
+    /**
+     * A straight-line run of the program: it starts at pc 0, at the
+     * loop head or after a branch, and ends at a branch, a Halt or an
+     * instruction whose template nextPc is the loop head, so its path
+     * is fixed and every instruction but the last has its template's
+     * nextPc.
+     */
+    struct Run
+    {
+        uint32_t length = 0;    ///< instructions
+        uint32_t memOps = 0;    ///< addresses it takes from the trace
+        uint32_t firstStep = 0; ///< its steps in RunTable::steps
+        uint32_t steps = 0;
+        /** Per class, its instructions with an inert outcome step. */
+        std::array<uint64_t, isa::num_op_classes> inert{};
+    };
+
+    /** An instruction of a run whose outcome step is not inert. */
+    struct Step
+    {
+        uint32_t pos; ///< its position in the run
+        uint32_t mem; ///< its address's index within the run
+    };
+
+    /** The runs of one replay's scheduler, each built the first time
+     *  the walk reaches its start pc. */
+    struct RunTable
+    {
+        explicit RunTable(size_t pcs) : at(pcs, -1) {}
+        std::vector<int32_t> at; ///< per pc, its run's index or -1
+        std::vector<Run> runs;
+        std::vector<Step> steps;
+    };
+
+    /** The run of @p table that starts at @p pc on @p sched. */
+    const Run &runAt(uint32_t pc, const sim::OooScheduler &sched,
+                     RunTable &table) const;
+
+    /**
+     * The outcome walk: from @p at up to the next loop head or the
+     * end, push each instruction's outcome on @p sched to @p outcomes,
+     * the same as resolving each one in turn. A run's inert
+     * instructions are counted at once and padded; only the others go
+     * through resolve(). A run the trace ends inside is walked one
+     * instruction at a time. Out of line, so that the full-path loop
+     * of replay(cfg) keeps its placement.
+     */
+    [[gnu::noinline]] Cursor resolveRuns(Cursor at,
+                                         sim::OooScheduler &sched,
+                                         sim::OutcomeVector &outcomes,
+                                         RunTable &table) const;
+
+    friend struct RecordedTraceProbe; ///< tests drive the walks through it
 
     std::vector<isa::DecodedInst> program_;
     std::vector<bool> taken_;     ///< one per conditional branch

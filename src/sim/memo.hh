@@ -69,6 +69,9 @@ class OutcomeVector
         n++;
     }
 
+    /** Append @p k instructions whose outcomes are all zero. */
+    void pad(uint64_t k) { n += k; }
+
     /** Instructions in the segment. */
     uint64_t size() const { return n; }
 

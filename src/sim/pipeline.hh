@@ -201,6 +201,24 @@ class OooScheduler final : public isa::TraceSink
      */
     Outcome resolve(const isa::DynInst &inst);
 
+    /**
+     * True when the outcome step is inert for every instruction with
+     * template @p tmpl on this machine: resolve() gives a zero Outcome
+     * and changes only classCounts, whatever the address. The outcome
+     * walk of RecordedTrace::replay(cfg) counts such instructions with
+     * countInert() instead of resolving them one by one.
+     */
+    bool outcomeInert(const isa::DynInst &tmpl) const;
+
+    /** Count @p counts[c] instructions of each class c whose outcome
+     *  step is inert (outcomeInert()), as resolve() would. */
+    void
+    countInert(const std::array<uint64_t, isa::num_op_classes> &counts)
+    {
+        for (size_t c = 0; c < counts.size(); c++)
+            stats.classCounts[c] += counts[c];
+    }
+
     /** The core: schedule @p inst, whose outcome step gave @p out. */
     void schedule(const isa::DynInst &inst, Outcome out);
 
@@ -408,6 +426,26 @@ OooScheduler::resolve(const isa::DynInst &inst)
             out.flags |= Outcome::mispredicted;
     }
     return out;
+}
+
+// Kept next to resolve(): each case says when resolve()'s case for
+// that class neither reads nor writes outcome-step state.
+inline bool
+OooScheduler::outcomeInert(const isa::DynInst &tmpl) const
+{
+    if (tmpl.branch)
+        return false;
+    switch (tmpl.cls) {
+      case isa::OpClass::Load:
+      case isa::OpClass::Store:
+        return cfg.perfectMemory;
+      case isa::OpClass::SboxRead:
+        return cfg.perfectSbox || (sboxCaches.empty() && cfg.perfectMemory);
+      case isa::OpClass::SboxSync:
+        return sboxCaches.empty();
+      default:
+        return true;
+    }
 }
 
 /**

@@ -5,7 +5,9 @@
  * and to turn on the auditor: each flag parses, the flags a bench
  * names as its own pass through, and any other argument or a
  * malformed value exits 2 instead of running the wrong configuration.
- * Its count check (bench::parseCount) is server_scale's too.
+ * The benches without sweep flags reject unknown arguments through the
+ * same check (bench::rejectUnknownArgs). Its count check
+ * (bench::parseCount) is server_scale's too.
  */
 
 #include <gtest/gtest.h>
@@ -13,6 +15,7 @@
 #include <climits>
 #include <cmath>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench/common.hh"
@@ -23,19 +26,41 @@ namespace
 
 using namespace cryptarch;
 
-/** Parse @p args as the command line (argv[0] is supplied) of a bench
- *  that owns the flags @p own. */
-driver::SweepOptions
-parse(std::vector<std::string> args,
-      std::initializer_list<const char *> own = {})
+/** Call @p fn(argc, argv) on @p args as the command line (argv[0] is
+ *  supplied). */
+template <class Fn>
+auto
+withArgv(std::vector<std::string> args, Fn &&fn)
 {
     args.insert(args.begin(), "bench");
     std::vector<char *> argv;
     for (auto &a : args)
         argv.push_back(a.data());
     argv.push_back(nullptr);
-    return bench::sweepOptions(static_cast<int>(args.size()), argv.data(),
-                               own);
+    return fn(static_cast<int>(args.size()), argv.data());
+}
+
+/** Parse @p args as the command line of a bench that owns the flags
+ *  @p own. */
+driver::SweepOptions
+parse(std::vector<std::string> args,
+      std::initializer_list<const char *> own = {})
+{
+    return withArgv(std::move(args), [&](int argc, char **argv) {
+        return bench::sweepOptions(argc, argv, own);
+    });
+}
+
+/** Check @p args as the command line of a bench without sweep flags
+ *  that owns the flags @p own. */
+void
+check(std::vector<std::string> args,
+      std::initializer_list<const char *> own = {})
+{
+    withArgv(std::move(args), [&](int argc, char **argv) {
+        bench::rejectUnknownArgs(argc, argv, own);
+        return 0;
+    });
 }
 
 TEST(SweepFlags, EachFlagParses)
@@ -78,6 +103,28 @@ TEST(SweepFlags, UnknownArgumentsExit2)
                 ::testing::ExitedWithCode(2), "unknown");
     EXPECT_EXIT(parse({"--seed"}, {"--seed="}),
                 ::testing::ExitedWithCode(2), "unknown");
+}
+
+TEST(SweepFlags, BenchesWithoutSweepFlagsTakeOnlyTheirOwn)
+{
+    // tab01 takes nothing; fig02, fig07, simspeed, faultinject and
+    // chaos each one flag of their own.
+    check({});
+    for (const char *flag : {"--quick", "--rc4", "--value-prediction"}) {
+        check({flag}, {flag});
+        check({flag, flag}, {flag});
+    }
+    for (const char *bad :
+         {"--bogus", "--quik", "--quick=1", "-quick", "quick", "",
+          "--threads=2", "--isolate=thread", "--audit", "--rc4"})
+        EXPECT_EXIT(check({bad}, {"--quick"}), ::testing::ExitedWithCode(2),
+                    "unknown")
+            << bad;
+    // Every position is checked, and a bench that owns nothing takes
+    // nothing.
+    EXPECT_EXIT(check({"--quick", "--bogus"}, {"--quick"}),
+                ::testing::ExitedWithCode(2), "unknown argument '--bogus'");
+    EXPECT_EXIT(check({"--rc4"}), ::testing::ExitedWithCode(2), "unknown");
 }
 
 TEST(SweepFlags, AuditTurnsOnTheAuditorAndNothingElseTouchesIt)
