@@ -376,6 +376,7 @@ class OooScheduler final : public isa::TraceSink
     std::vector<TimelineEntry> timeline;
 
     friend class IterationMemo;
+    friend struct OooSchedulerProbe; ///< tests read the resource pools
 };
 
 // The outcome step is inline: the replay loop's outcome-only walk

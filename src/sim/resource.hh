@@ -20,7 +20,7 @@
  *  1. Entry bookkeeping. The map created an entry for every *probed*
  *     cycle (operator[] on a full cycle still inserts), and its
  *     amortization gate — "only sweep once the table holds >= 4096
- *     entries" — keys off that entry count. Each ring cell therefore
+ *     entries" — keys off that entry count. Each cell therefore
  *     carries an exists bit next to its 31-bit count, and `entries`
  *     tracks exactly what the map's size() would be.
  *
@@ -31,30 +31,34 @@
  *     not a true lower bound on future probes: probes below an erased
  *     horizon do occur there, find the count reset to zero, and that
  *     phantom capacity is part of the published per-model numbers.
- *     The ring keeps those low cells addressable (the window slides
- *     only across absent cells, and re-grows downward if a probe
- *     lands below the base), so it reproduces the reference exactly
- *     instead of only on contract-respecting callers.
+ *     The cells those probes create are kept in a side table (3), so
+ *     the resource reproduces the reference exactly instead of only
+ *     on contract-respecting callers.
  *
- * Window invariant: cells outside [base, base + size) are absent
- * (count 0, no entry), absent cells store the value 0, and every
- * existing cell lies in [minExist, hiCycle) ⊆ [base, base + size).
+ * Window invariant: cells outside [base, base + size) are absent from
+ * the ring and store the value 0, and every existing ring cell lies in
+ * [minExist, hiCycle) ⊆ [base, base + size), with base >= swept.
  * Sliding the window forward across absent cells is therefore free —
  * no zeroing pass — and the window only needs to cover the span
- * between the lowest live booking and the highest probed cycle (the
- * max in-flight latency for well-behaved callers).
+ * between the lowest live booking at or above the swept floor and the
+ * highest probed cycle.
  *
- * Two more invariants let the unlimited-window models skip work whose
- * outcome is already known (the DF+Res and DF+Issue replays otherwise
- * rescan the same cycles over and over):
+ * Two more invariants keep the unlimited-window models from holding
+ * or rescanning cycles whose outcome is already known (the DF+Res and
+ * DF+Issue replays otherwise rescan the same cycles over and over):
  *
  *  3. Swept floor. Every cell below `swept` (where the last sweep
  *     ended) was zeroed by a sweep, so a cell below it exists only if
- *     touch() created it since — and touch() records exactly those in
- *     `belowSwept`. The next sweep zeroes the recorded cells and scans
- *     only [max(minExist, swept), end) linearly, instead of re-zeroing
- *     the whole span from the lowest phantom probe up; it removes the
- *     same cells and leaves the same entry count.
+ *     touch() created it since. Those phantom cells live in a small
+ *     open-addressed side table, not in the ring: the ring's base
+ *     stays at or above `swept`, so the window spans only
+ *     [swept, hiCycle) and never regrows toward cycle 0. Only an
+ *     out-of-window probe below the floor reaches the table; the
+ *     in-window path pays nothing for it. The next sweep drops the
+ *     table's cells below its end (keeping any above it, for a horizon
+ *     that stepped back) and scans the ring only from minExist, so it
+ *     removes the cells the map's full sweep would and leaves the same
+ *     entry count.
  *
  *  4. Full run. Every cell in [runLo, runHi) holds count >= capacity,
  *     so no unit count fits there. Unit-1 scans establish it (each
@@ -62,14 +66,16 @@
  *     sweep, which trims the run, and unbook(), which only undoes a
  *     tryBook that succeeded on a cell that was not full. nextFree()
  *     jumps over the run without touching it: a full cell already
- *     holds a booking and so already exists, so touch() would change
- *     nothing there.
+ *     holds a booking and so already exists, in the ring or the side
+ *     table, so touch() would change nothing there.
  */
 
 #ifndef CRYPTARCH_SIM_RESOURCE_HH
 #define CRYPTARCH_SIM_RESOURCE_HH
 
+#include <algorithm>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "sim/config.hh"
@@ -95,7 +101,12 @@ class CycleResource
     {
         if (cap == unlimited)
             return earliest;
-        Cycle cycle = nextFree(earliest, units);
+        uint32_t &v = touch(earliest);
+        if (countOf(v) + units <= cap) {
+            v += units;
+            return earliest;
+        }
+        Cycle cycle = scanPast(earliest, units);
         bookProbed(cycle, units);
         return cycle;
     }
@@ -117,7 +128,7 @@ class CycleResource
     Cycle
     nextFree(Cycle cycle, unsigned units = 1)
     {
-        if (cap == unlimited || touch(cycle) + units <= cap)
+        if (cap == unlimited || countOf(touch(cycle)) + units <= cap)
             return cycle;
         return scanPast(cycle, units);
     }
@@ -135,10 +146,8 @@ class CycleResource
     void
     book(Cycle cycle, unsigned units = 1)
     {
-        if (cap == unlimited)
-            return;
-        touch(cycle);
-        cells[cycle & mask] += units;
+        if (cap != unlimited)
+            touch(cycle) += units;
     }
 
     /**
@@ -151,7 +160,7 @@ class CycleResource
     bookProbed(Cycle cycle, unsigned units = 1)
     {
         if (cap != unlimited)
-            cells[cycle & mask] += units;
+            existing(cycle) += units;
     }
 
     /**
@@ -165,22 +174,23 @@ class CycleResource
     {
         if (cap == unlimited)
             return true;
-        if (touch(cycle) + units > cap)
+        uint32_t &v = touch(cycle);
+        if (countOf(v) + units > cap)
             return false;
-        cells[cycle & mask] += units;
+        v += units;
         return true;
     }
 
     /**
      * Undo a successful tryBook at @p cycle (joint-reservation
      * rollback). Only valid immediately after that tryBook — the cell
-     * must still be inside the window.
+     * must still exist where the tryBook left it.
      */
     void
     unbook(Cycle cycle, unsigned units = 1)
     {
         if (cap != unlimited)
-            cells[cycle & mask] -= units;
+            existing(cycle) -= units;
     }
 
     /**
@@ -195,27 +205,18 @@ class CycleResource
     {
         if (cap == unlimited || entries < prune_threshold)
             return;
-        if (minExist >= horizon)
+        if (minExist >= horizon && phantoms.lowest() >= horizon)
             return;
         Cycle end = horizon < hiCycle ? horizon : hiCycle;
-        // Below the swept floor only recorded cells exist: zero those
+        // Below the swept floor only side-table cells exist: drop those
         // below end and keep the rest (a horizon that stepped back).
-        size_t removed = 0;
-        size_t kept = 0;
-        for (Cycle r : belowSwept) {
-            if (r < end) {
-                cells[r & mask] = 0;
-                ++removed;
-            } else {
-                belowSwept[kept++] = r;
-            }
-        }
-        belowSwept.resize(kept);
-        // The swept cycles are contiguous ring positions (modulo at
+        size_t removed = phantoms.dropBelow(end);
+        // The ring's cells lie in [minExist, hiCycle), minExist >= base,
+        // and the swept cycles are contiguous ring positions (modulo at
         // most one wrap), so sweep them as raw spans — the count-and-
         // zero loop then vectorizes instead of paying a mask and a
         // branch per cycle.
-        Cycle c = minExist > swept ? minExist : swept;
+        Cycle c = minExist;
         while (c < end) {
             size_t pos = c & mask;
             size_t span = cells.size() - pos;
@@ -229,10 +230,14 @@ class CycleResource
             c += span;
         }
         entries -= removed;
-        minExist = horizon;
         if (end > swept)
             swept = end;
-        // Every cell below end now reads zero.
+        // Every ring cell below end now reads zero, so lifting the base
+        // to the floor is free, and the window never covers a side-
+        // table cell.
+        if (base < swept)
+            base = swept;
+        minExist = horizon > base ? horizon : base;
         if (runHi <= end)
             runLo = runHi = 0;
         else if (runLo < end)
@@ -254,6 +259,10 @@ class CycleResource
     /** Number of live entries (the reference map's size()). */
     size_t entryCount() const { return entries; }
 
+    /** Cells the dense ring holds (its window size). Read by tests,
+     *  which bound the footprint; the scheduler never needs it. */
+    size_t windowCells() const { return cells.size(); }
+
   private:
     static constexpr uint32_t exists_bit = 0x80000000u;
     static constexpr uint32_t count_mask = exists_bit - 1;
@@ -261,14 +270,121 @@ class CycleResource
      *  probes stay near the retirement frontier (one entry per cycle,
      *  swept every prune_threshold entries plus the in-flight
      *  overshoot) almost never regrows: warm-up rebuilds otherwise
-     *  show up in replay profiles. Unlimited-window models do regrow —
-     *  their phantom probes reach back toward cycle 0, so the window
-     *  grows to the whole cycle span (a 64 KB 3DES DF+Res replay
-     *  regrows its resources' windows 20 times in all). */
+     *  show up in replay profiles. Phantom probes below the swept
+     *  floor go to the side table, so the unlimited-window models
+     *  stay small too: on the 64 KB Optimized replays DF+Issue's
+     *  rings never regrow, and a DF+Res pool regrows (to 64K cells
+     *  at most) only before its first sweep, while its entries are
+     *  still under prune_threshold. */
     static constexpr size_t initial_cells = 16384;
     /** Entry-count gate before retireBefore sweeps — the reference
      *  map's amortization threshold, load-bearing for erase timing. */
     static constexpr size_t prune_threshold = 4096;
+
+    static unsigned countOf(uint32_t v) { return v & count_mask; }
+
+    /**
+     * Cells below the swept floor, open-addressed by a multiplicative
+     * hash of the cycle with linear probing. A slot is free iff its
+     * value is 0: every stored cell exists, so its value carries
+     * exists_bit. A sweep drops every cell below its end, so the
+     * table holds only the phantom cells created since (plus any a
+     * stepped-back horizon kept).
+     */
+    class PhantomCells
+    {
+      public:
+        /** Units booked at @p cycle; 0 where no cell exists. */
+        unsigned
+        countAt(Cycle cycle) const
+        {
+            return slots.empty() ? 0 : countOf(slots[locate(cycle)].value);
+        }
+
+        /** The cell at @p cycle, which must exist. */
+        uint32_t &at(Cycle cycle) { return slots[locate(cycle)].value; }
+
+        /** The cell at @p cycle, created (value exists_bit) when
+         *  absent; @p created says which. */
+        uint32_t &
+        insert(Cycle cycle, bool &created)
+        {
+            if (2 * (used + 1) > slots.size())
+                grow();
+            Slot &s = slots[locate(cycle)];
+            created = !s.value;
+            if (created) {
+                s = {cycle, exists_bit};
+                ++used;
+                if (cycle < low)
+                    low = cycle;
+            }
+            return s.value;
+        }
+
+        /** Lowest stored cycle; all-ones when empty. */
+        Cycle lowest() const { return low; }
+
+        /** Drop every cell below @p end and return how many. */
+        size_t
+        dropBelow(Cycle end)
+        {
+            if (low >= end)
+                return 0;
+            std::vector<Slot> kept;
+            for (const Slot &s : slots)
+                if (s.value && s.cycle >= end)
+                    kept.push_back(s);
+            const size_t removed = used - kept.size();
+            std::fill(slots.begin(), slots.end(), Slot{});
+            used = kept.size();
+            low = ~Cycle(0);
+            for (const Slot &s : kept) {
+                slots[locate(s.cycle)] = s;
+                if (s.cycle < low)
+                    low = s.cycle;
+            }
+            return removed;
+        }
+
+      private:
+        struct Slot
+        {
+            Cycle cycle = 0;
+            uint32_t value = 0;
+        };
+
+        /** The slot holding @p cycle, or the free slot where it would
+         *  go; the table must not be empty. Out of line: only probes
+         *  below the swept floor get here, and the callers' in-window
+         *  paths stay small. */
+        [[gnu::noinline]] size_t
+        locate(Cycle cycle) const
+        {
+            size_t i = (cycle * 0x9E3779B97F4A7C15ull) >> shift;
+            while (slots[i].value && slots[i].cycle != cycle)
+                i = (i + 1) & (slots.size() - 1);
+            return i;
+        }
+
+        void
+        grow()
+        {
+            std::vector<Slot> old = std::move(slots);
+            slots.assign(old.empty() ? 64 : 2 * old.size(), Slot{});
+            shift = 64;
+            for (size_t n = slots.size(); n > 1; n >>= 1)
+                --shift;
+            for (const Slot &s : old)
+                if (s.value)
+                    slots[locate(s.cycle)] = s;
+        }
+
+        std::vector<Slot> slots; ///< power-of-two size, or empty
+        unsigned shift = 64;     ///< 64 - log2(slots.size())
+        size_t used = 0;
+        Cycle low = ~Cycle(0);
+    };
 
     /** Count at @p cycle without creating an entry (map::find). */
     unsigned
@@ -278,34 +394,56 @@ class CycleResource
         // unsigned difference past any vector size. Empty cells give
         // size 0, so everything is out of window.
         if (cycle - base >= cells.size())
-            return 0;
-        return cells[cycle & mask] & count_mask;
+            return cycle < swept ? phantoms.countAt(cycle) : 0;
+        return countOf(cells[cycle & mask]);
     }
 
     /**
-     * Ensure @p cycle has a cell inside the window, mark it existing
-     * (map::operator[]), and return its current count. Every probe
-     * runs this, so it is forced inline into the scheduler's loops.
+     * Ensure @p cycle has a cell, mark it existing (map::operator[]),
+     * and return it. Every probe runs this, so it is forced inline
+     * into the scheduler's loops.
      */
-    [[gnu::always_inline]] unsigned
+    [[gnu::always_inline]] uint32_t &
     touch(Cycle cycle)
     {
         // Single window check (see countAt): below-base wraps, empty
-        // cells have size 0 — both land in reshape.
-        if (cycle - base >= cells.size())
+        // cells have size 0 — both land here. Below the swept floor
+        // the cell is the side table's; anywhere else the window
+        // moves to cover it.
+        if (cycle - base >= cells.size()) {
+            if (cycle < swept)
+                return phantom(cycle);
             reshape(cycle);
+        }
         uint32_t &v = cells[cycle & mask];
         if (!(v & exists_bit)) {
             v = exists_bit;
-            if (cycle < swept) [[unlikely]]
-                belowSwept.push_back(cycle);
             if (entries == 0 || cycle < minExist)
                 minExist = cycle;
             ++entries;
             if (cycle >= hiCycle)
                 hiCycle = cycle + 1;
         }
-        return v & count_mask;
+        return v;
+    }
+
+    /** An existing cell: in the window, or else in the side table. */
+    uint32_t &
+    existing(Cycle cycle)
+    {
+        if (cycle - base < cells.size())
+            return cells[cycle & mask];
+        return phantoms.at(cycle);
+    }
+
+    /** touch() below the swept floor: the side table's cell. */
+    [[gnu::noinline]] uint32_t &
+    phantom(Cycle cycle)
+    {
+        bool created;
+        uint32_t &v = phantoms.insert(cycle, created);
+        entries += created;
+        return v;
     }
 
     /**
@@ -320,7 +458,7 @@ class CycleResource
         // One unsigned compare: cycle < runLo wraps past the run size.
         if (cycle - runLo < runHi - runLo)
             cycle = runHi;
-        while (touch(cycle) + units > cap) {
+        while (countOf(touch(cycle)) + units > cap) {
             if (++cycle == runLo)
                 cycle = runHi;
         }
@@ -346,7 +484,8 @@ class CycleResource
         }
     }
 
-    /** Slide or grow the window so @p cycle becomes addressable. */
+    /** Slide or grow the window so @p cycle (>= swept) becomes
+     *  addressable. */
     void
     reshape(Cycle cycle)
     {
@@ -358,16 +497,17 @@ class CycleResource
             minExist = cycle;
             return;
         }
-        // Live cells occupy [lo, hiCycle); everything else stores 0.
+        // Live ring cells occupy [lo, hiCycle), lo >= base; everything
+        // else in the ring stores 0.
         Cycle lo = entries ? minExist : hiCycle;
         if (cycle < base) {
-            // Probe below the window (an unlimited-window model
-            // re-probing cycles the horizon already passed). A cell's
-            // ring position is cycle & mask — independent of base —
-            // so when the live span still fits a window starting at
-            // the probe, sliding the base down is free: cells below
-            // the old base are absent (store 0) and no cell leaves
-            // the new window's top.
+            // Probe between the swept floor and the window (an
+            // unlimited-window model re-probing cycles the horizon
+            // already passed). A cell's ring position is cycle & mask
+            // — independent of base — so when the live span still
+            // fits a window starting at the probe, sliding the base
+            // down is free: cells below the old base are absent
+            // (store 0) and no cell leaves the new window's top.
             if (hiCycle - cycle <= cells.size()) {
                 base = cycle;
                 return;
@@ -409,12 +549,12 @@ class CycleResource
     unsigned cap;
     std::vector<uint32_t> cells; ///< exists_bit | 31-bit unit count
     size_t mask = 0;
-    Cycle base = 0;    ///< cycle addressed by window start
-    Cycle hiCycle = 0; ///< one past the highest existing cell
-    Cycle minExist = 0; ///< lower bound on the lowest existing cell
+    Cycle base = 0;    ///< cycle addressed by window start (>= swept)
+    Cycle hiCycle = 0; ///< one past the highest existing ring cell
+    Cycle minExist = 0; ///< lower bound on the lowest ring cell, >= base
     size_t entries = 0; ///< live entry count (reference map size())
     Cycle swept = 0;    ///< end of the last sweep (invariant 3)
-    std::vector<Cycle> belowSwept; ///< cells created below swept
+    PhantomCells phantoms; ///< cells created below swept
     Cycle runLo = 0;    ///< known-full run [runLo, runHi) (invariant 4)
     Cycle runHi = 0;
 };

@@ -19,6 +19,25 @@
 #include "kernels/kernel.hh"
 #include "sim/pipeline.hh"
 
+namespace cryptarch::sim
+{
+
+/** Reads OooScheduler's private resource pools. */
+struct OooSchedulerProbe
+{
+    /** The dense ring size of each limited resource of @p sched. */
+    static std::vector<size_t>
+    windowCells(OooScheduler &sched)
+    {
+        std::vector<size_t> cells;
+        sched.forEachResource(
+            [&](CycleResource &r) { cells.push_back(r.windowCells()); });
+        return cells;
+    }
+};
+
+} // namespace cryptarch::sim
+
 namespace
 {
 
@@ -288,5 +307,28 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<StreamCase> &info) {
         return kernelName(std::get<0>(info.param), std::get<1>(info.param));
     });
+
+/**
+ * On the unlimited-window models with finite units (DF+Res) or issue
+ * width (DF+Issue) the scheduler probes far below its prune horizon.
+ * Those phantom cells must not stretch any resource's dense ring over
+ * the session: after a 3DES replay, the longest-running kernel, every
+ * limited pool's window stays within 64K cells.
+ */
+TEST(ReplayFootprint, UnlimitedWindowRingsStaySmall)
+{
+    auto trace = driver::recordKernelTrace(crypto::CipherId::TripleDES,
+                                           KernelVariant::Optimized,
+                                           16 * 1024);
+    for (const auto &cfg : {MachineConfig::dfPlusResources(),
+                            MachineConfig::dfPlusIssue()}) {
+        sim::OooScheduler sched(cfg);
+        trace.replay(static_cast<isa::TraceSink &>(sched));
+        const auto cells = sim::OooSchedulerProbe::windowCells(sched);
+        ASSERT_FALSE(cells.empty()) << cfg.name;
+        for (size_t n : cells)
+            EXPECT_LE(n, 64u * 1024) << cfg.name;
+    }
+}
 
 } // namespace

@@ -12,10 +12,11 @@
  * entry count agree at every step.
  *
  * The ring's two shortcuts — the known-full run nextFree() jumps over
- * and the incremental sweep above the last sweep's end — only engage
- * on long densely booked spans probed from far below the frontier,
- * which the random walk never builds. The dense episodes and the
- * directed trim test below drive both, shaped like the DF+Res replay.
+ * and the side table that holds cells created below the last sweep's
+ * end — only engage on long densely booked spans probed from far below
+ * the frontier, which the random walk never builds. The dense episodes
+ * and the directed tests below drive both, shaped like the DF+Res
+ * replay, and bound the ring's footprint on a session-length span.
  */
 
 #include <gtest/gtest.h>
@@ -333,6 +334,133 @@ TEST(CycleResourceDifferential, FullRunTrimmedByPruneAndCellsBelowSweep)
     EXPECT_TRUE(ring.canReserve(6499));
     EXPECT_EQ(nextFree(6400), 6400u);
     EXPECT_EQ(nextFree(6500), 9000u);
+    same("at the end");
+}
+
+/**
+ * DF+Res-shaped footprint: the booking frontier walks past 10^7 cycles
+ * with a gated sweep every 4096 bookings, and after every sweep a few
+ * probes land at cycles 0-63 and at a slow second frontier (the fetch
+ * clock of an unlimited-fetch machine), far below the swept floor.
+ * Every result must match the reference, and the ring must stay within
+ * 64K cells: the phantom cells those probes create belong to the side
+ * table, not to a window reaching back toward cycle 0.
+ */
+TEST(CycleResourceDifferential, PhantomProbesKeepTheRingSmall)
+{
+    constexpr size_t max_cells = 64 * 1024;
+    std::mt19937 rng(0xF007);
+    CycleResource ring(2);
+    CycleResourceRef ref(2);
+
+    Cycle frontier = 0;
+    Cycle slow = 0;
+    unsigned sweeps = 0;
+    size_t widest = 0;
+    auto reserve = [&](Cycle c, unsigned units, int op) {
+        const Cycle got = ring.reserve(c, units);
+        ASSERT_EQ(got, ref.reserve(c, units))
+            << "reserve(" << c << ", " << units << ") op " << op;
+        ASSERT_EQ(ring.entryCount(), ref.entryCount()) << "op " << op;
+    };
+    for (int i = 1; frontier < 10'000'000; i++) {
+        frontier += 1 + rng() % 15;
+        const unsigned units = rng() % 4 == 0 ? 2 : 1;
+        reserve(frontier > 8 ? frontier - rng() % 8 : frontier, units, i);
+        if (i % 4096)
+            continue;
+        const size_t before = ring.entryCount();
+        ring.retireBefore(frontier - 2000);
+        ref.retireBefore(frontier - 2000);
+        ASSERT_EQ(ring.entryCount(), ref.entryCount()) << "sweep op " << i;
+        sweeps += ring.entryCount() < before;
+        slow += 64;
+        for (int k = 0; k < 8; k++) {
+            reserve(rng() % 64, 1, i);
+            reserve(slow + rng() % 16, 1 + rng() % 2, i);
+            // A joint reservation rolled back below the floor.
+            const Cycle c = rng() % 64;
+            const bool a = ring.tryBook(c);
+            ASSERT_EQ(a, ref.tryBook(c)) << "tryBook(" << c << ") op " << i;
+            if (a) {
+                ring.unbook(c);
+                ref.unbook(c);
+            }
+            ASSERT_EQ(ring.canReserve(c), ref.canReserve(c)) << "op " << i;
+        }
+        widest = std::max(widest, ring.windowCells());
+        ASSERT_LE(ring.windowCells(), max_cells) << "sweep op " << i;
+    }
+    EXPECT_GT(sweeps, 200u);
+    EXPECT_LE(widest, max_cells);
+}
+
+/**
+ * A stepped-back horizon leaves side-table cells in [end, swept); a
+ * later probe then grows the window forward or slides it down. Neither
+ * may cover those cells from the ring side, which reads them as absent
+ * and frees a cycle the reference still holds full.
+ */
+TEST(CycleResourceDifferential, WindowNeverShadowsCellsBelowTheFloor)
+{
+    CycleResource ring(1);
+    CycleResourceRef ref(1);
+    auto same = [&](const char *what) {
+        ASSERT_EQ(ring.entryCount(), ref.entryCount()) << what;
+    };
+    auto reserve = [&](Cycle c) {
+        const Cycle got = ring.reserve(c);
+        EXPECT_EQ(got, ref.reserve(c)) << "reserve(" << c << ")";
+        return got;
+    };
+    auto nextFree = [&](Cycle c) {
+        const Cycle got = ring.nextFree(c);
+        EXPECT_EQ(got, ref.nextFree(c)) << "nextFree(" << c << ")";
+        return got;
+    };
+    auto prune = [&](Cycle h) {
+        ring.retireBefore(h);
+        ref.retireBefore(h);
+    };
+
+    for (Cycle c = 0; c < 6000; c++)
+        reserve(c);
+    prune(6000); // sweeps everything: the floor is at 6000
+    same("after the first prune");
+    ASSERT_EQ(ring.entryCount(), 0u);
+    for (Cycle c = 10000; c < 15000; c++)
+        reserve(c);
+    // Phantom cells below the floor.
+    EXPECT_EQ(reserve(5500), 5500u);
+    EXPECT_EQ(reserve(5800), 5800u);
+    // The window's base moves up past the floor.
+    EXPECT_EQ(reserve(30000), 30000u);
+    same("before the stepped-back prune");
+    prune(5600); // drops 5500, keeps 5800 in [end, swept)
+    same("after the stepped-back prune");
+    EXPECT_TRUE(ring.canReserve(5500));
+    EXPECT_FALSE(ring.canReserve(5800));
+
+    // Forward growth right after the stepped-back sweep.
+    EXPECT_EQ(reserve(70000), 70000u);
+    EXPECT_FALSE(ring.canReserve(5800));
+    EXPECT_EQ(nextFree(5800), 5801u);
+    same("after growing forward");
+    // Slide down onto the floor, then below the old base.
+    EXPECT_EQ(reserve(6000), 6000u);
+    EXPECT_EQ(reserve(7000), 7000u);
+    EXPECT_FALSE(ring.canReserve(5800));
+    EXPECT_EQ(nextFree(5800), 5801u);
+    EXPECT_EQ(reserve(5799), 5799u);
+    EXPECT_EQ(reserve(5799), 5801u);
+    same("after sliding down");
+    // A later forward sweep drops the kept cell with the rest.
+    for (Cycle c = 70001; c < 75000; c++)
+        reserve(c);
+    prune(72000);
+    same("after the forward prune");
+    EXPECT_TRUE(ring.canReserve(5800));
+    EXPECT_EQ(nextFree(5800), 5800u);
     same("at the end");
 }
 
