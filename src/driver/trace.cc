@@ -143,10 +143,10 @@ RecordedTrace::replay(const sim::MachineConfig &cfg,
 
     // One segment per pass: the prologue, then one block-loop
     // iteration each, the last running to the end of the trace. The
-    // outcome step sees every instruction in program order (on an
-    // armed segment through the outcome walk, which resolves only the
-    // instructions whose outcome step is not inert); the core sees the
-    // ones the memo cannot skip.
+    // outcome step sees every instruction in program order through the
+    // outcome walk, which resolves only the instructions whose outcome
+    // step is not inert; the core sees the segments the memo cannot
+    // skip.
     sim::IterationMemo memo(sched, loopHead_);
     sim::OutcomeVector outcomes;
     RunTable runs(program_.size());
@@ -154,21 +154,13 @@ RecordedTrace::replay(const sim::MachineConfig &cfg,
     while (at.seq < count_) {
         const Cursor start = at;
         outcomes.clear();
-        if (memo.armed()) {
-            at = resolveRuns(at, sched, outcomes, runs);
-            if (memo.skip(outcomes))
-                continue;
-            sim::OutcomeVector::Reader read(outcomes);
-            walk<true>(start, [&](const isa::DynInst &inst) {
-                sched.schedule(inst, read.next());
-            });
-        } else {
-            at = walk<true>(at, [&](const isa::DynInst &inst) {
-                const sim::Outcome out = sched.resolve(inst);
-                outcomes.push(out);
-                sched.schedule(inst, out);
-            });
-        }
+        at = resolveRuns(at, sched, outcomes, runs);
+        if (memo.skip(outcomes))
+            continue;
+        sim::OutcomeVector::Reader read(outcomes);
+        walk<true>(start, [&](const isa::DynInst &inst) {
+            sched.schedule(inst, read.next());
+        });
         memo.ran(outcomes, at.seq < count_);
     }
     memo.settle();

@@ -139,7 +139,10 @@ class RecordedTrace final : public isa::TraceSink
      * head fast-forwards block-loop iterations the scheduler already
      * ran from the same state with the same outcomes
      * (sim::IterationMemo); @p fastForwarded, when non-null, receives
-     * how many instructions it skipped that way. Under the auditor
+     * how many instructions it skipped that way. There every segment
+     * (the prologue, then one iteration each) first takes the outcome
+     * walk (resolveRuns), and the core schedules the ones the memo
+     * does not skip. Under the auditor
      * (sim::setSimAudit) the core also runs every skipped iteration and
      * must agree with the memo, or AuditError is thrown; the count then
      * says how many instructions it checked that way.

@@ -566,6 +566,8 @@ IterationMemo::ran(const OutcomeVector &outcomes, bool atHead)
 bool
 IterationMemo::skip(const OutcomeVector &outcomes)
 {
+    if (cur < 0)
+        return false;
     const Cycle lag = floors[0] - (fetch + s.cfg.frontendDepth);
     for (uint32_t ei : states[cur].edges) {
         const Edge &e = edges[ei];

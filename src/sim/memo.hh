@@ -11,9 +11,11 @@
  * cycles they added and the state they ended in. When the next
  * iteration starts from a remembered state and its outcome step gives
  * a remembered outcome vector, the memo adds that iteration's stall
- * cycles and moves the floors instead of running the core. Leaving
- * fast-forward rebuilds the scheduler from the canonical state at the
- * current floors. The outcome step always runs, so caches, predictor
+ * cycles and moves the floors instead of running the core. The replay
+ * resolves every segment, the prologue included, and offers its
+ * outcome vector to skip(); a segment it does not skip runs on the
+ * core and is reported to ran(). Leaving fast-forward rebuilds the
+ * scheduler from the canonical state at the current floors. The outcome step always runs, so caches, predictor
  * and their counters stay exact; a miss or a mispredict is just
  * another outcome vector.
  *
@@ -129,21 +131,11 @@ class IterationMemo
     static bool fastForwardable(OooScheduler &sched);
 
     /**
-     * True when the core stands at a remembered state that has
-     * iterations to offer, or fast-forward left the scheduler behind:
-     * resolve the next iteration's outcomes first, then call skip().
-     */
-    bool
-    armed() const
-    {
-        return cur >= 0 && (virtualCore || !states[cur].edges.empty());
-    }
-
-    /**
      * Fast-forward over the iteration whose outcome step gave
      * @p outcomes when the memo holds it, and return true. Otherwise
-     * rebuild the scheduler at the current state and return false: the
-     * caller schedules the iteration on the core and calls ran().
+     * rebuild the scheduler if fast-forward left it behind and return
+     * false (always so with no current state, e.g. on the prologue):
+     * the caller schedules the segment on the core and calls ran().
      * Under the auditor a hit also returns false: the core runs the
      * iteration and ran() checks it against the hit.
      */

@@ -159,12 +159,13 @@ OooScheduler::issueOf(const DynInst &inst, Outcome out, Cycle ready,
         break;
     }
 
-    // Find the first cycle with both an issue slot and a unit. Both
-    // are reserved jointly; every cycle that loses the race is charged
-    // to the constraint that lost it (the issue slot first — without
-    // one the unit is unreachable regardless). nextFree() walks the
-    // issue ring directly, so a run of slot-full cycles costs one
-    // array scan instead of a lookup per losing cycle.
+    // Find the first cycle with both an issue slot and a unit. Every
+    // cycle that loses the race is charged to the constraint that lost
+    // it (the issue slot first — without one the unit is unreachable
+    // regardless). nextFree() walks the issue ring directly, so a run
+    // of slot-full cycles costs one array scan instead of a lookup per
+    // losing cycle; it leaves the slot unbooked, and the slot is booked
+    // once, after the unit fits.
     // The two causes this loop can charge accumulate in locals and
     // are stored once on exit: every stall slot is written at most
     // once per instruction, which is what lets emit() leave the
@@ -194,10 +195,8 @@ OooScheduler::issueOf(const DynInst &inst, Outcome out, Cycle ready,
         while (true) {
             slotAt = issueSlots.nextFree(cycle);
             slotWait += slotAt - cycle;
-            issueSlots.bookProbed(slotAt);
             if (!fu || fu->tryBook(slotAt, units))
                 break;
-            issueSlots.unbook(slotAt);
             fuWait++;
             // Forward-progress watchdog: fuWait counts exactly the
             // failed unit bookings, so the uncontended path pays
@@ -209,6 +208,7 @@ OooScheduler::issueOf(const DynInst &inst, Outcome out, Cycle ready,
                                 fuWait);
             cycle = slotAt + 1;
         }
+        issueSlots.book(slotAt);
     }
     if (slotWait) {
         stall[static_cast<size_t>(StallCause::IssueSlot)] = slotWait;

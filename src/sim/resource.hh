@@ -8,11 +8,11 @@
  * it.
  *
  * Bookkeeping is a power-of-two sliding-window ring buffer indexed by
- * `cycle & mask`: every probe, booking and rollback is one array
- * access, and nextFree() walks consecutive cells instead of paying a
- * hash lookup per losing cycle the way the original
- * std::unordered_map implementation did (kept as the differential
- * reference in tests/sim/cycle_resource_ref.hh).
+ * `cycle & mask`: every probe and booking is one array access, and
+ * nextFree() walks consecutive cells instead of paying a hash lookup
+ * per losing cycle the way the original std::unordered_map
+ * implementation did (kept as the differential reference in
+ * tests/sim/cycle_resource_ref.hh).
  *
  * The replacement is bit-identical to that reference by construction,
  * which requires reproducing two behaviors of the map faithfully:
@@ -62,12 +62,11 @@
  *
  *  4. Full run. Every cell in [runLo, runHi) holds count >= capacity,
  *     so no unit count fits there. Unit-1 scans establish it (each
- *     cycle they pass is full), and nothing un-fills a cell except a
- *     sweep, which trims the run, and unbook(), which only undoes a
- *     tryBook that succeeded on a cell that was not full. nextFree()
- *     jumps over the run without touching it: a full cell already
- *     holds a booking and so already exists, in the ring or the side
- *     table, so touch() would change nothing there.
+ *     cycle they pass is full), and only a sweep, which trims the run,
+ *     un-fills a cell. nextFree() jumps over the run without touching
+ *     it: a full cell already holds a booking and so already exists,
+ *     in the ring or the side table, so touch() would change nothing
+ *     there.
  */
 
 #ifndef CRYPTARCH_SIM_RESOURCE_HH
@@ -107,7 +106,7 @@ class CycleResource
             return earliest;
         }
         Cycle cycle = scanPast(earliest, units);
-        bookProbed(cycle, units);
+        book(cycle, units);
         return cycle;
     }
 
@@ -133,16 +132,8 @@ class CycleResource
         return scanPast(cycle, units);
     }
 
-    /** True when @p units fit at @p cycle without booking them. */
-    bool
-    canReserve(Cycle cycle, unsigned units = 1) const
-    {
-        if (cap == unlimited)
-            return true;
-        return countAt(cycle) + units <= cap;
-    }
-
-    /** Book @p units at @p cycle; caller checked canReserve. */
+    /** Book @p units at @p cycle, which has room for them (the
+     *  scheduler found it with nextFree()). */
     void
     book(Cycle cycle, unsigned units = 1)
     {
@@ -151,23 +142,10 @@ class CycleResource
     }
 
     /**
-     * Book @p units at a cycle this resource just returned from
-     * nextFree(): the winning cell was touched by the scan, so the
-     * entry exists and a single raw add suffices (the issueOf probe
-     * loop's companion to nextFree).
-     */
-    void
-    bookProbed(Cycle cycle, unsigned units = 1)
-    {
-        if (cap != unlimited)
-            existing(cycle) += units;
-    }
-
-    /**
      * Book @p units at @p cycle if they fit, with a single cell
-     * access (canReserve+book costs two). Returns false and books
-     * nothing when the cycle is full. The scheduler's joint
-     * slot-and-unit reservation is built on this.
+     * access. Returns false and books nothing when the cycle is full.
+     * The scheduler's joint slot-and-unit reservation is built on
+     * this.
      */
     bool
     tryBook(Cycle cycle, unsigned units = 1)
@@ -179,18 +157,6 @@ class CycleResource
             return false;
         v += units;
         return true;
-    }
-
-    /**
-     * Undo a successful tryBook at @p cycle (joint-reservation
-     * rollback). Only valid immediately after that tryBook — the cell
-     * must still exist where the tryBook left it.
-     */
-    void
-    unbook(Cycle cycle, unsigned units = 1)
-    {
-        if (cap != unlimited)
-            existing(cycle) -= units;
     }
 
     /**
@@ -300,9 +266,6 @@ class CycleResource
         {
             return slots.empty() ? 0 : countOf(slots[locate(cycle)].value);
         }
-
-        /** The cell at @p cycle, which must exist. */
-        uint32_t &at(Cycle cycle) { return slots[locate(cycle)].value; }
 
         /** The cell at @p cycle, created (value exists_bit) when
          *  absent; @p created says which. */
@@ -425,15 +388,6 @@ class CycleResource
                 hiCycle = cycle + 1;
         }
         return v;
-    }
-
-    /** An existing cell: in the window, or else in the side table. */
-    uint32_t &
-    existing(Cycle cycle)
-    {
-        if (cycle - base < cells.size())
-            return cells[cycle & mask];
-        return phantoms.at(cycle);
     }
 
     /** touch() below the swept floor: the side table's cell. */

@@ -9,6 +9,8 @@
  * on the window-limited and the booking-free DF models, DF+Mem's
  * measured share, and nothing on DF+Issue and DF+Res. Under the
  * auditor the memo skips as much, and a corrupted memo entry throws.
+ * A seeded sweep of fetch/issue/window/depth/L1 shapes runs with and
+ * without the auditor.
  */
 
 #include <gtest/gtest.h>
@@ -293,21 +295,12 @@ replayWithFault(const driver::RecordedTrace &trace, uint32_t head,
         while (end < insts.size() && insts[end++].nextPc != head) {
         }
         sim::OutcomeVector outcomes;
-        if (memo.armed()) {
+        for (size_t i = at; i < end; i++)
+            outcomes.push(sched.resolve(insts[i]));
+        if (!memo.skip(outcomes)) {
+            sim::OutcomeVector::Reader read(outcomes);
             for (size_t i = at; i < end; i++)
-                outcomes.push(sched.resolve(insts[i]));
-            if (!memo.skip(outcomes)) {
-                sim::OutcomeVector::Reader read(outcomes);
-                for (size_t i = at; i < end; i++)
-                    sched.schedule(insts[i], read.next());
-                memo.ran(outcomes, end < insts.size());
-            }
-        } else {
-            for (size_t i = at; i < end; i++) {
-                const sim::Outcome out = sched.resolve(insts[i]);
-                outcomes.push(out);
-                sched.schedule(insts[i], out);
-            }
+                sched.schedule(insts[i], read.next());
             memo.ran(outcomes, end < insts.size());
         }
         corrupted = sim::IterationMemoProbe::corrupt(memo, corrupted, fault);
@@ -342,21 +335,22 @@ TEST(FastForward, AuditorThrowsOnACorruptedMemoEntry)
     }
 }
 
-TEST(FastForward, SeededShapesAgreeUnderTheAuditor)
+/**
+ * A seeded sweep of the shapes where fast-forward's shortcuts are
+ * easiest to get wrong: fetch narrower or wider than issue (the fetch
+ * rule), small windows, frontend depth, and L1s of 1 to 128 sets,
+ * where a next-line prefetch into a one-line L1 evicts the latest
+ * block (the cache's repeat check). Every shape's stats must equal
+ * the full path's; returns the instructions the memo skipped.
+ */
+uint64_t
+sweepSeededShapes()
 {
-    // A seeded sweep of the shapes where fast-forward's shortcuts are
-    // easiest to get wrong: fetch narrower or wider than issue (the
-    // fetch rule), small windows, frontend depth, and L1s of 1 to 128
-    // sets, where a next-line prefetch into a one-line L1 evicts the
-    // latest block (the cache's repeat check). Under the auditor every memo hit and every repeat
-    // hit is checked on the spot, and the stats must equal the full
-    // path's.
     std::vector<driver::RecordedTrace> traces;
     for (auto id : allCiphers())
         for (auto v : {KernelVariant::BaselineNoRot, KernelVariant::Optimized})
             traces.push_back(driver::recordKernelTrace(id, v, 2 * 1024));
     util::Xorshift64 rng(0xFF22);
-    AuditOn audit;
     uint64_t skipped = 0;
     for (int i = 0; i < 32; i++) {
         MachineConfig cfg = MachineConfig::fourWide();
@@ -378,7 +372,23 @@ TEST(FastForward, SeededShapesAgreeUnderTheAuditor)
                         << cfg.name);
         skipped += n;
     }
-    EXPECT_GT(skipped, 0u);
+    return skipped;
+}
+
+TEST(FastForward, SeededShapesAgreeUnderTheAuditor)
+{
+    // Under the auditor every memo hit and every repeat hit is checked
+    // on the spot.
+    AuditOn audit;
+    EXPECT_GT(sweepSeededShapes(), 0u);
+}
+
+TEST(FastForward, SeededShapesAgreeWhenHitsSkipTheCore)
+{
+    // Without the auditor a hit skips the core, so every miss after a
+    // hit rebuilds the scheduler from the memo's canonical state
+    // (IterationMemo::restore) on these shapes too.
+    EXPECT_GT(sweepSeededShapes(), 0u);
 }
 
 TEST(FastForward, TraceWithoutLoopHeadTakesTheFullPath)

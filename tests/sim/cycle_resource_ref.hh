@@ -10,6 +10,10 @@
  * horizon can observe phantom capacity (load-bearing for the Figure 5
  * unlimited-window models).
  *
+ * The reference keeps only the operations the ring still offers: the
+ * scheduler books an issue slot once its unit fits, so neither has a
+ * rollback, and bookedAt() is the one read-only probe.
+ *
  * One fix over the seed version: a min-key watermark skips the sweep
  * when nothing lies below the horizon. The seed re-scanned all >= 4096
  * live entries on every prune call even when the scan could not erase
@@ -56,13 +60,12 @@ class CycleResourceRef
         return cycle;
     }
 
-    bool
-    canReserve(sim::Cycle cycle, unsigned units = 1) const
+    /** Units booked at @p cycle, without creating an entry. */
+    unsigned
+    bookedAt(sim::Cycle cycle) const
     {
-        if (cap == sim::unlimited)
-            return true;
         auto it = usage.find(cycle);
-        return (it == usage.end() ? 0 : it->second) + units <= cap;
+        return it == usage.end() ? 0 : it->second;
     }
 
     void
@@ -82,13 +85,6 @@ class CycleResourceRef
             return false;
         used += units;
         return true;
-    }
-
-    void
-    unbook(sim::Cycle cycle, unsigned units = 1)
-    {
-        if (cap != sim::unlimited)
-            usage[cycle] -= units;
     }
 
     void

@@ -67,13 +67,14 @@ TEST(CycleResource, MultiUnitReservation)
     EXPECT_EQ(r.reserve(0, 2), 2u); // cycle 1 has only 1 slot left
 }
 
-TEST(CycleResource, CanReserveThenBook)
+TEST(CycleResource, BookShowsInBookedAt)
 {
     CycleResource r(1);
-    EXPECT_TRUE(r.canReserve(3));
+    EXPECT_EQ(r.bookedAt(3), 0u);
     r.book(3);
-    EXPECT_FALSE(r.canReserve(3));
-    EXPECT_TRUE(r.canReserve(4));
+    EXPECT_EQ(r.bookedAt(3), 1u);
+    EXPECT_EQ(r.bookedAt(4), 0u);
+    EXPECT_EQ(r.nextFree(3), 4u);
 }
 
 } // namespace

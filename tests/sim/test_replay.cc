@@ -5,6 +5,8 @@
  * the scheduler live to Machine::run. This is the property the whole
  * bench driver rests on — a recorded trace IS the functional
  * execution, so a model sweep may replay it any number of times.
+ * Also bounds the resource rings of the unlimited-window models and
+ * checks that a failed unit probe books no issue slot.
  */
 
 #include <gtest/gtest.h>
@@ -33,6 +35,13 @@ struct OooSchedulerProbe
         sched.forEachResource(
             [&](CycleResource &r) { cells.push_back(r.windowCells()); });
         return cells;
+    }
+
+    /** Issue slots booked at @p cycle in @p sched. */
+    static unsigned
+    issueSlotsAt(const OooScheduler &sched, Cycle cycle)
+    {
+        return sched.issueSlots.bookedAt(cycle);
     }
 };
 
@@ -329,6 +338,64 @@ TEST(ReplayFootprint, UnlimitedWindowRingsStaySmall)
         for (size_t n : cells)
             EXPECT_LE(n, 64u * 1024) << cfg.name;
     }
+}
+
+/**
+ * The joint issue probe books an issue slot only once the unit fits: a
+ * cycle whose slot is free but whose rotator or multiplier is taken
+ * keeps its slot. Two issue slots, one rotator and two multiplier
+ * half-slots (a 64-bit multiply takes both) make a burst of independent
+ * ROT and MUL ops fail many unit probes; in every cycle the booked
+ * issue slots must equal the instructions the timeline shows issuing.
+ */
+TEST(IssueProbe, FailedUnitProbeBooksNoSlot)
+{
+    MachineConfig cfg = MachineConfig::fourWide();
+    cfg.issueWidth = 2;
+    cfg.numRotUnits = 1;
+    cfg.mulHalfSlots = 2;
+    sim::OooScheduler sched(cfg);
+    constexpr uint32_t n = 96;
+    sched.recordTimeline(0, n);
+    for (uint32_t i = 0; i < n; i++) {
+        isa::DynInst inst;
+        inst.seq = i;
+        inst.pc = i;
+        inst.nextPc = i + 1;
+        inst.dest = static_cast<uint8_t>(1 + i % 16);
+        // Rotates in runs of three, then a 64-bit and a 32-bit multiply.
+        switch (i % 5) {
+          case 3:
+            inst.op = isa::Opcode::Mulq;
+            inst.cls = isa::OpClass::IntMult;
+            break;
+          case 4:
+            inst.op = isa::Opcode::Mull;
+            inst.cls = isa::OpClass::IntMult32;
+            break;
+          default:
+            inst.op = isa::Opcode::Rol;
+            inst.cls = isa::OpClass::RotUnit;
+        }
+        sched.emit(inst);
+    }
+    const auto &timeline = sched.timelineEntries();
+    ASSERT_EQ(timeline.size(), n);
+    std::vector<unsigned> issued;
+    uint64_t unitWait = 0;
+    for (const auto &e : timeline) {
+        if (e.issue >= issued.size())
+            issued.resize(e.issue + 1);
+        issued[e.issue]++;
+        unitWait += e.stall[static_cast<size_t>(sim::StallCause::FuRot)]
+            + e.stall[static_cast<size_t>(sim::StallCause::FuMul)];
+    }
+    // The burst really failed unit probes at cycles with a free slot.
+    EXPECT_GT(unitWait, n);
+    for (sim::Cycle c = 0; c < issued.size() + 8; c++)
+        EXPECT_EQ(sim::OooSchedulerProbe::issueSlotsAt(sched, c),
+                  c < issued.size() ? issued[c] : 0u)
+            << "cycle " << c;
 }
 
 } // namespace

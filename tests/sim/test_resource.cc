@@ -7,7 +7,7 @@
  * quirks — probe-created entries, the >= 4096-entry erase gate, and
  * phantom capacity on probes below an erased horizon — so the property
  * test drives both through long random op sequences (booking walks,
- * joint tryBook/unbook reservations, horizon prunes, deliberate
+ * tryBook unit probes, bookedAt reads, horizon prunes, deliberate
  * below-horizon probes) and demands every return value and the live
  * entry count agree at every step.
  *
@@ -49,7 +49,7 @@ TEST(CycleResourceRing, NextFreeDoesNotBook)
     CycleResource res(1);
     EXPECT_EQ(res.nextFree(5), 5u);
     EXPECT_EQ(res.nextFree(5), 5u);
-    EXPECT_TRUE(res.canReserve(5));
+    EXPECT_EQ(res.bookedAt(5), 0u);
 }
 
 TEST(CycleResourceRing, ReserveIsNextFreePlusBook)
@@ -67,9 +67,9 @@ TEST(CycleResourceRing, WindowSlidesAndRegrowsDownward)
     for (Cycle c = 0; c < 100000; c += 97)
         EXPECT_EQ(res.reserve(c), c);
     // A probe far below the window base must still see those bookings.
-    EXPECT_FALSE(res.canReserve(0));
+    EXPECT_EQ(res.bookedAt(0), 1u);
     EXPECT_EQ(res.reserve(1), 1u);
-    EXPECT_FALSE(res.canReserve(1));
+    EXPECT_EQ(res.bookedAt(1), 1u);
 }
 
 TEST(CycleResourceRing, UnlimitedTracksNothing)
@@ -77,7 +77,7 @@ TEST(CycleResourceRing, UnlimitedTracksNothing)
     CycleResource res(0);
     EXPECT_EQ(res.reserve(42, 100), 42u);
     EXPECT_EQ(res.nextFree(42), 42u);
-    EXPECT_TRUE(res.canReserve(42, 1000));
+    EXPECT_EQ(res.bookedAt(42), 0u);
     EXPECT_EQ(res.entryCount(), 0u);
     EXPECT_FALSE(res.limited());
 }
@@ -124,23 +124,14 @@ differentialEpisode(unsigned cap, uint32_t seed, int ops)
                 << "nextFree(" << cycle << ", " << units << ") op " << i;
             break;
         case 2:
-            ASSERT_EQ(ring.canReserve(cycle, units),
-                      ref.canReserve(cycle, units))
-                << "canReserve(" << cycle << ", " << units << ") op " << i;
+            ASSERT_EQ(ring.bookedAt(cycle), ref.bookedAt(cycle))
+                << "bookedAt(" << cycle << ") op " << i;
             break;
-        case 3: {
-            // Joint reservation: tryBook, then roll back half the time
-            // (exactly the scheduler's slot+FU pattern).
-            bool a = ring.tryBook(cycle, units);
-            bool b = ref.tryBook(cycle, units);
-            ASSERT_EQ(a, b)
+        case 3:
+            // The scheduler's unit probe in a joint slot+FU reservation.
+            ASSERT_EQ(ring.tryBook(cycle, units), ref.tryBook(cycle, units))
                 << "tryBook(" << cycle << ", " << units << ") op " << i;
-            if (a && rng() % 2) {
-                ring.unbook(cycle, units);
-                ref.unbook(cycle, units);
-            }
             break;
-        }
         case 4:
             ring.book(cycle, units);
             ref.book(cycle, units);
@@ -182,13 +173,13 @@ TEST(CycleResourceDifferential, EraseGateAndPhantomCapacity)
     ASSERT_EQ(ring.entryCount(), ref.entryCount());
     ASSERT_EQ(ring.entryCount(), 500u);
     for (Cycle c : {0ull, 100ull, 4499ull}) {
-        ASSERT_EQ(ring.canReserve(c), ref.canReserve(c)) << c;
-        ASSERT_TRUE(ring.canReserve(c)) << c; // erased => free again
+        ASSERT_EQ(ring.bookedAt(c), ref.bookedAt(c)) << c;
+        ASSERT_EQ(ring.bookedAt(c), 0u) << c; // erased => free again
         ASSERT_EQ(ring.reserve(c), ref.reserve(c)) << c;
     }
     for (Cycle c : {4500ull, 4999ull}) {
-        ASSERT_EQ(ring.canReserve(c), ref.canReserve(c)) << c;
-        ASSERT_FALSE(ring.canReserve(c)) << c; // survived the prune
+        ASSERT_EQ(ring.bookedAt(c), ref.bookedAt(c)) << c;
+        ASSERT_EQ(ring.bookedAt(c), 1u) << c; // survived the prune
     }
 }
 
@@ -319,8 +310,8 @@ TEST(CycleResourceDifferential, FullRunTrimmedByPruneAndCellsBelowSweep)
     same("before the stepped-back prune");
     prune(2000); // drops 100, 1000 and 1001; keeps 2500 and 2999
     same("after the stepped-back prune");
-    EXPECT_TRUE(ring.canReserve(1000));
-    EXPECT_FALSE(ring.canReserve(2500));
+    EXPECT_EQ(ring.bookedAt(1000), 0u);
+    EXPECT_EQ(ring.bookedAt(2500), 1u);
     EXPECT_EQ(nextFree(2400), 2400u);
     EXPECT_EQ(nextFree(2500), 2501u);
     for (Cycle c = 7200; c < 9000; c++)
@@ -330,8 +321,8 @@ TEST(CycleResourceDifferential, FullRunTrimmedByPruneAndCellsBelowSweep)
     prune(6500);
     same("after the forward prune");
     ASSERT_EQ(ring.entryCount(), 2501u); // 6500..8999 plus probed 9000
-    EXPECT_TRUE(ring.canReserve(2500));
-    EXPECT_TRUE(ring.canReserve(6499));
+    EXPECT_EQ(ring.bookedAt(2500), 0u);
+    EXPECT_EQ(ring.bookedAt(6499), 0u);
     EXPECT_EQ(nextFree(6400), 6400u);
     EXPECT_EQ(nextFree(6500), 9000u);
     same("at the end");
@@ -378,15 +369,11 @@ TEST(CycleResourceDifferential, PhantomProbesKeepTheRingSmall)
         for (int k = 0; k < 8; k++) {
             reserve(rng() % 64, 1, i);
             reserve(slow + rng() % 16, 1 + rng() % 2, i);
-            // A joint reservation rolled back below the floor.
+            // A unit probe below the floor.
             const Cycle c = rng() % 64;
-            const bool a = ring.tryBook(c);
-            ASSERT_EQ(a, ref.tryBook(c)) << "tryBook(" << c << ") op " << i;
-            if (a) {
-                ring.unbook(c);
-                ref.unbook(c);
-            }
-            ASSERT_EQ(ring.canReserve(c), ref.canReserve(c)) << "op " << i;
+            ASSERT_EQ(ring.tryBook(c), ref.tryBook(c))
+                << "tryBook(" << c << ") op " << i;
+            ASSERT_EQ(ring.bookedAt(c), ref.bookedAt(c)) << "op " << i;
         }
         widest = std::max(widest, ring.windowCells());
         ASSERT_LE(ring.windowCells(), max_cells) << "sweep op " << i;
@@ -438,18 +425,18 @@ TEST(CycleResourceDifferential, WindowNeverShadowsCellsBelowTheFloor)
     same("before the stepped-back prune");
     prune(5600); // drops 5500, keeps 5800 in [end, swept)
     same("after the stepped-back prune");
-    EXPECT_TRUE(ring.canReserve(5500));
-    EXPECT_FALSE(ring.canReserve(5800));
+    EXPECT_EQ(ring.bookedAt(5500), 0u);
+    EXPECT_EQ(ring.bookedAt(5800), 1u);
 
     // Forward growth right after the stepped-back sweep.
     EXPECT_EQ(reserve(70000), 70000u);
-    EXPECT_FALSE(ring.canReserve(5800));
+    EXPECT_EQ(ring.bookedAt(5800), 1u);
     EXPECT_EQ(nextFree(5800), 5801u);
     same("after growing forward");
     // Slide down onto the floor, then below the old base.
     EXPECT_EQ(reserve(6000), 6000u);
     EXPECT_EQ(reserve(7000), 7000u);
-    EXPECT_FALSE(ring.canReserve(5800));
+    EXPECT_EQ(ring.bookedAt(5800), 1u);
     EXPECT_EQ(nextFree(5800), 5801u);
     EXPECT_EQ(reserve(5799), 5799u);
     EXPECT_EQ(reserve(5799), 5801u);
@@ -459,7 +446,7 @@ TEST(CycleResourceDifferential, WindowNeverShadowsCellsBelowTheFloor)
         reserve(c);
     prune(72000);
     same("after the forward prune");
-    EXPECT_TRUE(ring.canReserve(5800));
+    EXPECT_EQ(ring.bookedAt(5800), 0u);
     EXPECT_EQ(nextFree(5800), 5800u);
     same("at the end");
 }
@@ -474,7 +461,7 @@ TEST(CycleResourceDifferential, BelowGateNothingIsErased)
     ref.retireBefore(1000);
     ASSERT_EQ(ring.entryCount(), ref.entryCount());
     ASSERT_EQ(ring.entryCount(), 1000u); // gate not crossed: no sweep
-    ASSERT_FALSE(ring.canReserve(500));
+    ASSERT_EQ(ring.bookedAt(500), 1u);
 }
 
 } // namespace
