@@ -162,8 +162,8 @@ rejectUnknownArgs(int argc, char **argv,
  *
  * --audit is not a SweepOptions field: it calls the process-wide
  * sim::setSimAudit(true), which forked workers inherit and which also
- * covers a bench's direct sim::simulate calls. Without it the auditor
- * is left as it was.
+ * covers the replays a bench makes outside the sweep (fig06's Blowfish
+ * setup kernel). Without it the auditor is left as it was.
  *
  * A bench with flags of its own names them in @p own (see
  * rejectUnknownArgs); it parses them itself. Exits 2 with a usage

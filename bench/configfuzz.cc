@@ -13,9 +13,8 @@
  *   degenerate  deliberately broken (zero geometry, 0-cycle
  *               units, inverted latencies, allocation
  *               bombs)                                    -> rejected
- *   nonpow2     valid except non-power-of-two predictor /
- *               TLB entry counts                          -> ok
- *               (canonicalization rounds them down)
+ *   nonpow2     non-power-of-two predictor / TLB entry
+ *               counts, modelled at the size given        -> ok
  *   watchdog    a 1-slot multiplier pool (admissible) on
  *               a MULQ-bearing kernel                     -> stalled
  *               (the forward-progress watchdog converts
@@ -101,7 +100,7 @@ const FuzzKernel mulq_kernels[] = {
 };
 
 /** A randomized admissible machine: every field inside the envelope
- *  the validator accepts, power-of-two where indexing requires it. */
+ *  the validator accepts, with power-of-two table sizes. */
 MachineConfig
 randomValid(Xorshift64 &rng)
 {
@@ -243,7 +242,8 @@ degenerateConfig(Xorshift64 &rng, size_t i)
     return cfg;
 }
 
-/** Valid except a non-pow2 count canonicalization must repair. */
+/** A valid machine with a non-pow2 predictor or DTLB entry count,
+ *  which the simulator indexes by modulo. */
 MachineConfig
 nonPow2Config(Xorshift64 &rng, size_t i)
 {
@@ -258,7 +258,7 @@ nonPow2Config(Xorshift64 &rng, size_t i)
     if (i % 2 == 0) {
         cfg.predictorEntries = offPow2(6, 14);
     } else {
-        // Assoc 1 so the rounded-down entry count stays divisible.
+        // Assoc 1 so any entry count is a whole number of sets.
         cfg.dtlbAssoc = 1;
         cfg.dtlbEntries = offPow2(4, 10);
     }

@@ -67,9 +67,9 @@ main(int argc, char **argv)
         std::printf("\n");
     }
 
-    // The outlier, measured instead of estimated: run the Blowfish
-    // key-setup kernel itself through the simulator. No grid has a
-    // place for it, so it runs directly.
+    // The outlier, measured instead of estimated: record the Blowfish
+    // key-setup kernel itself and replay it on the 4W model. No grid
+    // has a place for it, so it is recorded here.
     const auto &bf = driver::findResult(results, crypto::CipherId::Blowfish,
                                         KernelVariant::BaselineRot, "4W");
     if (bf.ok()) {
@@ -79,8 +79,9 @@ main(int argc, char **argv)
         isa::Machine m;
         for (const auto &[addr, bytes] : setup.memInit)
             m.writeMem(addr, bytes);
-        auto s = sim::simulate(m, setup.program,
-                               sim::MachineConfig::fourWide());
+        driver::RecordedTrace trace(setup.program, setup.loopHead);
+        m.run(setup.program, &trace);
+        auto s = trace.replay(sim::MachineConfig::fourWide());
 
         double cpb = static_cast<double>(bf.stats.cycles) / bf.bytes;
         std::printf("\nBlowfish setup kernel, measured: %llu cycles "

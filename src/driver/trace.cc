@@ -174,8 +174,23 @@ recordKernelTrace(crypto::CipherId cipher, kernels::KernelVariant variant,
                   size_t bytes, kernels::KernelDirection direction,
                   RecordTiming *timing)
 {
+    const auto t_workload = std::chrono::steady_clock::now();
+    const Workload w = makeWorkload(cipher, bytes);
+    const double workload_seconds = secondsSince(t_workload);
+    RecordedTrace trace =
+        recordKernelTrace(cipher, variant, w, direction, timing);
+    if (timing)
+        timing->setupSeconds += workload_seconds;
+    return trace;
+}
+
+RecordedTrace
+recordKernelTrace(crypto::CipherId cipher, kernels::KernelVariant variant,
+                  const Workload &w, kernels::KernelDirection direction,
+                  RecordTiming *timing)
+{
     const auto t_setup = std::chrono::steady_clock::now();
-    Workload w = makeWorkload(cipher, bytes);
+    const size_t bytes = w.plaintext.size();
     // Decrypt kernels consume the reference ciphertext of the standard
     // plaintext, so the oracle below checks round-trip recovery.
     std::vector<uint8_t> input =

@@ -129,7 +129,8 @@ class RecordedTrace final : public isa::TraceSink
     }
 
     /** Feed the captured stream, in order, into any sink. This is the
-     *  full per-instruction path. */
+     *  full per-instruction path, and the way into a scheduler the
+     *  caller set up itself (a timeline window, say). */
     void replay(isa::TraceSink &sink) const;
 
     /**
@@ -269,6 +270,18 @@ class RecordedTrace final : public isa::TraceSink
 RecordedTrace recordKernelTrace(crypto::CipherId cipher,
                                 kernels::KernelVariant variant,
                                 size_t bytes = session_bytes,
+                                kernels::KernelDirection direction
+                                    = kernels::KernelDirection::Encrypt,
+                                RecordTiming *timing = nullptr);
+
+/**
+ * The same over an explicit @p workload: its key and IV, and its
+ * plaintext as the session (its length is the session length). The
+ * overload above is makeWorkload(cipher, bytes) plus this call.
+ */
+RecordedTrace recordKernelTrace(crypto::CipherId cipher,
+                                kernels::KernelVariant variant,
+                                const Workload &workload,
                                 kernels::KernelDirection direction
                                     = kernels::KernelDirection::Encrypt,
                                 RecordTiming *timing = nullptr);

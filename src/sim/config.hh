@@ -56,7 +56,7 @@ struct MachineConfig
     bool perfectBranch = false;
     /** Minimum misprediction redirect penalty, cycles. */
     unsigned mispredictPenalty = 8;
-    /** Bimodal predictor table entries (power of two). */
+    /** Bimodal predictor table entries (any count; pc modulo size). */
     unsigned predictorEntries = 2048;
 
     // --- Window / issue ---

@@ -84,8 +84,6 @@ IterationMemo::IterationMemo(OooScheduler &sched, uint32_t loopHead)
 bool
 IterationMemo::fastForwardable(OooScheduler &sched)
 {
-    if (sched.timelineCount != 0)
-        return false;
     if (sched.cfg.windowSize != unlimited)
         return true;
     bool booked = false;

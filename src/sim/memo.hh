@@ -27,7 +27,8 @@
  * relative to its own floor with the fetch clock as group 0, and an
  * iteration applies wherever the gaps between the groups leave its
  * choices unchanged; its stall cycles are then affine in those gaps.
- * DF+Issue, DF+Res and a run with a timeline window take the full path.
+ * DF+Issue and DF+Res take the full path; so does every stream fed
+ * to the scheduler's emit() directly, a timeline recording included.
  * Under the auditor every hit also runs on the core and is checked.
  */
 
@@ -127,7 +128,7 @@ class IterationMemo
     IterationMemo(OooScheduler &sched, uint32_t loopHead);
 
     /** True when @p sched may use the memo at all: it is
-     *  window-limited or booking-free, and records no timeline. */
+     *  window-limited or booking-free. */
     static bool fastForwardable(OooScheduler &sched);
 
     /**

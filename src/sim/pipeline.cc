@@ -578,13 +578,4 @@ OooScheduler::finish()
     return stats;
 }
 
-SimStats
-simulate(isa::Machine &machine, const isa::Program &program,
-         const MachineConfig &config)
-{
-    OooScheduler sched(config);
-    machine.run(program, &sched);
-    return sched.finish();
-}
-
 } // namespace cryptarch::sim

@@ -175,8 +175,8 @@ class OooScheduler final : public isa::TraceSink
 {
   public:
     /**
-     * Construct for @p config, canonicalized (validate.hh) and
-     * rejected with a typed ConfigRejected when invalid.
+     * Construct for @p config as given, rejected with a typed
+     * ConfigRejected when invalid (validate.hh).
      *
      * An admitted config can still hold a unit pool some operation
      * never fits (validation bounds each pool's size only), so
@@ -448,13 +448,6 @@ OooScheduler::outcomeInert(const isa::DynInst &tmpl) const
         return true;
     }
 }
-
-/**
- * Convenience wrapper: functionally execute @p program on @p machine
- * while timing it on @p config.
- */
-SimStats simulate(isa::Machine &machine, const isa::Program &program,
-                  const MachineConfig &config);
 
 } // namespace cryptarch::sim
 

@@ -1,9 +1,6 @@
 #include "sim/validate.hh"
 
 #include <atomic>
-#include <cstdio>
-#include <mutex>
-#include <set>
 
 namespace cryptarch::sim
 {
@@ -28,21 +25,6 @@ constexpr unsigned max_window_size = 1u << 24;
 // paper's largest real latency (memLat = 120).
 constexpr unsigned max_latency = 1u << 12;
 constexpr unsigned max_width = 1u << 16;
-
-bool
-isPow2(unsigned v)
-{
-    return v && (v & (v - 1)) == 0;
-}
-
-unsigned
-floorPow2(unsigned v)
-{
-    unsigned p = 1;
-    while (p <= v / 2)
-        p *= 2;
-    return p;
-}
 
 /** A cycle count past max_latency; 0 is admissible. */
 std::optional<ConfigError>
@@ -75,24 +57,6 @@ checkWidth(const char *field, unsigned width)
                            std::to_string(width) + " exceeds the "
                                + std::to_string(max_width) + " cap"};
     return std::nullopt;
-}
-
-/** One-time-per-field canonicalization warnings, so a sweep that
- *  reuses one config cannot flood the log. */
-void
-warnAdjustment(const std::string &field, unsigned from, unsigned to)
-{
-    static std::mutex mutex;
-    static std::set<std::string> warned;
-    {
-        std::lock_guard<std::mutex> lock(mutex);
-        if (!warned.insert(field).second)
-            return;
-    }
-    std::fprintf(stderr,
-                 "cryptarch: canonicalized %s from %u to %u (the "
-                 "indexing path requires a power of two)\n",
-                 field.c_str(), from, to);
 }
 
 // Hardening policies, set only through the setters (benches pass
@@ -143,7 +107,6 @@ configErrorKindName(ConfigErrorKind kind)
     switch (kind) {
       case ConfigErrorKind::ZeroGeometry: return "zero-geometry";
       case ConfigErrorKind::BadGeometry: return "bad-geometry";
-      case ConfigErrorKind::NonPow2: return "non-pow2";
       case ConfigErrorKind::InconsistentLatency:
         return "inconsistent-latency";
       case ConfigErrorKind::Oversized: return "oversized";
@@ -172,11 +135,6 @@ validateConfig(const MachineConfig &cfg)
         return ConfigError{ConfigErrorKind::ZeroGeometry,
                            "predictorEntries",
                            "the predictor table must have entries"};
-    if (!isPow2(cfg.predictorEntries))
-        return ConfigError{ConfigErrorKind::NonPow2, "predictorEntries",
-                           std::to_string(cfg.predictorEntries)
-                               + " is not a power of two (the bimodal "
-                                 "index masks)"};
     if (cfg.predictorEntries > max_predictor_entries)
         return ConfigError{ConfigErrorKind::Oversized, "predictorEntries",
                            std::to_string(cfg.predictorEntries)
@@ -266,11 +224,6 @@ validateConfig(const MachineConfig &cfg)
     if (cfg.dtlbEntries == 0)
         return ConfigError{ConfigErrorKind::ZeroGeometry, "dtlbEntries",
                            "the DTLB must have entries"};
-    if (!isPow2(cfg.dtlbEntries))
-        return ConfigError{ConfigErrorKind::NonPow2, "dtlbEntries",
-                           std::to_string(cfg.dtlbEntries)
-                               + " is not a power of two (the set index "
-                                 "masks)"};
     if (cfg.dtlbEntries > max_tlb_entries)
         return ConfigError{ConfigErrorKind::Oversized, "dtlbEntries",
                            std::to_string(cfg.dtlbEntries)
@@ -304,25 +257,6 @@ validateConfig(const MachineConfig &cfg)
     return std::nullopt;
 }
 
-MachineConfig
-canonicalizeConfig(const MachineConfig &cfg,
-                   std::vector<ConfigAdjustment> *adjustments)
-{
-    MachineConfig out = cfg;
-    auto repair = [&](const char *field, unsigned &value) {
-        if (value == 0 || isPow2(value))
-            return;
-        unsigned to = floorPow2(value);
-        warnAdjustment(field, value, to);
-        if (adjustments)
-            adjustments->push_back({field, value, to});
-        value = to;
-    };
-    repair("predictorEntries", out.predictorEntries);
-    repair("dtlbEntries", out.dtlbEntries);
-    return out;
-}
-
 ConfigRejected::ConfigRejected(ConfigError err)
     : std::invalid_argument(err.message()), err_(std::move(err))
 {
@@ -340,10 +274,9 @@ AuditError::AuditError(const std::string &invariant, uint64_t seq,
 MachineConfig
 hardenedConfig(const MachineConfig &cfg)
 {
-    MachineConfig canon = canonicalizeConfig(cfg);
-    if (auto err = validateConfig(canon))
+    if (auto err = validateConfig(cfg))
         throw ConfigRejected(std::move(*err));
-    return canon;
+    return cfg;
 }
 
 bool

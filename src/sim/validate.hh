@@ -1,19 +1,19 @@
 /**
  * @file
- * Typed MachineConfig validation, canonicalization, and the simulator
- * hardening policies (invariant audit / progress budget).
+ * Typed MachineConfig validation and the simulator hardening policies
+ * (invariant audit / progress budget).
  *
- * MachineConfig is ~30 unchecked numeric fields, and the design-space
- * work (ROADMAP item 5) generates configs nobody hand-audited. This
- * module is the admission layer: validateConfig() classifies every way
- * a config can break the simulator into a ConfigError taxonomy,
- * canonicalizeConfig() repairs the benign cases (non-power-of-two
- * predictor/TLB entry counts round down, with a one-time warning), and
- * the scheduler constructor routes through hardenedConfig() so a bad
- * config becomes a typed ConfigRejected at construction instead of
- * a divide-by-zero, an unbounded allocation, or a livelocked issue
- * loop deep inside a sweep cell. Validation is always on, and Cache
- * construction applies the same geometry rule (checkGeometry()).
+ * MachineConfig is ~30 unchecked numeric fields, and generated configs
+ * (configfuzz) reach it without a hand audit. This module is the
+ * admission layer: validateConfig() classifies every way a config can
+ * break the simulator into a ConfigError taxonomy, and the scheduler
+ * constructor routes through hardenedConfig() so a bad config becomes
+ * a typed ConfigRejected at construction instead of a divide-by-zero,
+ * an unbounded allocation, or a livelocked issue loop deep inside a
+ * sweep cell. An admitted config is modelled as given: the predictor
+ * and every cache, the DTLB included, index any entry or set count.
+ * Validation is always on, and Cache construction applies the same
+ * geometry rule (checkGeometry()).
  *
  * The taxonomy:
  *
@@ -23,9 +23,6 @@
  *   BadGeometry          nonzero but internally inconsistent (cache
  *                        smaller than one set, size not divisible by
  *                        blockBytes*assoc, TLB entries % assoc != 0)
- *   NonPow2              a count the indexing path requires to be a
- *                        power of two is not (raw validation only;
- *                        canonicalizeConfig repairs these)
  *   InconsistentLatency  latency relations that cannot describe a real
  *                        machine (a 0-cycle functional unit, L2 hit
  *                        slower than memory, 32-bit multiply slower
@@ -51,7 +48,6 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
-#include <vector>
 
 #include "sim/config.hh"
 
@@ -63,12 +59,11 @@ enum class ConfigErrorKind : uint8_t
 {
     ZeroGeometry,
     BadGeometry,
-    NonPow2,
     InconsistentLatency,
     Oversized,
 };
 
-/** Stable short name ("zero-geometry", "non-pow2", ...). */
+/** Stable short name ("zero-geometry", "oversized", ...). */
 const char *configErrorKindName(ConfigErrorKind kind);
 
 /** One validation failure: the kind, the offending field, and why. */
@@ -86,8 +81,6 @@ struct ConfigError
 /**
  * Validate @p cfg without modifying it. Returns the first error found
  * (field-declaration order), or nullopt for an admissible config.
- * Validation is raw: a canonicalizable non-pow2 count is still
- * reported (as NonPow2) — construction paths canonicalize first.
  */
 std::optional<ConfigError> validateConfig(const MachineConfig &cfg);
 
@@ -99,27 +92,6 @@ std::optional<ConfigError> validateConfig(const MachineConfig &cfg);
  */
 std::optional<ConfigError> checkGeometry(const char *name,
                                          const CacheGeometry &g);
-
-/** One repair canonicalizeConfig made. */
-struct ConfigAdjustment
-{
-    std::string field;
-    unsigned from = 0;
-    unsigned to = 0;
-};
-
-/**
- * Repair the benign deviations of @p cfg: predictorEntries and
- * dtlbEntries that are not powers of two round *down* to one (the
- * indexing fast path masks; rounding up would claim capacity the
- * request never asked for). Every repair emits a one-time warning per
- * field per process and is appended to @p adjustments when given.
- * Fields that are zero or already powers of two pass through
- * untouched, so every preset is a fixed point of this function.
- */
-MachineConfig
-canonicalizeConfig(const MachineConfig &cfg,
-                   std::vector<ConfigAdjustment> *adjustments = nullptr);
 
 /**
  * A config refused admission. Derives std::invalid_argument so generic
@@ -161,8 +133,8 @@ class AuditError : public std::logic_error
 };
 
 /**
- * The construction-time admission pipeline: canonicalize @p cfg and
- * throw ConfigRejected if validation still fails.
+ * The construction-time admission check: @p cfg unchanged, or
+ * ConfigRejected if validation fails.
  */
 MachineConfig hardenedConfig(const MachineConfig &cfg);
 

@@ -2,8 +2,7 @@
 
 #include <stdexcept>
 
-#include "kernels/kernel.hh"
-#include "sim/pipeline.hh"
+#include "driver/trace.hh"
 #include "util/xorshift.hh"
 
 namespace cryptarch::ssl
@@ -69,7 +68,7 @@ probeRates(crypto::CipherId cipher, const sim::SimStats &lo,
 
 SessionModel::SessionModel(crypto::CipherId cipher, SessionModelParams p)
 {
-    // --- bulk cost: simulate the cipher kernel at two probe lengths ---
+    // --- bulk cost: time the cipher kernel at two probe lengths ---
     const auto &info = crypto::cipherInfo(cipher);
     if (p.probeBytesLo >= p.probeBytesHi
         || p.probeBytesLo % info.blockBytes
@@ -79,17 +78,15 @@ SessionModel::SessionModel(crypto::CipherId cipher, SessionModelParams p)
             "the cipher block size");
 
     Xorshift64 rng(0xB0B5CA1E);
-    auto cipher_key = rng.bytes(info.keyBits / 8);
-    auto iv = rng.bytes(info.isStream ? 0 : info.blockBytes);
+    driver::Workload w;
+    w.key = rng.bytes(info.keyBits / 8);
+    w.iv = rng.bytes(info.isStream ? 0 : info.blockBytes);
 
     auto probe = [&](size_t probe_bytes) {
-        auto build = kernels::buildKernel(
-            cipher, kernels::KernelVariant::BaselineRot, cipher_key, iv,
-            probe_bytes);
-        isa::Machine m;
-        auto pt = rng.bytes(probe_bytes);
-        build.install(m, kernels::toWordImage(cipher, pt));
-        return sim::simulate(m, build.program, p.model);
+        w.plaintext = rng.bytes(probe_bytes);
+        return driver::recordKernelTrace(
+                   cipher, kernels::KernelVariant::BaselineRot, w)
+            .replay(p.model);
     };
     const sim::SimStats lo = probe(p.probeBytesLo);
     const sim::SimStats hi = probe(p.probeBytesHi);

@@ -15,12 +15,14 @@
  *    (util::BigInt's instrumentation), scaled by a cycles-per-multiply
  *    constant; the client's rsaPublic multiplies are counted with a
  *    separate reset so they never inflate the server column;
- *  - private-key cycles come from the cycle-level simulator running
- *    the cipher kernel at two probe lengths: the marginal slope
- *    between the probes is the steady-state cycles/byte rate, and the
- *    intercept is the one-time kernel prologue (register/key loads,
- *    cold caches and predictor warmup), charged once per kernel
- *    invocation instead of being smeared into the per-byte rate;
+ *  - private-key cycles come from the cipher kernel at two probe
+ *    lengths, each recorded (driver::recordKernelTrace, so its output
+ *    is oracle-checked) and replayed on the timing model: the
+ *    marginal slope between the probes is the steady-state
+ *    cycles/byte rate, and the intercept is the one-time kernel
+ *    prologue (register/key loads, cold caches and predictor warmup),
+ *    charged once per kernel invocation instead of being smeared into
+ *    the per-byte rate;
  *  - "other" is a fixed per-request overhead plus a per-byte copy
  *    cost, the calibration documented in EXPERIMENTS.md.
  */
@@ -127,7 +129,8 @@ class SessionModel
     /**
      * Build the model: generates an RSA key, measures the handshake's
      * word-multiply count per side, and times @p bulk_cipher's kernel
-     * at two probe lengths on the configured machine.
+     * at two probe lengths on the configured machine. A probe whose
+     * output fails the oracle throws verify::VerifyError.
      */
     explicit SessionModel(crypto::CipherId bulk_cipher,
                           SessionModelParams params = {});

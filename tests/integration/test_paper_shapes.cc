@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "driver/grids.hh"
+#include "driver/trace.hh"
 #include "driver/workload.hh"
 #include "kernels/kernel.hh"
 #include "sim/pipeline.hh"
@@ -495,6 +496,38 @@ TEST(PaperShapes, DecryptSymmetryExperimentsSentence)
     char buf[16];
     std::snprintf(buf, sizeof(buf), "%.1f", speedup);
     EXPECT_STREQ(buf, "1.6");
+}
+
+// EXPERIMENTS.md's Figure 6 outlier, measured as bench/fig06_setup_cost
+// measures it: the Blowfish key-setup kernel, recorded and replayed on
+// 4W, takes 84.8k cycles, 50.4% of a 4 KB BaselineRot session and the
+// work of encrypting 4.1 KB of payload.
+TEST(PaperShapes, Fig06BlowfishSetupKernel)
+{
+    const driver::Workload w = driver::makeWorkload(CipherId::Blowfish);
+    const auto setup =
+        kernels::buildBlowfishSetupKernel(KernelVariant::BaselineRot, w.key);
+    isa::Machine m;
+    for (const auto &[addr, bytes] : setup.memInit)
+        m.writeMem(addr, bytes);
+    driver::RecordedTrace trace(setup.program, setup.loopHead);
+    m.run(setup.program, &trace);
+    const sim::SimStats s = trace.replay(MachineConfig::fourWide());
+    EXPECT_EQ(s.cycles, 84794u);
+    EXPECT_EQ(s.instructions, 146443u);
+
+    const sim::SimStats session =
+        driver::recordKernelTrace(CipherId::Blowfish,
+                                  KernelVariant::BaselineRot)
+            .replay(MachineConfig::fourWide());
+    const double cpb = static_cast<double>(session.cycles)
+        / static_cast<double>(driver::session_bytes);
+    const double cycles = static_cast<double>(s.cycles);
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "%.1f %.1f %.1f", cycles / 1000.0,
+                  100.0 * cycles / (cycles + cpb * 4096),
+                  cycles / cpb / 1024.0);
+    EXPECT_STREQ(buf, "84.8 50.4 4.1");
 }
 
 } // namespace

@@ -41,7 +41,9 @@ runKernel(crypto::CipherId cipher, kernels::KernelVariant variant,
     auto build = kernels::buildKernel(cipher, variant, w.key, w.iv, 512);
     isa::Machine m;
     build.install(m, kernels::toWordImage(cipher, w.plaintext));
-    return sim::simulate(m, build.program, cfg);
+    sim::OooScheduler sched(cfg);
+    m.run(build.program, &sched);
+    return sched.finish();
 }
 
 TEST(Audit, KernelsPassOnEveryPreset)

@@ -25,7 +25,9 @@ SimStats
 runOn(const isa::Program &p, const MachineConfig &cfg)
 {
     isa::Machine m;
-    return sim::simulate(m, p, cfg);
+    sim::OooScheduler sched(cfg);
+    m.run(p, &sched);
+    return sched.finish();
 }
 
 /** A pure serial dependence chain of n additions. */

@@ -1,12 +1,13 @@
 /**
  * @file
- * Config admission layer: the ConfigError taxonomy, canonicalization
- * fixed points, and the typed rejections thrown from Cache and
- * scheduler construction.
+ * Config admission layer: the ConfigError taxonomy, configs admitted
+ * and modelled as given, and the typed rejections thrown from Cache
+ * and scheduler construction.
  */
 
 #include <gtest/gtest.h>
 
+#include "isa/program.hh"
 #include "sim/cache.hh"
 #include "sim/config.hh"
 #include "sim/pipeline.hh"
@@ -41,6 +42,8 @@ TEST(Validate, PresetsAreAdmissible)
         EXPECT_FALSE(err.has_value())
             << cfg.name << ": " << (err ? err->message() : "");
     }
+    // The 21264 preset's predictor size, which its figure columns use.
+    EXPECT_EQ(MachineConfig::alpha21264().predictorEntries, 4096u);
 }
 
 TEST(Validate, ZeroGeometryIsClassified)
@@ -87,18 +90,6 @@ TEST(Validate, BadGeometryIsClassified)
     cfg.dtlbEntries = 32;
     cfg.dtlbAssoc = 5;
     EXPECT_EQ(kindOf(cfg), ConfigErrorKind::BadGeometry);
-}
-
-TEST(Validate, NonPow2IsReportedRaw)
-{
-    MachineConfig cfg = MachineConfig::fourWide();
-    cfg.predictorEntries = 3000;
-    EXPECT_EQ(kindOf(cfg), ConfigErrorKind::NonPow2);
-
-    cfg = MachineConfig::fourWide();
-    cfg.dtlbEntries = 48;
-    cfg.dtlbAssoc = 8;
-    EXPECT_EQ(kindOf(cfg), ConfigErrorKind::NonPow2);
 }
 
 TEST(Validate, InconsistentLatencyIsClassified)
@@ -156,44 +147,6 @@ TEST(Validate, ErrorMessageNamesKindAndField)
     EXPECT_NE(msg.find("l2HitLat"), std::string::npos) << msg;
 }
 
-TEST(Validate, CanonicalizeRoundsDownToPow2)
-{
-    MachineConfig cfg = MachineConfig::fourWide();
-    cfg.predictorEntries = 3000;
-    cfg.dtlbEntries = 48;
-    cfg.dtlbAssoc = 8;
-    std::vector<sim::ConfigAdjustment> adjustments;
-    MachineConfig fixed = sim::canonicalizeConfig(cfg, &adjustments);
-    EXPECT_EQ(fixed.predictorEntries, 2048u);
-    EXPECT_EQ(fixed.dtlbEntries, 32u);
-    ASSERT_EQ(adjustments.size(), 2u);
-    EXPECT_EQ(adjustments[0].field, "predictorEntries");
-    EXPECT_EQ(adjustments[0].from, 3000u);
-    EXPECT_EQ(adjustments[0].to, 2048u);
-    EXPECT_EQ(adjustments[1].field, "dtlbEntries");
-    EXPECT_EQ(adjustments[1].from, 48u);
-    EXPECT_EQ(adjustments[1].to, 32u);
-    // The repaired config is admissible.
-    EXPECT_FALSE(sim::validateConfig(fixed).has_value());
-}
-
-TEST(Validate, PresetsAreCanonicalFixedPoints)
-{
-    // The 21264 preset regression of the satellite: its 4096-entry
-    // predictor is already a power of two and must pass through
-    // untouched, keeping index masks (and figure grids) unchanged.
-    for (const auto &cfg :
-         {MachineConfig::fourWide(), MachineConfig::alpha21264(),
-          MachineConfig::eightWidePlus(), MachineConfig::dataflow()}) {
-        std::vector<sim::ConfigAdjustment> adjustments;
-        MachineConfig fixed = sim::canonicalizeConfig(cfg, &adjustments);
-        EXPECT_TRUE(adjustments.empty()) << cfg.name;
-        EXPECT_EQ(fixed.predictorEntries, cfg.predictorEntries) << cfg.name;
-        EXPECT_EQ(fixed.dtlbEntries, cfg.dtlbEntries) << cfg.name;
-    }
-    EXPECT_EQ(MachineConfig::alpha21264().predictorEntries, 4096u);
-}
-
 TEST(Validate, CacheRejectsZeroGeometryTyped)
 {
     // Satellite (a): the former assert/UB path is now a typed throw,
@@ -228,11 +181,81 @@ TEST(Validate, SchedulerConstructionRejects)
 
 TEST(Validate, SchedulerCanonicalizesOnAdmission)
 {
-    // A non-pow2 predictor is repaired, not rejected, on the default
-    // policy.
+    // Non-pow2 predictor and DTLB entry counts are admitted as given:
+    // the predictor and the DTLB's cache index any size by modulo.
     MachineConfig cfg = MachineConfig::fourWide();
     cfg.predictorEntries = 3000;
+    cfg.dtlbEntries = 48;
+    cfg.dtlbAssoc = 8;
+    EXPECT_FALSE(sim::validateConfig(cfg).has_value());
+    const MachineConfig admitted = sim::hardenedConfig(cfg);
+    EXPECT_EQ(admitted.predictorEntries, 3000u);
+    EXPECT_EQ(admitted.dtlbEntries, 48u);
     EXPECT_NO_THROW(sim::OooScheduler sched(cfg));
+}
+
+/** Stats of @p p on @p cfg as the Machine runs it. */
+sim::SimStats
+runLive(const isa::Program &p, const MachineConfig &cfg)
+{
+    isa::Machine m;
+    sim::OooScheduler sched(cfg);
+    m.run(p, &sched);
+    return sched.finish();
+}
+
+TEST(Validate, NonPow2PredictorIsModelledAtTheSizeGiven)
+{
+    // Two not-taken branches at pcs 0 and 3. With 3 entries they share
+    // a counter: the first mispredicts (weakly taken at reset) and
+    // trains it to not-taken, so the second is predicted. With 2 or 4
+    // entries they do not share, and both mispredict.
+    isa::Assembler a;
+    constexpr isa::Reg r1{1}, r2{2};
+    a.bne(r1, "end");
+    a.addq(r2, 1, r2);
+    a.addq(r2, 1, r2);
+    a.bne(r1, "end");
+    a.label("end");
+    a.halt();
+    const isa::Program p = a.finalize();
+
+    MachineConfig cfg = MachineConfig::fourWide();
+    for (auto [entries, mispredicts] :
+         {std::pair{3u, 1u}, std::pair{2u, 2u}, std::pair{4u, 2u}}) {
+        cfg.predictorEntries = entries;
+        const sim::SimStats stats = runLive(p, cfg);
+        EXPECT_EQ(stats.condBranches, 2u) << entries;
+        EXPECT_EQ(stats.mispredicts, mispredicts) << entries;
+    }
+}
+
+TEST(Validate, NonPow2DtlbIsModelledAtTheSizeGiven)
+{
+    // Pages 0, 3, 6, 9 and 12, loaded twice in turn. A 12-entry 4-way
+    // DTLB has 3 sets, so all five pages fall in set 0 and LRU evicts
+    // each before its reuse: 10 misses. With 8 or 16 entries (2 or 4
+    // sets) no set holds more than 4 of them: 5 cold misses.
+    MachineConfig cfg = MachineConfig::fourWide();
+    isa::Assembler a;
+    constexpr isa::Reg r1{1}, r2{2};
+    for (int pass = 0; pass < 2; pass++) {
+        for (int64_t page : {0, 3, 6, 9, 12}) {
+            a.li(page * cfg.pageBytes, r1);
+            a.ldq(r2, r1);
+        }
+    }
+    a.halt();
+    const isa::Program p = a.finalize();
+
+    cfg.dtlbAssoc = 4;
+    for (auto [entries, misses] :
+         {std::pair{12u, 10u}, std::pair{8u, 5u}, std::pair{16u, 5u}}) {
+        cfg.dtlbEntries = entries;
+        const sim::SimStats stats = runLive(p, cfg);
+        EXPECT_EQ(stats.tlb.accesses, 10u) << entries;
+        EXPECT_EQ(stats.tlb.misses, misses) << entries;
+    }
 }
 
 TEST(Validate, KindNamesAreStable)
@@ -241,8 +264,6 @@ TEST(Validate, KindNamesAreStable)
                  "zero-geometry");
     EXPECT_STREQ(sim::configErrorKindName(ConfigErrorKind::BadGeometry),
                  "bad-geometry");
-    EXPECT_STREQ(sim::configErrorKindName(ConfigErrorKind::NonPow2),
-                 "non-pow2");
     EXPECT_STREQ(
         sim::configErrorKindName(ConfigErrorKind::InconsistentLatency),
         "inconsistent-latency");

@@ -38,6 +38,16 @@ mulqProgram()
     return a.finalize();
 }
 
+/** Time @p p on @p cfg as the Machine runs it. */
+sim::SimStats
+runLive(const isa::Program &p, const MachineConfig &cfg)
+{
+    isa::Machine m;
+    sim::OooScheduler sched(cfg);
+    m.run(p, &sched);
+    return sched.finish();
+}
+
 /** The livelock config: MULQ needs 2 half-slots, the pool has 1. */
 MachineConfig
 oneHalfSlot()
@@ -50,9 +60,8 @@ oneHalfSlot()
 
 TEST(Watchdog, UnsatisfiableMulPoolTrapsInsteadOfHanging)
 {
-    isa::Machine m;
     try {
-        sim::simulate(m, mulqProgram(), oneHalfSlot());
+        runLive(mulqProgram(), oneHalfSlot());
         FAIL() << "expected the watchdog to fire";
     } catch (const isa::Trap &t) {
         EXPECT_EQ(t.cause(), isa::TrapCause::NoProgress);
@@ -71,9 +80,8 @@ TEST(Watchdog, BudgetOverrideShortensTheFuse)
 {
     ASSERT_EQ(sim::progressBudgetOverride(), 0u);
     sim::setProgressBudgetOverride(64);
-    isa::Machine m;
     try {
-        sim::simulate(m, mulqProgram(), oneHalfSlot());
+        runLive(mulqProgram(), oneHalfSlot());
         sim::setProgressBudgetOverride(0);
         FAIL() << "expected the watchdog to fire";
     } catch (const isa::Trap &t) {
@@ -125,8 +133,7 @@ TEST(Watchdog, UnlimitedIssueTripMessageIsPinned)
     sim::setProgressBudgetOverride(16);
     std::string msg;
     try {
-        isa::Machine m;
-        sim::simulate(m, mulqProgram(), dfResOneHalfSlot());
+        runLive(mulqProgram(), dfResOneHalfSlot());
     } catch (const isa::Trap &t) {
         msg = t.what();
     }
@@ -148,8 +155,7 @@ TEST(Watchdog, AdmissibleMachinesNeverFire)
          {MachineConfig::fourWide(), MachineConfig::fourWidePlus(),
           MachineConfig::eightWidePlus(), MachineConfig::dataflow(),
           MachineConfig::dfPlusResources()}) {
-        isa::Machine m;
-        auto stats = sim::simulate(m, p, cfg);
+        auto stats = runLive(p, cfg);
         EXPECT_GT(stats.cycles, 0u) << cfg.name;
         EXPECT_EQ(stats.instructions, 20u) << cfg.name;
     }
@@ -171,8 +177,7 @@ TEST(Watchdog, TightButSatisfiablePoolStillCompletes)
     MachineConfig cfg = MachineConfig::fourWide();
     cfg.name = "4W-mul2";
     cfg.mulHalfSlots = 2;
-    isa::Machine m;
-    auto stats = sim::simulate(m, p, cfg);
+    auto stats = runLive(p, cfg);
     EXPECT_EQ(stats.instructions, 203u);
 }
 
