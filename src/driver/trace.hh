@@ -16,7 +16,9 @@
  * program (isa::decode), one bit per conditional branch and one u32
  * address per memory operation, 0.5-2.1 B/inst on the catalog kernels
  * at 64 KB. It lives in memory only, and replay walks the program
- * from pc 0.
+ * from pc 0. The address log, the bulk of it, is its own page mapping
+ * (util::PageArray), not heap memory, so a dropped trace gives its
+ * pages back to the OS at once (DESIGN §8).
  */
 
 #ifndef CRYPTARCH_DRIVER_TRACE_HH
@@ -32,6 +34,7 @@
 #include "isa/machine.hh"
 #include "kernels/kernel.hh"
 #include "sim/pipeline.hh"
+#include "util/page_array.hh"
 
 namespace cryptarch::sim
 {
@@ -243,10 +246,10 @@ class RecordedTrace final : public isa::TraceSink
     friend struct RecordedTraceProbe; ///< tests drive the walks through it
 
     std::vector<isa::DecodedInst> program_;
-    std::vector<bool> taken_;     ///< one per conditional branch
-    std::vector<uint32_t> addrs_; ///< one per memory operation
+    std::vector<bool> taken_;         ///< one per conditional branch
+    util::PageArray<uint32_t> addrs_; ///< one per memory operation
     uint32_t loopHead_ = no_loop_head;
-    uint32_t nextPc_ = 0;         ///< pc the next emit must carry
+    uint32_t nextPc_ = 0;             ///< pc the next emit must carry
     uint64_t count_ = 0;
 };
 

@@ -80,7 +80,7 @@ checkAlign(uint64_t addr, unsigned size, bool is_store)
 
 } // namespace
 
-Machine::Machine(size_t mem_bytes) : mem(mem_bytes, 0) {}
+Machine::Machine(size_t mem_bytes) : mem(mem_bytes) {}
 
 void
 Machine::setReg(Reg r, uint64_t v)

@@ -23,6 +23,7 @@
 
 #include "isa/program.hh"
 #include "isa/trap.hh"
+#include "util/page_array.hh"
 
 namespace cryptarch::isa
 {
@@ -116,7 +117,9 @@ struct RunStats
 /**
  * The functional interpreter. Memory is a flat byte array; programs
  * address it directly (kernels place tables at 1 KB-aligned offsets as
- * the SBOX instruction requires).
+ * the SBOX instruction requires). The array is its own page mapping
+ * (util::PageArray), so a machine makes resident only the pages its
+ * program writes, not all of mem_bytes, and returns them when dropped.
  */
 class Machine
 {
@@ -171,7 +174,7 @@ class Machine
     void applyFaults(uint64_t seq);
 
     std::array<uint64_t, num_regs> regs{};
-    std::vector<uint8_t> mem;
+    util::PageArray<uint8_t> mem;
 
     /** Snapshots of 1 KB table frames, keyed by frame base address. */
     std::map<uint64_t, std::vector<uint8_t>> sboxSnapshots;

@@ -15,8 +15,10 @@
 #include <random>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "driver/json.hh"
 #include "driver/trace.hh"
 #include "driver/workload.hh"
 #include "kernels/kernel.hh"
@@ -148,6 +150,32 @@ TEST(PackedTrace, PackedBytesBeatDynInstSeveralFold)
         EXPECT_LE(per_inst, 2.5) << info.name;
         EXPECT_EQ(trace.packedEquivalentBytes(), trace.storedBytes());
     }
+}
+
+/**
+ * A trace's address log is its own page mapping, so copies must be
+ * deep and moves must hand the mapping over: a copied, a copy-assigned
+ * and a moved-to 3DES trace replay to the original's stats on 4W
+ * (fast-forwarded) and DF+Res (the full path).
+ */
+TEST(RecordedTrace, CopiedAndMovedTracesReplayTheSame)
+{
+    const auto original = driver::recordKernelTrace(
+        crypto::CipherId::TripleDES, kernels::KernelVariant::Optimized,
+        16 * 1024);
+    driver::RecordedTrace copied = original;
+    driver::RecordedTrace assigned;
+    assigned = copied;
+    driver::RecordedTrace source = original;
+    const driver::RecordedTrace moved = std::move(source);
+    for (const auto &cfg : {sim::MachineConfig::fourWide(),
+                            sim::MachineConfig::dfPlusResources()}) {
+        const std::string want = driver::toJson(original.replay(cfg));
+        EXPECT_EQ(driver::toJson(copied.replay(cfg)), want) << cfg.name;
+        EXPECT_EQ(driver::toJson(assigned.replay(cfg)), want) << cfg.name;
+        EXPECT_EQ(driver::toJson(moved.replay(cfg)), want) << cfg.name;
+    }
+    EXPECT_EQ(moved.storedBytes(), original.storedBytes());
 }
 
 /**

@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <algorithm>
+#include <fstream>
+#include <vector>
+
 #include "crypto/idea.hh"
 #include "isa/machine.hh"
 #include "util/bitops.hh"
@@ -408,6 +414,37 @@ TEST(Machine, DiscardedDestinationEmitsNoDestOrResult)
     EXPECT_EQ(sink.insts[4].dest, r3.n);
     EXPECT_EQ(sink.insts[4].result, 63u);
     EXPECT_EQ(m.reg(reg_zero), 0u);
+}
+
+/** Resident bytes of this process, from /proc/self/statm. */
+size_t
+residentBytes()
+{
+    std::ifstream statm("/proc/self/statm");
+    size_t size = 0, resident = 0;
+    statm >> size >> resident;
+    return resident * static_cast<size_t>(sysconf(_SC_PAGESIZE));
+}
+
+/**
+ * A machine's memory becomes resident only where its program writes:
+ * eight default 4 MB machines with one word written each add a few
+ * pages, not the 32 MB a zero-filled array would.
+ */
+TEST(Machine, UntouchedMemoryIsNotResident)
+{
+    const size_t before = residentBytes();
+    ASSERT_GT(before, 0u);
+    std::vector<Machine> machines;
+    machines.reserve(8);
+    for (uint32_t i = 0; i < 8; i++) {
+        machines.emplace_back();
+        machines.back().write32(4096 * i, i + 1);
+    }
+    const size_t after = residentBytes();
+    EXPECT_LT(after - std::min(after, before), size_t{2} << 20);
+    for (uint32_t i = 0; i < 8; i++)
+        EXPECT_EQ(machines[i].read32(4096 * i), i + 1);
 }
 
 } // namespace
